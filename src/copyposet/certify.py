@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .errors import PreconditionError
+from .errors import CopyPosetError, PreconditionError
 from .structures.rado import adjacent as rado_adjacent
 from .structures.treetz import level as tree_level, meet as tree_meet
 
@@ -348,7 +348,7 @@ def check_meet_irreducible_candidate(handle, x, depth, samples=6, seed=0):
         try:
             bigger = engine.copy_avoiding(st, base | {z}, {x}, seed=seed)
             bigger.advance(max(2 * depth, 12))
-        except Exception:
+        except CopyPosetError:
             continue
         if all(bigger.membership(p).is_in for p in base | {z}) and \
                 bigger.membership(x).is_out:

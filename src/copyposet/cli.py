@@ -85,8 +85,6 @@ def cmd_structures(args, out):
     for sid in BUILTIN_IDS:
         st = get_structure(sid)
         caps = {
-            "finiteness-exact": st.finiteness_exact,
-            "unranked-witness": st.unranked_certifier,
             "algebraically-finite": st.algebraically_finite,
             "disjoint-amalgamation": st.stabilizer_orbits_all_infinite,
             "single-copy": st.single_copy,
@@ -294,10 +292,10 @@ def build_parser():
                     "group actions")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def env(name, fallback, conv=int):
-        # environment overrides mirror the flags; explicit flags still win
-        raw = os.environ.get("COPYPOSET_" + name)
-        return fallback if raw is None else conv(raw)
+    def env(name, fallback):
+        # environment overrides mirror the flags; explicit flags still win,
+        # and argparse converts a string default as it converts the flag
+        return os.environ.get("COPYPOSET_" + name, fallback)
 
     def common(p, structure=True):
         if structure:
@@ -308,8 +306,8 @@ def build_parser():
                        default=env("SOCKEL_CAP", 2))
         p.add_argument("--seed", type=int, default=env("SEED", 0))
         p.add_argument("--format", choices=("human", "jsonl"),
-                       default=env("FORMAT", "human", str))
-        p.add_argument("--out", default=env("OUT", None, str))
+                       default=env("FORMAT", "human"))
+        p.add_argument("--out", default=env("OUT", None))
 
     p = sub.add_parser("structures", help="list built-in structures")
     common(p, structure=False)

@@ -1,4 +1,5 @@
-"""Shared value types: partial injections, finiteness answers, memberships."""
+"""Shared value types: partial injections, finiteness answers, memberships,
+and the copy-handle interface whose memberships they are."""
 
 from __future__ import annotations
 
@@ -76,7 +77,6 @@ class PartialMap:
 
 FINITE = "finite"
 INFINITE = "infinite"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,6 @@ def finite_answer(members):
 
 def infinite_answer():
     return FinitenessAnswer(INFINITE)
-
-
-def unknown_answer(window):
-    return FinitenessAnswer(UNKNOWN, (), window)
 
 
 @dataclass(frozen=True)
@@ -147,3 +143,57 @@ OUT = Membership("out")
 
 def unknown_at(stage):
     return Membership("unknown", stage)
+
+
+class CopyHandle:
+    """Base interface: staged, single-writer, monotone decisions.  A handle
+    with total membership ignores claims."""
+
+    def __init__(self, structure):
+        self.structure = structure
+        self._stage = 0
+
+    @property
+    def stage(self):
+        return self._stage
+
+    def membership(self, x):
+        raise NotImplementedError
+
+    def schedule_claims(self, points):
+        """Queue window points to pull into the image."""
+
+    def try_decide(self, y, budget=None):
+        """Attempt to decide y; returns the possibly unknown membership."""
+        return self.membership(y)
+
+    def advance(self, stages):
+        if stages < 0:
+            raise PreconditionError("stages must be >= 0")
+        for _ in range(stages):
+            self._round()
+        return self
+
+    def _round(self):
+        self._stage += 1
+
+    def decided_in(self, depth):
+        return [x for x in self.structure.prefix(depth)
+                if self.membership(x).is_in]
+
+    def decided_out(self, depth):
+        return [x for x in self.structure.prefix(depth)
+                if self.membership(x).is_out]
+
+    def describe(self):
+        return self.__class__.__name__
+
+
+class IdentityCopy(CopyHandle):
+    """The copy U itself; membership is total."""
+
+    def membership(self, x):
+        return IN
+
+    def describe(self):
+        return "identity"

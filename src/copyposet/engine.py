@@ -17,21 +17,18 @@ then settled out of at least one side, forced points by the other side's
 avoidance constraint, free points alternately, so the decided intersection
 at the window is exactly the algebraic closure of the fixed set.
 
-Structures whose canonical presentations defeat scan-budgeted witness
-search (BIT adjacency positions are vertex values; tree constructions
-interact through whole up-sets) get closed-form handles realizing the same
-objects: tagged bit-classes and residue splits for the Rado graph, interval
-systems for the dense order, up-set complements for the levelled tree.
+Constructors take the structure's closed form when it has one
+(``closed_form_avoiding``, ``closed_form_disjoint_pair``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice
 
-from .core import IN, OUT, PartialMap, unknown_at
+# CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
+from .core import IN, OUT, CopyHandle, IdentityCopy, PartialMap, unknown_at
 from .errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -39,97 +36,11 @@ from .errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
+from .structures.dlo import powerset_embedding_dlo
 
 DEFAULT_BUDGET_BASE = 100
 DEFAULT_BUDGET_SLOPE = 10
 _WITNESS_SCAN_CAP = 5000
-
-# structures whose algebraic closure adds nothing to a finite set; for them
-# the avoidance guard is vacuous
-_AC_TRIVIAL = {"pureset", "dlo", "rado", "equiv"}
-
-
-class CopyHandle:
-    """Base interface: staged, single-writer, monotone decisions."""
-
-    def __init__(self, structure):
-        self.structure = structure
-        self._stage = 0
-
-    @property
-    def stage(self):
-        return self._stage
-
-    def membership(self, x):
-        raise NotImplementedError
-
-    def advance(self, stages):
-        if stages < 0:
-            raise PreconditionError("stages must be >= 0")
-        for _ in range(stages):
-            self._round()
-        return self
-
-    def _round(self):
-        self._stage += 1
-
-    def decided_in(self, depth):
-        return [x for x in self.structure.prefix(depth)
-                if self.membership(x).is_in]
-
-    def decided_out(self, depth):
-        return [x for x in self.structure.prefix(depth)
-                if self.membership(x).is_out]
-
-    def describe(self):
-        return self.__class__.__name__
-
-
-class IdentityCopy(CopyHandle):
-    """The copy U itself; membership is total."""
-
-    def membership(self, x):
-        return IN
-
-    def describe(self):
-        return "identity"
-
-
-class IntervalCopyDLO(CopyHandle):
-    """A closed-form rational copy: the interval union
-    ((-1,0) plus (s,s+1) for s in S) for a finite or cofinite S of naturals.
-
-    Membership is total; integers are never members."""
-
-    def __init__(self, structure, members=(), cofinite_complement=None):
-        super().__init__(structure)
-        if cofinite_complement is None:
-            self.finite_part = frozenset(int(s) for s in members)
-            self.cofinite = None
-        else:
-            self.finite_part = None
-            self.cofinite = frozenset(int(s) for s in cofinite_complement)
-
-    def contains_index(self, s):
-        if s < 0:
-            return False
-        if self.cofinite is not None:
-            return s not in self.cofinite
-        return s in self.finite_part
-
-    def membership(self, x):
-        if Fraction(-1) < x < 0:
-            return IN
-        if x.denominator == 1:
-            return OUT
-        return IN if self.contains_index(x.numerator // x.denominator) else OUT
-
-    def describe(self):
-        if self.cofinite is not None:
-            return "interval-copy S=co{%s}" % ",".join(
-                str(s) for s in sorted(self.cofinite))
-        return "interval-copy S={%s}" % ",".join(
-            str(s) for s in sorted(self.finite_part))
 
 
 class UnionCopy(CopyHandle):
@@ -180,7 +91,9 @@ class BackForthCopy(CopyHandle):
         self._range = set(self.fix)
         self._outs = set(avoidset)
         self._avoid_constraints = tuple(structure.sort_points(avoidset))
-        self._guard_trivial = structure.structure_id in _AC_TRIVIAL
+        # ac(F) = F when every stabilizer orbit off F is infinite, and then
+        # the avoidance guard is vacuous
+        self._guard_trivial = structure.stabilizer_orbits_all_infinite
         self._extra_guards = []
         self._cursor = 0
         self._claims = deque()
@@ -189,7 +102,7 @@ class BackForthCopy(CopyHandle):
         self.trace = []
         if parent is not None:
             for a in self.fix:
-                if not _decide_in(parent, a).is_in:
+                if not parent.try_decide(a).is_in:
                     raise PreconditionError(
                         "fixed point %r is not decided inside the parent"
                         % (a,))
@@ -204,14 +117,6 @@ class BackForthCopy(CopyHandle):
         if self.parent is not None and self.parent.membership(x).is_out:
             return OUT
         return unknown_at(self._stage)
-
-    def mark_out(self, x):
-        """Record a point as permanently outside the image.  Only sound when
-        the caller guarantees no future extension will claim it (the
-        disjoint-pair coordinator's guard discipline does)."""
-        if x in self._range:
-            raise InclusionContractError("cannot mark an image point out")
-        self._outs.add(x)
 
     def add_avoid_constraint(self, x):
         """Promote a point to a guarded avoidance constraint: it is decided
@@ -257,7 +162,8 @@ class BackForthCopy(CopyHandle):
             scanned += 1
             if y in self._range or y in self._outs:
                 continue
-            if self.parent is not None and not _decide_in(self.parent, y).is_in:
+            if self.parent is not None and \
+                    not self.parent.try_decide(y).is_in:
                 continue
             cand = base.extended(u, y)
             if cand is None or not self.structure.extendable(cand):
@@ -300,7 +206,7 @@ class BackForthCopy(CopyHandle):
             return m
         if budget is None:
             budget = self._budget()
-        if self.parent is not None and not _decide_in(self.parent, y).is_in:
+        if self.parent is not None and not self.parent.try_decide(y).is_in:
             return self.membership(y)
         if not self._guards_pass(y):
             return self.membership(y)
@@ -356,13 +262,6 @@ class BackForthCopy(CopyHandle):
         return " ".join(bits)
 
 
-def _decide_in(handle, y):
-    m = handle.membership(y)
-    if m.is_unknown and isinstance(handle, BackForthCopy):
-        m = handle.try_decide(y)
-    return m
-
-
 # -- constructors ------------------------------------------------------------
 
 
@@ -373,10 +272,8 @@ def copy_identity(structure):
 def decide_window(handle, depth, stages=None):
     """Advance a handle until the window is as decided as its claims allow
     (the usual preparation before check_copy)."""
-    if isinstance(handle, BackForthCopy):
-        pending = [x for x in handle.structure.prefix(depth)
-                   if handle.membership(x).is_unknown]
-        handle.schedule_claims(pending)
+    handle.schedule_claims([x for x in handle.structure.prefix(depth)
+                            if handle.membership(x).is_unknown])
     handle.advance(stages if stages is not None else max(3 * depth, 24))
     return handle
 
@@ -387,7 +284,7 @@ def copy_through(structure, fix, parent, proper, seed=0):
     witness."""
     fixset = frozenset(fix)
     for a in fixset:
-        if not _decide_in(parent, a).is_in:
+        if not parent.try_decide(a).is_in:
             raise PreconditionError(
                 "fixed point %s not inside the parent"
                 % structure.encode(a))
@@ -398,18 +295,9 @@ def copy_through(structure, fix, parent, proper, seed=0):
                 "%s has only the copy U: no proper copy exists"
                 % structure.structure_id)
         avoid.add(_proper_witness(structure, fixset, parent))
-    if structure.structure_id == "rado" and \
-            isinstance(parent, (IdentityCopy, TaggedCopyRado)):
-        child = _rado_avoiding(structure, fixset, frozenset(avoid),
-                               ones=getattr(parent, "ones", ()),
-                               zeros=getattr(parent, "zeros", ()))
-        child.floor = max(child.floor, getattr(parent, "floor", -1))
-        return child
-    if structure.structure_id == "treetz" and \
-            isinstance(parent, (IdentityCopy, UpsetComplementCopyTree)):
-        return UpsetComplementCopyTree(
-            structure, fix=fixset,
-            removed=getattr(parent, "removed", ()) + tuple(avoid))
+    closed = structure.closed_form_avoiding(fixset, frozenset(avoid), parent)
+    if closed is not None:
+        return closed
     return BackForthCopy(structure, fix=fixset, avoid=avoid, parent=parent,
                          seed=seed)
 
@@ -423,7 +311,7 @@ def _proper_witness(structure, fixset, parent):
             continue
         if structure.type_unranked(fixset, x) is not True:
             continue
-        if _decide_in(parent, x).is_in:
+        if parent.try_decide(x).is_in:
             return x
     raise SearchBudgetError("no properness witness found", scanned=_WITNESS_SCAN_CAP)
 
@@ -458,13 +346,10 @@ def copy_avoiding(structure, fix, avoid, seed=0):
             raise UnsupportedConstructionError(
                 "structure cannot certify unrankedness of %s"
                 % structure.encode(e))
-    if structure.structure_id == "rado":
-        # BIT adjacency positions are vertex values, so scan-budgeted
-        # avoidance wedges; the tagged class is the closed-form realization
-        return _rado_avoiding(structure, fixset, avoidset)
-    if structure.structure_id == "treetz":
-        return UpsetComplementCopyTree(structure, fix=fixset,
-                                       removed=tuple(avoidset))
+    closed = structure.closed_form_avoiding(fixset, avoidset,
+                                            IdentityCopy(structure))
+    if closed is not None:
+        return closed
     return BackForthCopy(structure, fix=fixset, avoid=avoidset, seed=seed)
 
 
@@ -492,51 +377,23 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10, stages=None):
         raise UnsupportedConstructionError(
             "no certified-unranked types over the fixed set: single copy")
     for a in fixset:
-        if not _decide_in(c0, a).is_in:
+        if not c0.try_decide(a).is_in:
             raise PreconditionError("fixed point not inside the top copy")
     if stages is None:
         stages = max(2 * depth, 16)
     chain = [c0]
     batches = [killable[i::k] for i in range(k)]
-    if structure.structure_id == "rado":
-        ones = getattr(c0, "ones", ())
-        zeros = getattr(c0, "zeros", ())
-        floor = getattr(c0, "floor", -1)
-        for i in range(k):
-            child = _rado_avoiding(structure, fixset, frozenset(batches[i]),
-                                   ones=ones, zeros=zeros)
-            child.floor = max(child.floor, floor)
-            ones, zeros, floor = child.ones, child.zeros, child.floor
-            chain.append(child)
-        return chain
-    if structure.structure_id == "treetz":
-        from .structures.treetz import tree_le
-        removed = getattr(c0, "removed", ())
-        for i in range(k):
-            grown = removed + tuple(batches[i])
-            child = UpsetComplementCopyTree(structure, fix=fixset,
-                                            removed=grown)
-            if set(child.removed) == set(removed):
-                # batch was swallowed by existing up-sets: cut a fresh node
-                w = next(x for j in range(_WITNESS_SCAN_CAP)
-                         for x in (structure.point_at(j),)
-                         if x not in fixset
-                         and structure.type_unranked(fixset, x) is True
-                         and not any(tree_le(r, x) for r in removed))
-                child = UpsetComplementCopyTree(structure, fix=fixset,
-                                                removed=grown + (w,))
-            removed = child.removed
-            chain.append(child)
-        return chain
     for i in range(k):
         parent = chain[-1]
-        avoid = set(batches[i])
-        if not any(_decide_in(parent, x).is_in for x in avoid):
-            extra = _proper_witness(structure, fixset, parent)
-            avoid.add(extra)
-        child = BackForthCopy(structure, fix=fixset, avoid=avoid,
-                              parent=parent, seed=seed + i)
-        child.advance(stages)
+        child = structure.closed_form_avoiding(
+            fixset, frozenset(batches[i]), parent)
+        if child is None:
+            avoid = set(batches[i])
+            if not any(parent.try_decide(x).is_in for x in avoid):
+                avoid.add(_proper_witness(structure, fixset, parent))
+            child = BackForthCopy(structure, fix=fixset, avoid=avoid,
+                                  parent=parent, seed=seed + i)
+            child.advance(stages)
         chain.append(child)
     return chain
 
@@ -592,7 +449,7 @@ class _DisjointCoordinator:
             side._extra_guards.append(self._guard_for(side, other))
         self._wcursor = 0
         self._mark_count = seed % 2
-        self._ac_trivial = structure.structure_id in _AC_TRIVIAL
+        self._ac_trivial = structure.stabilizer_orbits_all_infinite
 
     def _ac(self, points):
         pts = frozenset(points)
@@ -672,162 +529,6 @@ class _DisjointCoordinator:
             self._sync_outs()
 
 
-class TaggedCopyRado(CopyHandle):
-    """A closed-form Rado copy: the fixed set together with every vertex
-    above ``floor`` whose bits are 1 at the ``ones`` positions and 0 at the
-    ``zeros`` positions.
-
-    Tag positions are chosen outside the fixed set, so the class realizes
-    every adjacency pattern over finite subsets (append the required bits
-    plus the one-tags plus a fresh high bit); total membership."""
-
-    def __init__(self, structure, fix=(), floor=-1, ones=(), zeros=()):
-        super().__init__(structure)
-        self.fix = frozenset(fix)
-        self.floor = floor
-        self.ones = tuple(sorted(ones))
-        self.zeros = tuple(sorted(zeros))
-
-    def membership(self, x):
-        if x in self.fix:
-            return IN
-        if x <= self.floor:
-            return OUT
-        if all((x >> p) & 1 for p in self.ones) and \
-                not any((x >> p) & 1 for p in self.zeros):
-            return IN
-        return OUT
-
-    def describe(self):
-        return "rado tagged-class floor=%d ones=%s zeros=%s fix={%s}" % (
-            self.floor, list(self.ones), list(self.zeros),
-            ",".join(str(v) for v in sorted(self.fix)))
-
-
-def _rado_avoiding(structure, fixset, avoidset, ones=(), zeros=()):
-    values = fixset | avoidset
-    maxbit = max((v.bit_length() for v in values), default=0)
-    above = max([maxbit, 2] + [p + 1 for p in list(ones) + list(zeros)])
-    p1 = above
-    while p1 in values:
-        p1 += 1
-    all_ones = tuple(ones) + (p1,)
-    # the zero-tag's own vertex must miss some one-tag bit, else that
-    # vertex would be a class member with its adjacency pinned to zero
-    p2 = p1 + 1
-    while p2 in values or any((p2 >> o) & 1 for o in all_ones):
-        p2 += 1
-    floor = max(avoidset) if avoidset else -1
-    return TaggedCopyRado(structure, fix=fixset, floor=floor,
-                          ones=all_ones, zeros=tuple(zeros) + (p2,))
-
-
-class UpsetComplementCopyTree(CopyHandle):
-    """A tree copy obtained by deleting the up-sets of finitely many nodes
-    (the image of iterated child-shift embeddings); total membership."""
-
-    def __init__(self, structure, fix=(), removed=()):
-        super().__init__(structure)
-        from .structures.treetz import tree_le
-        self._le = tree_le
-        self.fix = frozenset(fix)
-        pruned = []
-        for r in structure.sort_points(frozenset(removed)):
-            if not any(tree_le(p, r) for p in pruned):
-                pruned.append(r)
-        self.removed = tuple(pruned)
-        for a in self.fix:
-            if any(tree_le(r, a) for r in self.removed):
-                raise ImpossibleConstructionError(
-                    "fixed point %s sits above a removed node"
-                    % structure.encode(a))
-
-    def membership(self, x):
-        if any(self._le(r, x) for r in self.removed):
-            return OUT
-        return IN
-
-    def describe(self):
-        return "tree minus up-sets of {%s}" % ",".join(
-            self.structure.encode(r) for r in self.removed)
-
-
-class IntervalPiecesCopyDLO(CopyHandle):
-    """A closed-form rational copy given by finitely many interval pieces
-    (lo, hi] or (lo, hi), with None for an unbounded end."""
-
-    def __init__(self, structure, pieces):
-        super().__init__(structure)
-        self.pieces = tuple(pieces)  # (lo, hi, hi_closed)
-
-    def membership(self, x):
-        for lo, hi, hi_closed in self.pieces:
-            if (lo is None or x > lo) and \
-                    (hi is None or (x <= hi if hi_closed else x < hi)):
-                return IN
-        return OUT
-
-    def describe(self):
-        return "dlo interval-pieces %s" % (
-            [(str(lo) if lo is not None else "-inf",
-              str(hi) if hi is not None else "+inf",
-              "closed" if c else "open") for lo, hi, c in self.pieces],)
-
-
-def _dlo_disjoint_pair(structure, fixset):
-    pts = sorted(fixset)
-    if not pts:
-        return (IntervalPiecesCopyDLO(structure, [(None, Fraction(0), False)]),
-                IntervalPiecesCopyDLO(structure, [(Fraction(0), None, False)]))
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    delta = min(gaps + [Fraction(2)]) / 2
-    left_pieces = [(a - delta, a, True) for a in pts]
-    left_pieces.append((pts[-1] + delta, None, False))
-    return (IntervalPiecesCopyDLO(structure, left_pieces),
-            _RightPiecesCopyDLO(structure, pts, delta))
-
-
-class _RightPiecesCopyDLO(CopyHandle):
-    """[a, a+delta) around each fixed point plus an unbounded left tail."""
-
-    def __init__(self, structure, pts, delta):
-        super().__init__(structure)
-        self.pts = tuple(pts)
-        self.delta = delta
-
-    def membership(self, x):
-        if x < self.pts[0] - self.delta:
-            return IN
-        for a in self.pts:
-            if a <= x < a + self.delta:
-                return IN
-        return OUT
-
-    def describe(self):
-        return "dlo right-pieces around {%s} delta=%s" % (
-            ",".join(str(a) for a in self.pts), self.delta)
-
-
-class ResidueCopyRado(CopyHandle):
-    """The BIT graph induced on {n : n = residue (mod 4)}, residue in {2,3}.
-
-    The congruence pins bits 0 and 1, neither of which is a class member,
-    so witnesses for any adjacency pattern within the class exist and the
-    class induces the extension property.  Total membership."""
-
-    def __init__(self, structure, residue):
-        super().__init__(structure)
-        if residue not in (2, 3):
-            raise PreconditionError("residue must be 2 or 3")
-        self.residue = residue
-
-    def membership(self, x):
-        return IN if x % 4 == self.residue else OUT
-
-    def describe(self):
-        return "rado residue-class %d (mod 4)" % self.residue
-
-
 def disjoint_pair(structure, fix, seed=0, window=24, rounds=None):
     """Two copies whose intersection at the window is exactly the algebraic
     closure of ``fix``; available on algebraically finite structures."""
@@ -836,30 +537,14 @@ def disjoint_pair(structure, fix, seed=0, window=24, rounds=None):
             "%s is not certified algebraically finite"
             % structure.structure_id)
     fixset = frozenset(fix)
-    if structure.structure_id == "rado" and not fixset:
-        # On the BIT presentation the interleaved greedy forces iterated-
-        # exponential witnesses (adjacency positions are vertex values), so
-        # the disjoint pair over nothing is realized by an explicit split.
-        return (ResidueCopyRado(structure, 2), ResidueCopyRado(structure, 3))
-    if structure.structure_id == "dlo":
-        # interval systems pinching the fixed points from opposite sides;
-        # total membership keeps every window obligation checkable
-        return _dlo_disjoint_pair(structure, fixset)
+    closed = structure.closed_form_disjoint_pair(fixset)
+    if closed is not None:
+        return closed
     core = frozenset(structure.ac_members_exact(fixset)) | fixset
     coord = _DisjointCoordinator(
         structure, tuple(structure.sort_points(core)), seed, window)
     coord.run_rounds(rounds if rounds is not None else 3 * window)
     return coord.left, coord.right
-
-
-def powerset_embedding_dlo(structure, members=(), cofinite_complement=None):
-    """The closed-form interval copy for a finite or cofinite set of
-    naturals; total membership."""
-    if structure.structure_id != "dlo":
-        raise UnsupportedConstructionError(
-            "the interval embedding is defined on the dense linear order")
-    return IntervalCopyDLO(structure, members=members,
-                           cofinite_complement=cofinite_complement)
 
 
 def union_chain(handles, probe_depth=16):

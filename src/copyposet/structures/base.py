@@ -27,8 +27,6 @@ class Structure:
     algebraically_finite = False
     stabilizer_orbits_all_infinite = False
     single_copy = False
-    finiteness_exact = True
-    unranked_certifier = True
 
     def __init__(self):
         self._enum_cache = []
@@ -227,6 +225,18 @@ class Structure:
         except PreconditionError:
             return False
         return self.extendable(pm)
+
+    # -- closed-form copies --------------------------------------------------
+
+    def closed_form_avoiding(self, fix, avoid, parent):
+        """A closed-form copy containing ``fix``, avoiding ``avoid``, inside
+        ``parent``; None unless ``parent`` is ``IdentityCopy`` or one of the
+        structure's own handles."""
+        return None
+
+    def closed_form_disjoint_pair(self, fix):
+        """Two closed-form copies meeting exactly in ac(``fix``), or None."""
+        return None
 
     # -- algebraic-closure helpers ----------------------------------------
 

@@ -6,12 +6,17 @@ Stern-Brocot breadth-first stream (positives of a tree row in ascending
 order, then their negatives), skipping anything already emitted.  The
 rounds front-load every unit interval (s, s+1) so small windows carry
 witnesses for them; the filler makes the enumeration onto Q.
+
+Closed-form copies are interval systems with total membership: interval
+unions indexed by sets of naturals (the powerset embedding) and pieces
+pinching a finite set from either side (the disjoint pair).
 """
 
 from collections import deque
 from fractions import Fraction
 
-from ..core import infinite_answer
+from ..core import IN, OUT, CopyHandle, infinite_answer
+from ..errors import UnsupportedConstructionError
 from .base import Structure
 
 ZERO = Fraction(0)
@@ -146,3 +151,107 @@ class DLO(Structure):
 
     def ac_members_exact(self, sockel):
         return frozenset(sockel)
+
+    def closed_form_disjoint_pair(self, fix):
+        # interval systems pinching the fixed points from opposite sides;
+        # total membership keeps every window obligation checkable
+        pts = sorted(fix)
+        if not pts:
+            return (IntervalPiecesCopyDLO(self, [(None, ZERO, False)]),
+                    IntervalPiecesCopyDLO(self, [(ZERO, None, False)]))
+        gaps = [b - a for a, b in zip(pts, pts[1:])]
+        delta = min(gaps + [Fraction(2)]) / 2
+        left_pieces = [(a - delta, a, True) for a in pts]
+        left_pieces.append((pts[-1] + delta, None, False))
+        return (IntervalPiecesCopyDLO(self, left_pieces),
+                _RightPiecesCopyDLO(self, pts, delta))
+
+
+def powerset_embedding_dlo(structure, members=(), cofinite_complement=None):
+    """The closed-form interval copy for a finite or cofinite set of
+    naturals; total membership."""
+    if not isinstance(structure, DLO):
+        raise UnsupportedConstructionError(
+            "the interval embedding is defined on the dense linear order")
+    return IntervalCopyDLO(structure, members=members,
+                           cofinite_complement=cofinite_complement)
+
+
+class IntervalCopyDLO(CopyHandle):
+    """A closed-form rational copy: the interval union
+    ((-1,0) plus (s,s+1) for s in S) for a finite or cofinite S of naturals.
+
+    Membership is total; integers are never members."""
+
+    def __init__(self, structure, members=(), cofinite_complement=None):
+        super().__init__(structure)
+        if cofinite_complement is None:
+            self.finite_part = frozenset(int(s) for s in members)
+            self.cofinite = None
+        else:
+            self.finite_part = None
+            self.cofinite = frozenset(int(s) for s in cofinite_complement)
+
+    def contains_index(self, s):
+        if s < 0:
+            return False
+        if self.cofinite is not None:
+            return s not in self.cofinite
+        return s in self.finite_part
+
+    def membership(self, x):
+        if Fraction(-1) < x < 0:
+            return IN
+        if x.denominator == 1:
+            return OUT
+        return IN if self.contains_index(x.numerator // x.denominator) else OUT
+
+    def describe(self):
+        if self.cofinite is not None:
+            return "interval-copy S=co{%s}" % ",".join(
+                str(s) for s in sorted(self.cofinite))
+        return "interval-copy S={%s}" % ",".join(
+            str(s) for s in sorted(self.finite_part))
+
+
+class IntervalPiecesCopyDLO(CopyHandle):
+    """A closed-form rational copy given by finitely many interval pieces
+    (lo, hi] or (lo, hi), with None for an unbounded end."""
+
+    def __init__(self, structure, pieces):
+        super().__init__(structure)
+        self.pieces = tuple(pieces)  # (lo, hi, hi_closed)
+
+    def membership(self, x):
+        for lo, hi, hi_closed in self.pieces:
+            if (lo is None or x > lo) and \
+                    (hi is None or (x <= hi if hi_closed else x < hi)):
+                return IN
+        return OUT
+
+    def describe(self):
+        return "dlo interval-pieces %s" % (
+            [(str(lo) if lo is not None else "-inf",
+              str(hi) if hi is not None else "+inf",
+              "closed" if c else "open") for lo, hi, c in self.pieces],)
+
+
+class _RightPiecesCopyDLO(CopyHandle):
+    """[a, a+delta) around each fixed point plus an unbounded left tail."""
+
+    def __init__(self, structure, pts, delta):
+        super().__init__(structure)
+        self.pts = tuple(pts)
+        self.delta = delta
+
+    def membership(self, x):
+        if x < self.pts[0] - self.delta:
+            return IN
+        for a in self.pts:
+            if a <= x < a + self.delta:
+                return IN
+        return OUT
+
+    def describe(self):
+        return "dlo right-pieces around {%s} delta=%s" % (
+            ",".join(str(a) for a in self.pts), self.delta)

@@ -1,6 +1,13 @@
-"""The Rado graph on N presented by the BIT predicate."""
+"""The Rado graph on N presented by the BIT predicate.
 
-from ..core import infinite_answer
+BIT adjacency positions are vertex values, so scan-budgeted witness search
+wedges on this presentation.  Copies therefore come as closed-form handles
+realizing the same objects: tagged bit-classes for avoiding copies and
+chains, and a residue split for the disjoint pair over nothing.
+"""
+
+from ..core import IN, OUT, CopyHandle, IdentityCopy, infinite_answer
+from ..errors import PreconditionError
 from .base import Structure
 
 
@@ -120,3 +127,88 @@ class RadoGraph(Structure):
 
     def ac_members_exact(self, sockel):
         return frozenset(sockel)
+
+    def closed_form_avoiding(self, fix, avoid, parent):
+        if isinstance(parent, TaggedCopyRado):
+            return _rado_avoiding(self, fix, avoid, parent.ones,
+                                  parent.zeros, parent.floor)
+        if isinstance(parent, IdentityCopy):
+            return _rado_avoiding(self, fix, avoid)
+        return None
+
+    def closed_form_disjoint_pair(self, fix):
+        # the interleaved greedy forces iterated-exponential witnesses, so
+        # the pair over nothing is an explicit split
+        if fix:
+            return None
+        return ResidueCopyRado(self, 2), ResidueCopyRado(self, 3)
+
+
+class TaggedCopyRado(CopyHandle):
+    """A closed-form Rado copy: the fixed set together with every vertex
+    above ``floor`` whose bits are 1 at the ``ones`` positions and 0 at the
+    ``zeros`` positions.
+
+    Tag positions are chosen outside the fixed set, so the class realizes
+    every adjacency pattern over finite subsets (append the required bits
+    plus the one-tags plus a fresh high bit); total membership."""
+
+    def __init__(self, structure, fix=(), floor=-1, ones=(), zeros=()):
+        super().__init__(structure)
+        self.fix = frozenset(fix)
+        self.floor = floor
+        self.ones = tuple(sorted(ones))
+        self.zeros = tuple(sorted(zeros))
+
+    def membership(self, x):
+        if x in self.fix:
+            return IN
+        if x <= self.floor:
+            return OUT
+        if all((x >> p) & 1 for p in self.ones) and \
+                not any((x >> p) & 1 for p in self.zeros):
+            return IN
+        return OUT
+
+    def describe(self):
+        return "rado tagged-class floor=%d ones=%s zeros=%s fix={%s}" % (
+            self.floor, list(self.ones), list(self.zeros),
+            ",".join(str(v) for v in sorted(self.fix)))
+
+
+def _rado_avoiding(structure, fixset, avoidset, ones=(), zeros=(), floor=-1):
+    values = fixset | avoidset
+    maxbit = max((v.bit_length() for v in values), default=0)
+    above = max([maxbit, 2] + [p + 1 for p in list(ones) + list(zeros)])
+    p1 = above
+    while p1 in values:
+        p1 += 1
+    all_ones = tuple(ones) + (p1,)
+    # the zero-tag's own vertex must miss some one-tag bit, else that
+    # vertex would be a class member with its adjacency pinned to zero
+    p2 = p1 + 1
+    while p2 in values or any((p2 >> o) & 1 for o in all_ones):
+        p2 += 1
+    return TaggedCopyRado(structure, fix=fixset,
+                          floor=max([floor] + list(avoidset)),
+                          ones=all_ones, zeros=tuple(zeros) + (p2,))
+
+
+class ResidueCopyRado(CopyHandle):
+    """The BIT graph induced on {n : n = residue (mod 4)}, residue in {2,3}.
+
+    The congruence pins bits 0 and 1, neither of which is a class member,
+    so witnesses for any adjacency pattern within the class exist and the
+    class induces the extension property.  Total membership."""
+
+    def __init__(self, structure, residue):
+        super().__init__(structure)
+        if residue not in (2, 3):
+            raise PreconditionError("residue must be 2 or 3")
+        self.residue = residue
+
+    def membership(self, x):
+        return IN if x % 4 == self.residue else OUT
+
+    def describe(self):
+        return "rado residue-class %d (mod 4)" % self.residue

@@ -38,6 +38,27 @@ def test_structures_capability_flags(capsys):
     assert caps["dlo"]["algebraically-finite"] is True
     assert caps["dlo"]["disjoint-amalgamation"] is True
     assert caps["pairs"]["disjoint-amalgamation"] is False
+    assert set(caps["dlo"]) == {"algebraically-finite",
+                                "disjoint-amalgamation", "single-copy",
+                                "oligomorphic"}
+
+
+def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as flag:
+        cli.main(["structures", "--depth", "abc"])
+    flag_err = capsys.readouterr().err
+    monkeypatch.setenv("COPYPOSET_DEPTH", "abc")
+    with pytest.raises(SystemExit) as env:
+        cli.main(["structures"])
+    assert env.value.code == flag.value.code == 2
+    assert capsys.readouterr().err == flag_err
+
+
+def test_environment_value_is_the_default(monkeypatch):
+    monkeypatch.setenv("COPYPOSET_DEPTH", "7")
+    assert cli.build_parser().parse_args(["structures"]).depth == 7
+    assert cli.build_parser().parse_args(
+        ["structures", "--depth", "5"]).depth == 5
 
 
 def test_typeset_command(capsys):

@@ -1,6 +1,8 @@
 """Copy construction: constraints, membership, determinism, error modes."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from copyposet.errors import (
     UnsupportedConstructionError,
 )
 from copyposet import certify, engine
-from copyposet.structures import get_structure
+from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
 
 fs = frozenset
 
@@ -83,6 +85,29 @@ def test_copy_avoiding_impossible_on_ranked():
 def test_copy_avoiding_rejects_fixed_point(dlo):
     with pytest.raises(ImpossibleConstructionError):
         engine.copy_avoiding(dlo, {F(0)}, {F(0)})
+
+
+class _UncertifiedPureSet(PureSet):
+    """A user-written structure whose oracle cannot certify rank."""
+
+    def type_unranked(self, sockel, x):
+        return None
+
+
+def test_uncertified_unrankedness_is_not_assumed():
+    st = _UncertifiedPureSet()
+    with pytest.raises(UnsupportedConstructionError):
+        engine.copy_avoiding(st, set(), {0})
+    assert st.unranked_witness(set(), 0, {1}) is None
+
+
+@pytest.mark.parametrize("sid, avoid", [("rado", "0"), ("treetz", "L0:[]")])
+def test_max_avoiding_copy_closed_form(sid, avoid):
+    st = get_structure(sid)
+    a = st.decode(avoid)
+    c = engine.max_avoiding_copy(st, [a], 8)
+    assert c.membership(a).is_out
+    assert certify.check_copy(c, 8, 2, 500).verdict == "pass"
 
 
 def test_membership_decisions_permanent(dlo):
@@ -352,3 +377,12 @@ def test_golden_trace_dlo_avoiding(dlo):
         {"round": 3, "move": "forth", "source": "-1/2", "target": "-1/2",
          "scanned": 1, "checks": 1},
     ]
+
+
+def test_engine_names_no_structure():
+    # structure-specific copies live behind the structure hooks
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    assert not strings & set(BUILTIN_IDS)
