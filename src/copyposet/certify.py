@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import CopyPosetError, PreconditionError
@@ -256,11 +257,16 @@ _BRUTE = {
 }
 
 
+@lru_cache(maxsize=16)
+def _ground_window(structure, ground_depth):
+    return frozenset(structure.prefix(ground_depth))
+
+
 def brute_same_type(structure, sockel, x, y, ground_depth):
     """Ground-truth orbit equality from raw relational data, independent of
     the structure's decision procedure."""
     fset = frozenset(sockel)
-    window = set(structure.prefix(ground_depth))
+    window = _ground_window(structure, ground_depth)
     if not fset <= window or x not in window or y not in window:
         raise PreconditionError("inputs must lie inside the ground window")
     if x in fset or y in fset:

@@ -297,6 +297,17 @@ def build_parser():
         # and argparse converts a string default as it converts the flag
         return os.environ.get("COPYPOSET_" + name, fallback)
 
+    formats = ("human", "jsonl")
+
+    def output_format(text):
+        # argparse checks choices only on the command line, but converts a
+        # string default through the type: COPYPOSET_FORMAT is checked here
+        if text not in formats:
+            raise argparse.ArgumentTypeError(
+                "invalid choice: %r (choose from %s)"
+                % (text, ", ".join(map(repr, formats))))
+        return text
+
     def common(p, structure=True):
         if structure:
             p.add_argument("--structure", required=True, choices=BUILTIN_IDS)
@@ -305,7 +316,7 @@ def build_parser():
         p.add_argument("--sockel-cap", dest="sockel_cap", type=int,
                        default=env("SOCKEL_CAP", 2))
         p.add_argument("--seed", type=int, default=env("SEED", 0))
-        p.add_argument("--format", choices=("human", "jsonl"),
+        p.add_argument("--format", type=output_format, choices=formats,
                        default=env("FORMAT", "human"))
         p.add_argument("--out", default=env("OUT", None))
 

@@ -66,8 +66,7 @@ def kernel(structure, depth):
     return algebraic_closure(structure, frozenset(), depth)
 
 
-def ranked_closure(structure, base, maxrank, depth, window=None,
-                   size_cap=typesets.DEFAULT_SOCKEL_EXTENSION_CAP):
+def ranked_closure(structure, base, maxrank, depth):
     """base plus the typesets over base whose bounded rank search succeeds
     with bound maxrank; a lower approximation of the ranked closure.
 
@@ -76,9 +75,7 @@ def ranked_closure(structure, base, maxrank, depth, window=None,
     base = frozenset(base)
     if depth < len(base):
         raise PreconditionError("depth must be at least |base|")
-    if window is None:
-        window = depth
-    search = typesets.rank_search(structure, window, size_cap)
+    search = typesets.rank_search(structure, depth)
     members = set(base)
     certs = []
     exact = True
@@ -108,8 +105,7 @@ def ranked_closure(structure, base, maxrank, depth, window=None,
         exact, tuple(certs))
 
 
-def intersection_closure_upper(structure, base, samples, depth, seed=0,
-                               maxrank=DEFAULT_MAXRANK, stages=None):
+def intersection_closure_upper(structure, base, samples, depth, seed=0):
     """Intersection of sampled constructed copies containing base,
     restricted to U_depth: an upper approximation of the intersection
     closure.
@@ -124,7 +120,7 @@ def intersection_closure_upper(structure, base, samples, depth, seed=0,
         raise PreconditionError("need at least one sample")
     survivors = set(structure.prefix(depth))
     survivors |= base
-    rc = ranked_closure(structure, base, maxrank, depth)
+    rc = ranked_closure(structure, base, DEFAULT_MAXRANK, depth)
     rc_members = rc.member_set()
     avoidable = [x for x in structure.prefix(depth)
                  if x not in rc_members
@@ -139,10 +135,8 @@ def intersection_closure_upper(structure, base, samples, depth, seed=0,
             copies.append(engine.copy_through(
                 structure, base, engine.copy_identity(structure),
                 proper=True, seed=seed + 1 + i))
-    if stages is None:
-        stages = max(2 * depth, 12)
     for c in copies[1:]:
-        c.advance(stages)
+        c.advance(max(2 * depth, 12))
     for c in copies:
         survivors -= {x for x in survivors if c.membership(x).is_out}
     return frozenset(survivors)

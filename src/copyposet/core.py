@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SearchBudgetError
+
+_WITNESS_SCAN_CAP = 5000
 
 
 class PartialMap:
@@ -176,6 +178,19 @@ class CopyHandle:
 
     def _round(self):
         self._stage += 1
+
+    def unranked_member(self, fix):
+        """The enum-least point off ``fix`` with a certified-unranked type
+        over ``fix`` that this copy decides in: avoiding it makes a copy
+        through ``fix`` inside this one proper."""
+        st = self.structure
+        for i in range(_WITNESS_SCAN_CAP):
+            x = st.point_at(i)
+            if x not in fix and st.type_unranked(fix, x) is True \
+                    and self.try_decide(x).is_in:
+                return x
+        raise SearchBudgetError("no properness witness found",
+                                scanned=_WITNESS_SCAN_CAP)
 
     def decided_in(self, depth):
         return [x for x in self.structure.prefix(depth)

@@ -40,7 +40,7 @@ from .structures.dlo import powerset_embedding_dlo
 
 DEFAULT_BUDGET_BASE = 100
 DEFAULT_BUDGET_SLOPE = 10
-_WITNESS_SCAN_CAP = 5000
+_PAIR_WINDOW = 24  # window points the disjoint-pair coordinator settles
 
 
 class UnionCopy(CopyHandle):
@@ -210,10 +210,11 @@ class BackForthCopy(CopyHandle):
             return self.membership(y)
         if not self._guards_pass(y):
             return self.membership(y)
+        # a back step is a forth step of the inverse map
         base = PartialMap(self._map)
         scanned = 0
-        for s in islice(self.structure.source_candidates(
-                list(self._map.items()), y), budget):
+        for s in islice(self.structure.target_candidates(
+                [(t, u) for u, t in self._map.items()], y), budget):
             scanned += 1
             if s in self._map:
                 continue
@@ -294,26 +295,12 @@ def copy_through(structure, fix, parent, proper, seed=0):
             raise UnsupportedConstructionError(
                 "%s has only the copy U: no proper copy exists"
                 % structure.structure_id)
-        avoid.add(_proper_witness(structure, fixset, parent))
+        avoid.add(parent.unranked_member(fixset))
     closed = structure.closed_form_avoiding(fixset, frozenset(avoid), parent)
     if closed is not None:
         return closed
     return BackForthCopy(structure, fix=fixset, avoid=avoid, parent=parent,
                          seed=seed)
-
-
-def _proper_witness(structure, fixset, parent):
-    # enum-least point of a certified-unranked typeset over the fixed set
-    # that the parent owns
-    for i in range(_WITNESS_SCAN_CAP):
-        x = structure.point_at(i)
-        if x in fixset:
-            continue
-        if structure.type_unranked(fixset, x) is not True:
-            continue
-        if parent.try_decide(x).is_in:
-            return x
-    raise SearchBudgetError("no properness witness found", scanned=_WITNESS_SCAN_CAP)
 
 
 def copy_avoiding(structure, fix, avoid, seed=0):
@@ -353,18 +340,13 @@ def copy_avoiding(structure, fix, avoid, seed=0):
     return BackForthCopy(structure, fix=fixset, avoid=avoidset, seed=seed)
 
 
-def max_avoiding_copy(structure, avoid, depth, fix=(), seed=0, stages=None):
+def max_avoiding_copy(structure, avoid, depth, seed=0):
     """A copy avoiding ``avoid`` that greedily claims every other window
     point, approximating a maximal copy in its neighbourhood."""
-    h = copy_avoiding(structure, fix, avoid, seed=seed)
-    targets = [x for x in structure.prefix(depth)
-               if x not in frozenset(avoid)]
-    h.schedule_claims(targets)
-    h.advance(stages if stages is not None else max(3 * depth, 24))
-    return h
+    return decide_window(copy_avoiding(structure, (), avoid, seed=seed), depth)
 
 
-def descending_chain(structure, fix, c0, k, seed=0, depth=10, stages=None):
+def descending_chain(structure, fix, c0, k, seed=0, depth=10):
     """c0 together with k strictly nested copies below it, all containing
     ``fix``; the certified-unranked window points over ``fix`` are shared
     out among the levels so the decided intersection shrinks to the ranked
@@ -379,8 +361,6 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10, stages=None):
     for a in fixset:
         if not c0.try_decide(a).is_in:
             raise PreconditionError("fixed point not inside the top copy")
-    if stages is None:
-        stages = max(2 * depth, 16)
     chain = [c0]
     batches = [killable[i::k] for i in range(k)]
     for i in range(k):
@@ -390,10 +370,10 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10, stages=None):
         if child is None:
             avoid = set(batches[i])
             if not any(parent.try_decide(x).is_in for x in avoid):
-                avoid.add(_proper_witness(structure, fixset, parent))
+                avoid.add(parent.unranked_member(fixset))
             child = BackForthCopy(structure, fix=fixset, avoid=avoid,
                                   parent=parent, seed=seed + i)
-            child.advance(stages)
+            child.advance(max(2 * depth, 16))
         chain.append(child)
     return chain
 
@@ -435,12 +415,10 @@ class _DisjointCoordinator:
     other, the rest are shared out alternately.  Every window point outside
     the common core ends up decided out of at least one side."""
 
-    def __init__(self, structure, core, seed, window):
+    def __init__(self, structure, core, seed):
         self.structure = structure
         self.core = frozenset(core)  # exact algebraic closure of the fix
         self.seed = seed
-        self.window = window
-        self.src_cap = window  # forth depth: enough map to certify copies
         self.left = _DisjointPairCopy(structure, core, seed)
         self.right = _DisjointPairCopy(structure, core, seed + 1)
         self.left.coordinator = self
@@ -472,7 +450,8 @@ class _DisjointCoordinator:
         return guard
 
     def _forth(self, side):
-        while side._cursor < self.src_cap:
+        # forth depth: enough map to certify copies at the window
+        while side._cursor < _PAIR_WINDOW:
             u = self.structure.point_at(side._cursor)
             if u in side._map:
                 side._cursor += 1
@@ -489,7 +468,7 @@ class _DisjointCoordinator:
 
     def _settle_window_point(self):
         core = set(self.core)
-        while self._wcursor < self.window:
+        while self._wcursor < _PAIR_WINDOW:
             x = self.structure.point_at(self._wcursor)
             if x in core:
                 self._wcursor += 1
@@ -529,7 +508,7 @@ class _DisjointCoordinator:
             self._sync_outs()
 
 
-def disjoint_pair(structure, fix, seed=0, window=24, rounds=None):
+def disjoint_pair(structure, fix, seed=0):
     """Two copies whose intersection at the window is exactly the algebraic
     closure of ``fix``; available on algebraically finite structures."""
     if not structure.algebraically_finite:
@@ -542,19 +521,19 @@ def disjoint_pair(structure, fix, seed=0, window=24, rounds=None):
         return closed
     core = frozenset(structure.ac_members_exact(fixset)) | fixset
     coord = _DisjointCoordinator(
-        structure, tuple(structure.sort_points(core)), seed, window)
-    coord.run_rounds(rounds if rounds is not None else 3 * window)
+        structure, tuple(structure.sort_points(core)), seed)
+    coord.run_rounds(3 * _PAIR_WINDOW)
     return coord.left, coord.right
 
 
-def union_chain(handles, probe_depth=16):
+def union_chain(handles):
     """The union of an ascending chain of copies; verifies the claimed
     inclusions on decided points before combining."""
     handles = list(handles)
     if not handles:
         raise PreconditionError("union of an empty chain")
     structure = handles[0].structure
-    probe = structure.prefix(probe_depth)
+    probe = structure.prefix(16)  # the inclusions are checked on U_16
     for lower, upper in zip(handles, handles[1:]):
         for x in probe:
             if lower.membership(x).is_in and upper.membership(x).is_out:

@@ -182,7 +182,8 @@ class Structure:
         ``items``, most preferred first; may be infinite (the engine caps
         the scan).  Default: enumeration order.  Structures whose witnesses
         sit deep in the enumeration override this with constructed
-        candidates."""
+        candidates.  It is the only candidate generator a structure
+        writes: back steps read it over the inverse map."""
         del items, source
         i = 0
         while True:
@@ -190,12 +191,10 @@ class Structure:
             i += 1
 
     def source_candidates(self, items, target):
-        """Candidate fresh sources for claiming ``target`` into an image."""
-        del items, target
-        i = 0
-        while True:
-            yield self.point_at(i)
-            i += 1
+        """Candidate fresh sources for claiming ``target`` into an image:
+        the images of ``target`` under the inverse map, since a finite map
+        extends to some g exactly when its inverse extends to g^-1."""
+        return self.target_candidates([(t, s) for s, t in items], target)
 
     def orbit_reps(self, sockel, pool):
         """Partition ``pool`` (points outside sockel) into typeset classes.

@@ -137,15 +137,6 @@ class DLO(Structure):
                 hi = t if hi is None or t < hi else hi
         yield from simplest_in_gap(lo, hi)
 
-    def source_candidates(self, items, target):
-        lo = hi = None
-        for s, t in items:
-            if t < target:
-                lo = s if lo is None or s > lo else lo
-            else:
-                hi = s if hi is None or s < hi else hi
-        yield from simplest_in_gap(lo, hi)
-
     def type_unranked(self, sockel, x):
         return True
 

@@ -75,25 +75,6 @@ class EquivInf(Structure):
                     yield (c, i)
             c += 1
 
-    def source_candidates(self, items, target):
-        forced = None
-        used = set()
-        for s, t in items:
-            used.add(s[0])
-            if t[0] == target[0]:
-                forced = s[0]
-        if forced is not None:
-            i = 0
-            while True:
-                yield (forced, i)
-                i += 1
-        c = 0
-        while True:
-            if c not in used:
-                for i in range(3):
-                    yield (c, i)
-            c += 1
-
     def type_unranked(self, sockel, x):
         return True
 

@@ -137,29 +137,6 @@ class PairsAction(Structure):
                 yield frozenset(img)
             k += 1
 
-    def source_candidates(self, items, target):
-        for i in range(300):
-            yield self.point_at(i)
-        inv = {v: u for u, v in dict(items).items()}
-        asn = _find_assignment(inv)
-        if asn is None:
-            return
-        used = set(asn.values()) | support(inv.values())
-        base = max(used | target | {0}) + 1
-        k = 0
-        while True:
-            src = []
-            fresh = base + 2 * k
-            for e in sorted(target):
-                if e in asn:
-                    src.append(asn[e])
-                else:
-                    src.append(fresh)
-                    fresh += 1
-            if len(set(src)) == 2:
-                yield frozenset(src)
-            k += 1
-
     def ac_members_exact(self, sockel):
         supp = sorted(support(sockel))
         return frozenset(frozenset(c) for c in combinations(supp, 2))

@@ -118,10 +118,6 @@ class RadoGraph(Structure):
         pattern = [(t, adjacent(source, s)) for s, t in items]
         yield from _pattern_witnesses(pattern)
 
-    def source_candidates(self, items, target):
-        pattern = [(s, adjacent(target, t)) for s, t in items]
-        yield from _pattern_witnesses(pattern)
-
     def type_unranked(self, sockel, x):
         return True
 

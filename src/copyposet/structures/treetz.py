@@ -16,8 +16,6 @@ closed-form handle realizing the same objects: the complement of the
 up-sets of finitely many nodes.
 """
 
-from itertools import count
-
 from ..core import IN, OUT, CopyHandle, IdentityCopy, infinite_answer
 from ..errors import ImpossibleConstructionError
 from .base import Structure
@@ -145,9 +143,7 @@ class TreeTZ(Structure):
         if removed and set(child.removed) == set(removed):
             # nothing new to cut inside a proper parent: cut the enum-least
             # unranked node it contains, so chains stay strictly descending
-            cut = next(x for x in map(self.point_at, count())
-                       if x not in fix and self.type_unranked(fix, x)
-                       and parent.membership(x).is_in)
+            cut = parent.unranked_member(fix)
             child = UpsetComplementCopyTree(self, fix=fix,
                                             removed=grown + (cut,))
         return child

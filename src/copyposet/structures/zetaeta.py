@@ -88,17 +88,3 @@ class ZetaEta(Structure):
                 hi = tq if hi is None or tq < hi else hi
         for q in simplest_in_gap(lo, hi):
             yield (q, 0)
-
-    def source_candidates(self, items, target):
-        from .dlo import simplest_in_gap
-        lo = hi = None
-        for (sq, sn), (tq, tn) in items:
-            if tq == target[0]:
-                yield (sq, target[1] - (tn - sn))
-                return
-            if tq < target[0]:
-                lo = sq if lo is None or sq > lo else lo
-            else:
-                hi = sq if hi is None or sq < hi else hi
-        for q in simplest_in_gap(lo, hi):
-            yield (q, 0)

@@ -97,11 +97,10 @@ def continuation_partition(structure, t, ext_sockel, depth):
 
 
 class _RankSearch:
-    def __init__(self, structure, window, size_cap, probe):
+    def __init__(self, structure, window):
         self.structure = structure
         self.window = window
-        self.size_cap = size_cap
-        self.probe = probe if probe is not None else max(2 * window, window + 8)
+        self.probe = max(2 * window, window + 8)
         self._memo = {}
 
     def _class_key(self, sockel, rep):
@@ -135,7 +134,7 @@ class _RankSearch:
         window_pts = [p for p in st.sort_points(cand) if p not in sockel]
         probe_pts = st.prefix(self.probe)
         candidates = [(rep,)]
-        for size in range(1, self.size_cap + 1):
+        for size in range(1, DEFAULT_SOCKEL_EXTENSION_CAP + 1):
             candidates.extend(
                 added for added in combinations(window_pts, size)
                 if added != (rep,))
@@ -167,21 +166,17 @@ class _RankSearch:
         return RankAnswer(NOT_WITHIN, bound=k, window=self.window)
 
 
-def rank_at_most(structure, t, k, window, size_cap=DEFAULT_SOCKEL_EXTENSION_CAP,
-                 probe=None, search=None):
+def rank_at_most(structure, t, k, window):
     """Bounded rank of a type: AtMost with a witness chain, NotWithin after
     exhaustive window search, or certified Unranked."""
     if k < 0 or window < len(t.sockel):
         raise PreconditionError("need k >= 0 and window >= |sockel|")
-    if search is None:
-        search = _RankSearch(structure, window, size_cap, probe)
-    return search.bound(t.sockel_set(), t.rep, k)
+    return _RankSearch(structure, window).bound(t.sockel_set(), t.rep, k)
 
 
-def rank_search(structure, window, size_cap=DEFAULT_SOCKEL_EXTENSION_CAP,
-                probe=None):
+def rank_search(structure, window):
     """A reusable rank engine (shares its memo across queries)."""
-    return _RankSearch(structure, window, size_cap, probe)
+    return _RankSearch(structure, window)
 
 
 def oligomorphic_profile(structure, n, window):

@@ -43,11 +43,16 @@ def test_structures_capability_flags(capsys):
                                 "oligomorphic"}
 
 
-def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys):
+@pytest.mark.parametrize("name, value, option", [
+    ("DEPTH", "abc", "--depth"),
+    ("FORMAT", "xml", "--format"),
+], ids=["depth", "format"])
+def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys, name,
+                                                value, option):
     with pytest.raises(SystemExit) as flag:
-        cli.main(["structures", "--depth", "abc"])
+        cli.main(["structures", option, value])
     flag_err = capsys.readouterr().err
-    monkeypatch.setenv("COPYPOSET_DEPTH", "abc")
+    monkeypatch.setenv("COPYPOSET_" + name, value)
     with pytest.raises(SystemExit) as env:
         cli.main(["structures"])
     assert env.value.code == flag.value.code == 2

@@ -12,9 +12,11 @@ from copyposet.errors import (
     ImpossibleConstructionError,
     InclusionContractError,
     PreconditionError,
+    SearchBudgetError,
     UnsupportedConstructionError,
 )
-from copyposet import certify, engine
+from copyposet import certify, engine, structures
+from copyposet.core import OUT
 from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
 
 fs = frozenset
@@ -274,7 +276,7 @@ def test_descending_chain_strictness(dlo):
 ])
 def test_disjoint_pair_meets_in_closure(sid, fix):
     st = get_structure(sid)
-    left, right = engine.disjoint_pair(st, fix, window=24)
+    left, right = engine.disjoint_pair(st, fix)
     core = st.ac_members_exact(fix) | fix
     window = st.prefix(12)
     for x in window:
@@ -386,3 +388,20 @@ def test_engine_names_no_structure():
                if isinstance(node, ast.Constant)
                and isinstance(node.value, str)}
     assert not strings & set(BUILTIN_IDS)
+
+
+def test_structures_write_one_candidate_generator():
+    # back steps read target_candidates over the inverse map
+    assert not [cls for cls in structures._CLASSES
+                if "source_candidates" in vars(cls)]
+
+
+class _EmptyCopy(engine.CopyHandle):
+    def membership(self, x):
+        return OUT
+
+
+def test_properness_witness_scan_is_capped(dlo):
+    with pytest.raises(SearchBudgetError) as err:
+        _EmptyCopy(dlo).unranked_member(fs())
+    assert err.value.scanned == 5000
