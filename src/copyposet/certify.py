@@ -3,7 +3,9 @@
 check_copy drives the membership characterization at a finite window: every
 small sockel inside the copy, paired with every window point, must have an
 orbit witness landing in the copy.  Verdicts are three-valued; unknown
-carries the unresolved obligations instead of silently passing.
+carries the unresolved obligations instead of silently passing.  One check
+reads its enumeration scan once, and searches each typeset class once per
+sockel.
 
 brute_same_type re-derives orbit equality from each structure's raw data
 (order comparisons, adjacency bits, class labels, differences, meets,
@@ -66,6 +68,63 @@ def write_certificates(path, certs):
             fh.write(c.to_json() + "\n")
 
 
+class _Scan:
+    """The first ``budget`` enumeration points that the copy does not
+    decide out, each with its membership.  Points are read lazily and at
+    most once, and every obligation of one check iterates the same list."""
+
+    def __init__(self, handle, budget):
+        self.handle = handle
+        self.budget = budget
+        self.kept = []  # (y, membership) in enumeration order
+        self._read = 0
+
+    def __iter__(self):
+        i = 0
+        while i < len(self.kept) or self._keep_next():
+            yield self.kept[i]
+            i += 1
+
+    def _keep_next(self):
+        st = self.handle.structure
+        while self._read < self.budget:
+            y = st.point_at(self._read)
+            self._read += 1
+            m = self.handle.membership(y)
+            if not m.is_out:
+                self.kept.append((y, m))
+                return True
+        return False
+
+
+def _obligation(scan, fset, x):
+    """Settle <fset |> x> against the copy: returns (witness, None), or
+    (None, counterexample fields) when the typeset provably misses the
+    copy, or (None, None) when unknown memberships leave it open."""
+    handle, st = scan.handle, scan.handle.structure
+    saw_unknown = False
+    for y, m in scan:
+        if y in fset or (y != x and not st.same_type(fset, x, y)):
+            continue
+        if m.is_in:
+            return y, None
+        saw_unknown = True
+    fin = st.typeset_finite(fset, x)
+    if fin.is_finite:
+        # the whole typeset is known: consult it directly
+        members = st.sort_points(fin.members)
+        for m in members:
+            if handle.membership(m).is_in:
+                return m, None
+        if all(handle.membership(m).is_out for m in members):
+            return None, {"typeset": [st.encode(m) for m in members]}
+        return None, None
+    if saw_unknown:
+        return None, None
+    # every scanned typeset member is decided out
+    return None, {"scanned": scan.budget}
+
+
 def check_copy(handle, depth, sockel_cap=2, budget=500):
     """Certificate for the copy characterization on a window.
 
@@ -73,10 +132,21 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     and every window point x, searches the typeset of <F |> x> in
     enumeration order for a member decided inside the copy.  fail carries
     the first (F, x) whose typeset provably misses the copy; obligations
-    blocked by unknown memberships make the verdict unknown."""
+    blocked by unknown memberships make the verdict unknown.
+
+    The first ``budget`` enumeration points are read once per call, and
+    points decided out are dropped before any obligation sees them.  A
+    witness depends only on the orbit of x under the stabilizer of F, so
+    each typeset class is searched once per sockel: a later point of the
+    class reuses the outcome of the first."""
+    if sockel_cap < 0 or budget < 1:
+        raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
     window = st.prefix(depth)
     inside = [p for p in window if handle.membership(p).is_in]
+    # a point inside the copy is its own witness (g = identity)
+    rest = [p for p in window if p not in inside]
+    scan = _Scan(handle, budget)
     unresolved = []
     witnesses = []
     params = {"depth": depth, "sockel_cap": sockel_cap, "budget": budget,
@@ -85,58 +155,26 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
         for ftup in combinations(inside, size):
             fset = frozenset(ftup)
             fenc = [st.encode(p) for p in ftup]
-            for x in window:
-                if x in fset:
-                    continue
-                if handle.membership(x).is_in:
-                    continue  # witness g = identity
-                found = None
-                saw_unknown = False
-                for i in range(budget):
-                    y = st.point_at(i)
-                    if y in fset:
-                        continue
-                    if y != x and not st.same_type(fset, x, y):
-                        continue
-                    m = handle.membership(y)
-                    if m.is_in:
-                        found = y
+            searched = []  # (rep, witness) per typeset class met so far
+            for x in rest:
+                for rep, found in searched:
+                    if st.same_type(fset, rep, x):
                         break
-                    if m.is_unknown:
-                        saw_unknown = True
-                if found is not None:
+                else:
+                    found, counterexample = _obligation(scan, fset, x)
+                    if counterexample is not None:
+                        return Certificate(
+                            "copy-check", st.structure_id, params, "fail",
+                            counterexample={"sockel": fenc,
+                                            "point": st.encode(x),
+                                            **counterexample})
+                    searched.append((x, found))
+                if found is None:
+                    unresolved.append({"sockel": fenc, "point": st.encode(x)})
+                else:
                     witnesses.append({
                         "sockel": fenc, "point": st.encode(x),
                         "witness": st.encode(found)})
-                    continue
-                fin = st.typeset_finite(fset, x)
-                if fin.is_finite:
-                    # the whole typeset is known: consult it directly
-                    inside_members = [m for m in st.sort_points(fin.members)
-                                      if handle.membership(m).is_in]
-                    if inside_members:
-                        witnesses.append({
-                            "sockel": fenc, "point": st.encode(x),
-                            "witness": st.encode(inside_members[0])})
-                        continue
-                    if all(handle.membership(m).is_out
-                           for m in fin.members):
-                        return Certificate(
-                            "copy-check", st.structure_id, params, "fail",
-                            counterexample={
-                                "sockel": fenc, "point": st.encode(x),
-                                "typeset": [st.encode(m) for m in
-                                            st.sort_points(fin.members)]})
-                    unresolved.append({"sockel": fenc, "point": st.encode(x)})
-                elif saw_unknown:
-                    unresolved.append({"sockel": fenc, "point": st.encode(x)})
-                else:
-                    # every scanned typeset member is decided out
-                    return Certificate(
-                        "copy-check", st.structure_id, params, "fail",
-                        counterexample={
-                            "sockel": fenc, "point": st.encode(x),
-                            "scanned": budget})
     if unresolved:
         return Certificate("copy-check", st.structure_id, params, "unknown",
                            unresolved=tuple(

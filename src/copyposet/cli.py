@@ -394,11 +394,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if getattr(args, "depth", 1) < 1 or \
-            getattr(args, "budget", 10 ** 9) < getattr(args, "depth", 1):
-        print("error: need depth >= 1 and budget >= depth", file=sys.stderr)
-        return EXIT_FAIL
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.depth < 1 or args.budget < args.depth:
+        parser.error("need depth >= 1 and budget >= depth")
+    if args.sockel_cap < 0:
+        parser.error("need sockel-cap >= 0")
     out = _Out(args)
     try:
         code = args.fn(args, out)

@@ -1,15 +1,16 @@
 """The bounded verifier and the raw ground-truth oracle."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from copyposet.core import IN, OUT
+from copyposet.core import IN, OUT, unknown_at
 from copyposet.errors import PreconditionError
 from copyposet import certify, engine
-from copyposet.structures import all_structures, get_structure
+from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
 
 fs = frozenset
 
@@ -76,6 +77,151 @@ def test_pass_witnesses_revalidate(dlo):
         w = dlo.decode(rec["witness"])
         assert h.membership(w).is_in
         assert w == x or dlo.same_type(sockel, x, w)
+
+
+@pytest.mark.parametrize("make, sockel_cap, budget", [
+    (PlantedNonCopy, -1, 200),
+    (lambda st: engine.powerset_embedding_dlo(st, members=(0, 2)), 2, 0),
+], ids=["negative-sockel-cap", "zero-budget"])
+def test_check_copy_rejects_meaningless_bounds(dlo, make, sockel_cap, budget):
+    with pytest.raises(PreconditionError):
+        certify.check_copy(make(dlo), 8, sockel_cap, budget)
+
+
+class CountingCopy(engine.CopyHandle):
+    """Another handle's membership, counting the questions per point."""
+
+    def __init__(self, inner):
+        super().__init__(inner.structure)
+        self.inner = inner
+        self.asked = Counter()
+
+    def membership(self, x):
+        self.asked[x] += 1
+        return self.inner.membership(x)
+
+
+def test_check_copy_asks_each_scanned_point_once(dlo):
+    h = CountingCopy(engine.powerset_embedding_dlo(dlo, members=(0, 2)))
+    assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
+    window = set(dlo.prefix(8))
+    repeated = {x: n for x, n in h.asked.items()
+                if x not in window and n > 1}
+    assert not repeated
+
+
+class RuleCopy(engine.CopyHandle):
+    """Membership given by a rule on points."""
+
+    def __init__(self, structure, rule):
+        super().__init__(structure)
+        self.rule = rule
+
+    def membership(self, x):
+        return self.rule(x)
+
+
+def _reference_check_copy(handle, depth, sockel_cap, budget):
+    """check_copy as one enumeration scan per (F, x) obligation: the
+    direct reading of the characterization, kept to compare against."""
+    st = handle.structure
+    window = st.prefix(depth)
+    inside = [p for p in window if handle.membership(p).is_in]
+    unresolved, witnesses = [], []
+    params = {"depth": depth, "sockel_cap": sockel_cap, "budget": budget,
+              "copy": handle.describe()}
+
+    def fail(counterexample):
+        return certify.Certificate("copy-check", st.structure_id, params,
+                                   "fail", counterexample=counterexample)
+    for size in range(sockel_cap + 1):
+        for ftup in combinations(inside, size):
+            fset = frozenset(ftup)
+            ob = {"sockel": [st.encode(p) for p in ftup]}
+            for x in window:
+                if x in fset or handle.membership(x).is_in:
+                    continue
+                ob["point"] = st.encode(x)
+                found, saw_unknown = None, False
+                for i in range(budget):
+                    y = st.point_at(i)
+                    if y in fset or (y != x and not st.same_type(fset, x, y)):
+                        continue
+                    m = handle.membership(y)
+                    if m.is_in:
+                        found = y
+                        break
+                    saw_unknown = saw_unknown or m.is_unknown
+                fin = st.typeset_finite(fset, x)
+                if found is None and fin.is_finite:
+                    members = st.sort_points(fin.members)
+                    found = next((m for m in members
+                                  if handle.membership(m).is_in), None)
+                    if found is None and all(handle.membership(m).is_out
+                                             for m in members):
+                        return fail(dict(ob, typeset=[st.encode(m)
+                                                      for m in members]))
+                    saw_unknown = found is None
+                if found is not None:
+                    witnesses.append(dict(ob, witness=st.encode(found)))
+                elif saw_unknown:
+                    unresolved.append(dict(ob))
+                else:
+                    return fail(dict(ob, scanned=budget))
+    if unresolved:
+        return certify.Certificate(
+            "copy-check", st.structure_id, params, "unknown",
+            unresolved=tuple(json.dumps(u, sort_keys=True)
+                             for u in unresolved))
+    return certify.Certificate(
+        "copy-check", st.structure_id, params, "pass",
+        witnesses=tuple(json.dumps(w, sort_keys=True)
+                        for w in witnesses[:64]))
+
+
+def _differential_cases():
+    """(name, handle factory, depth, sockel_cap, budget) covering every
+    verdict and both the scanned and the finite-typeset searches."""
+    cases = [("identity %s" % sid,
+              lambda sid=sid: engine.copy_identity(get_structure(sid)),
+              8, 2, 300) for sid in BUILTIN_IDS]
+    for sid in BUILTIN_IDS:
+        if not get_structure(sid).single_copy:
+            def through(st=get_structure(sid)):
+                return engine.decide_window(engine.copy_through(
+                    st, frozenset(), engine.copy_identity(st), proper=True,
+                    seed=0), 8)
+            cases.append(("through-proper %s" % sid, through, 8, 2, 500))
+    dlo = get_structure("dlo")
+    for members in ((), (0,), (0, 2)):
+        cases.append(("interval %s" % (members,),
+                      lambda m=members: engine.powerset_embedding_dlo(
+                          dlo, members=m), 8, 2, 500))
+    cases.append(("planted non-copy", lambda: PlantedNonCopy(dlo), 8, 1, 200))
+    cases.append(("fresh back-and-forth",
+                  lambda: engine.copy_avoiding(dlo, set(), {F(0)}), 8, 1, 50))
+    zorder, pairs = get_structure("zorder"), get_structure("pairs")
+    unknown = unknown_at(0)
+    cases.append(("zorder finite typeset out",
+                  lambda: RuleCopy(zorder, lambda x: IN if x >= 0 else (
+                      unknown if x == -1 else OUT)), 8, 1, 50))
+    cases.append(("zorder finite typeset unknown",
+                  lambda: RuleCopy(zorder, lambda x: IN if x >= 0
+                                   else unknown), 8, 1, 50))
+    open_pairs = {fs((0, 2)), fs((1, 2))}
+    cases.append(("pairs finite typeset witness",
+                  lambda: RuleCopy(pairs, lambda x: unknown
+                                   if x in open_pairs else IN), 8, 2, 3))
+    return cases
+
+
+@pytest.mark.parametrize("make, depth, sockel_cap, budget", [
+    pytest.param(*case[1:], id=case[0]) for case in _differential_cases()])
+def test_check_copy_matches_per_obligation_scan(make, depth, sockel_cap,
+                                                budget):
+    got = certify.check_copy(make(), depth, sockel_cap, budget)
+    want = _reference_check_copy(make(), depth, sockel_cap, budget)
+    assert got.to_json() == want.to_json()
 
 
 # -- brute_same_type -----------------------------------------------------------

@@ -59,6 +59,21 @@ def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys, name,
     assert capsys.readouterr().err == flag_err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--sockel-cap", "-5"),
+    ("--depth", "0"),
+    ("--budget", "3"),
+], ids=["sockel-cap", "depth", "budget-below-depth"])
+def test_out_of_range_flag_is_a_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["embed-powerset", "--structure", "dlo", "--set", "0",
+                  "--certify", option, value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
 def test_environment_value_is_the_default(monkeypatch):
     monkeypatch.setenv("COPYPOSET_DEPTH", "7")
     assert cli.build_parser().parse_args(["structures"]).depth == 7
