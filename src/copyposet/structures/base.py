@@ -3,19 +3,26 @@
 A Structure presents one countable set U with a fixed canonical enumeration
 u_0, u_1, ... and a decidable calculus for the pointwise stabilizers of its
 automorphism group: orbit equality of points over a finite sockel, finite
-extendability of partial injections, exact finiteness of typesets, and
-certified unrankedness.  All operations are pure; instances hold only
-append-only enumeration caches and are safe to share.
+extendability of partial injections, a canonical orbit key for tuples
+(``orbit_key``), exact finiteness of typesets, and certified unrankedness.
+All operations are pure; instances hold only append-only enumeration caches
+and are safe to share.
 """
 
 from __future__ import annotations
 
-from ..core import PartialMap, finite_answer
+from ..core import finite_answer
 from ..errors import PreconditionError, SearchBudgetError
 
 # Safety cap for searches that are mathematically guaranteed to terminate on
 # the built-ins; hitting it means a broken oracle, not a tight budget.
 _SCAN_CAP = 200_000
+
+
+def equality_pattern(values):
+    """For each entry, the position of its first occurrence."""
+    first = {}
+    return tuple(first.setdefault(v, i) for i, v in enumerate(values))
 
 
 class Structure:
@@ -93,6 +100,11 @@ class Structure:
         """True iff some g in G extends the partial injection ``pm``."""
         raise NotImplementedError
 
+    def orbit_key(self, tup):
+        """A hashable invariant of the G-orbit of the tuple ``tup``: two
+        tuples of equal length lie in one orbit iff their keys are equal."""
+        raise NotImplementedError
+
     def typeset_finite(self, sockel, x):
         """Exact finiteness of the typeset of <sockel |> x>."""
         raise NotImplementedError
@@ -127,7 +139,9 @@ class Structure:
         """Members of the typeset of <sockel |> x> in enumeration order.
 
         For finite typesets the stream is exact and exhausts; for infinite
-        ones it is the on-demand witness stream."""
+        ones it is the on-demand witness stream.  This default scans the
+        enumeration; a structure may override it with a closed form, which
+        must yield the same members in the same enumeration order."""
         self.check_same_type_pre(sockel, x, x)
         fin = self.typeset_finite(sockel, x)
         if fin.is_finite:
@@ -211,19 +225,8 @@ class Structure:
         return classes
 
     def tuples_same_orbit(self, xs, ys):
-        """Orbit equality of two equal-length tuples under G."""
-        if len(xs) != len(ys):
-            return False
-        m = {}
-        for a, b in zip(xs, ys):
-            if m.get(a, b) != b:
-                return False
-            m[a] = b
-        try:
-            pm = PartialMap(m.items())
-        except PreconditionError:
-            return False
-        return self.extendable(pm)
+        """Orbit equality of two tuples under G."""
+        return len(xs) == len(ys) and self.orbit_key(xs) == self.orbit_key(ys)
 
     # -- closed-form copies --------------------------------------------------
 

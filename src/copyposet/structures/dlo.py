@@ -79,6 +79,12 @@ def _signed_sb_stream():
             yield -v
 
 
+def order_pattern(values):
+    """For each entry, its rank among the distinct entries."""
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(rank[v] for v in values)
+
+
 class DLO(Structure):
     structure_id = "dlo"
     description = "rationals with the dense linear order"
@@ -123,6 +129,9 @@ class DLO(Structure):
     def extendable(self, pm):
         items = sorted(pm.items())
         return all(a[1] < b[1] for a, b in zip(items, items[1:]))
+
+    def orbit_key(self, tup):
+        return order_pattern(tup)
 
     def typeset_finite(self, sockel, x):
         # stabilizer orbits off the sockel are open intervals

@@ -6,7 +6,7 @@ pattern.
 """
 
 from ..core import infinite_answer
-from .base import Structure
+from .base import Structure, equality_pattern
 
 
 class EquivInf(Structure):
@@ -51,6 +51,9 @@ class EquivInf(Structure):
                 if (a[0] == b[0]) != (fa[0] == fb[0]):
                     return False
         return True
+
+    def orbit_key(self, tup):
+        return equality_pattern(tup), equality_pattern([c for c, _ in tup])
 
     def typeset_finite(self, sockel, x):
         # classes are infinite and there are infinitely many classes

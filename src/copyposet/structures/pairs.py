@@ -96,6 +96,12 @@ class PairsAction(Structure):
     def extendable(self, pm):
         return _assignment_exists(dict(pm.items()))
 
+    def orbit_key(self, tup):
+        # which entries each support element lies in; a bijection of the
+        # supports matching these Venn regions induces the tuple map
+        return tuple(sorted(tuple(i for i, p in enumerate(tup) if e in p)
+                            for e in support(tup)))
+
     def typeset_finite(self, sockel, x):
         supp = support(sockel)
         if not x <= supp:

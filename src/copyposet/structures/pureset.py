@@ -1,7 +1,7 @@
 """The pure countable set: U = N with the full symmetric group."""
 
 from ..core import infinite_answer
-from .base import Structure
+from .base import Structure, equality_pattern
 
 
 class PureSet(Structure):
@@ -37,6 +37,9 @@ class PureSet(Structure):
 
     def extendable(self, pm):
         return True  # any finite injection extends to a permutation
+
+    def orbit_key(self, tup):
+        return equality_pattern(tup)
 
     def typeset_finite(self, sockel, x):
         return infinite_answer()

@@ -7,8 +7,8 @@ chains, and a residue split for the disjoint pair over nothing.
 """
 
 from ..core import IN, OUT, CopyHandle, IdentityCopy, infinite_answer
-from ..errors import PreconditionError
-from .base import Structure
+from ..errors import PreconditionError, SearchBudgetError
+from .base import _SCAN_CAP, Structure, equality_pattern
 
 
 def adjacent(i, j):
@@ -110,9 +110,32 @@ class RadoGraph(Structure):
                     return False
         return True
 
+    def orbit_key(self, tup):
+        return equality_pattern(tup), tuple(
+            adjacent(a, b) for i, a in enumerate(tup) for b in tup[i + 1:])
+
     def typeset_finite(self, sockel, x):
         # every adjacency pattern is realized by infinitely many vertices
         return infinite_answer()
+
+    def typeset_iter(self, sockel, x):
+        # Above max(sockel) the adjacency of y to a sockel point a is bit a
+        # of y, so the members there are the numbers whose sockel bits match
+        # x's adjacency pattern; they are stepped through in increasing order.
+        self.check_same_type_pre(sockel, x, x)
+        top = max(sockel, default=-1)
+        for y in range(top + 1):
+            if y > _SCAN_CAP:
+                raise SearchBudgetError("typeset stream scan cap exceeded")
+            if y not in sockel and (y == x or self.same_type(sockel, x, y)):
+                yield y
+        mask = sum(1 << a for a in sockel)
+        pattern = sum(1 << a for a in sockel if adjacent(x, a))
+        y = pattern
+        while True:
+            if y > top:
+                yield y
+            y = (((y | mask) + 1) & ~mask) | pattern
 
     def target_candidates(self, items, source):
         pattern = [(t, adjacent(source, s)) for s, t in items]

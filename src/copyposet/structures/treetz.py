@@ -123,6 +123,11 @@ class TreeTZ(Structure):
                     return False
         return True
 
+    def orbit_key(self, tup):
+        # meet(a, a) = a, so the diagonal carries the levels themselves
+        return tuple(level(meet(a, b)) - level(tup[0])
+                     for i, a in enumerate(tup) for b in tup[i:])
+
     def typeset_finite(self, sockel, x):
         if any(tree_le(x, a) for a in sockel):
             return self.singleton_answer(x)  # ancestor chains are fixed

@@ -6,7 +6,7 @@ block, so (a, b) |-> (a + t, b + s_a).
 """
 
 from ..core import infinite_answer
-from .base import Structure
+from .base import Structure, equality_pattern
 from .zorder import zigzag
 
 
@@ -55,6 +55,11 @@ class Zeta2(Structure):
             if inner.setdefault(src[0], d) != d:
                 return False
         return True
+
+    def orbit_key(self, tup):
+        first = equality_pattern([a for a, _ in tup])
+        return (tuple(a - tup[0][0] for a, _ in tup),
+                tuple(b - tup[j][1] for (_, b), j in zip(tup, first)))
 
     def typeset_finite(self, sockel, x):
         if not sockel:

@@ -6,8 +6,8 @@ the block line with an independent translation inside each block.
 """
 
 from ..core import infinite_answer
-from .base import Structure
-from .dlo import DLO
+from .base import Structure, equality_pattern
+from .dlo import DLO, order_pattern
 from .zorder import zigzag
 
 _dlo = DLO()
@@ -63,6 +63,12 @@ class ZetaEta(Structure):
                 if a[0] != b[0] and (a[0] < b[0]) != (fa[0] < fb[0]):
                     return False
         return True
+
+    def orbit_key(self, tup):
+        blocks = [q for q, _ in tup]
+        first = equality_pattern(blocks)
+        return (order_pattern(blocks),
+                tuple(n - tup[j][1] for (_, n), j in zip(tup, first)))
 
     def typeset_finite(self, sockel, x):
         blocks = {q for (q, _) in sockel}

@@ -51,6 +51,10 @@ class ZOrder(Structure):
         deltas = {tgt - src for src, tgt in pm.items()}
         return len(deltas) <= 1
 
+    def orbit_key(self, tup):
+        # a translation is fixed by where it sends the first entry
+        return tuple(t - tup[0] for t in tup)
+
     def typeset_finite(self, sockel, x):
         if not sockel:
             return infinite_answer()

@@ -11,7 +11,7 @@ never from search failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import PreconditionError
 
@@ -188,16 +188,4 @@ def oligomorphic_profile(structure, n, window):
     if window < n:
         raise PreconditionError("window must be >= n")
     pts = structure.prefix(window)
-    reps = []
-    count = 0
-    tuples = [()]
-    for _ in range(n):
-        tuples = [t + (p,) for t in tuples for p in pts]
-    for tup in tuples:
-        for r in reps:
-            if structure.tuples_same_orbit(r, tup):
-                break
-        else:
-            reps.append(tup)
-            count += 1
-    return count
+    return len({structure.orbit_key(t) for t in product(pts, repeat=n)})

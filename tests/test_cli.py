@@ -88,6 +88,23 @@ def test_typeset_command(capsys):
     assert "1 1/2 2" in out
 
 
+def test_rado_typeset_over_a_deep_sockel(capsys):
+    # past 300 and 700 the members sit near 2**700, beyond any scan
+    code, out, _ = run(capsys, "typeset", "--structure", "rado",
+                       "--sockel", "300,700", "--rep", "3",
+                       "--format", "jsonl")
+    assert code == 0
+    members = [int(m) for m in json.loads(out)["members"]]
+
+    def adj(i, j):
+        i, j = min(i, j), max(i, j)
+        return (j >> i) & 1
+
+    assert len(set(members)) == 6 and not {300, 700} & set(members)
+    for j in members:
+        assert [adj(300, j), adj(700, j)] == [adj(300, 3), adj(700, 3)]
+
+
 def test_closure_command_ac(capsys):
     code, out, _ = run(capsys, "closure", "ac", "--structure", "dlo",
                        "--base", "0,1", "--depth", "10")

@@ -1,13 +1,15 @@
 """Action-oracle behaviour: enumerations, orbit calculus, finiteness."""
 
+import random
 from fractions import Fraction as F
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet import PartialMap, PreconditionError
 from copyposet.errors import UnknownStructureError
-from copyposet.structures import BUILTIN_IDS, get_structure
+from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.rado import adjacent
 
 fs = frozenset
@@ -261,3 +263,46 @@ def test_rado_bit_adjacency():
     assert adjacent(1, 2)      # bit 1 of 2
     assert not adjacent(0, 2)  # bit 0 of 2
     assert not adjacent(3, 3)
+
+
+def test_rado_typeset_stream_matches_scan():
+    # the base-class enumeration scan is the reference for the closed form
+    rado = get_structure("rado")
+    rng = random.Random(6)
+    cases = [(fs(), 0), (fs(), 9)]
+    for _ in range(40):
+        sockel = fs(rng.sample(range(16), rng.randint(1, 3)))
+        x = rng.choice([p for p in range(40) if p not in sockel])
+        cases.append((sockel, x))
+    for sockel, x in cases:
+        want = list(islice(Structure.typeset_iter(rado, sockel, x), 60))
+        assert list(islice(rado.typeset_iter(sockel, x), 60)) == want
+
+
+def _reference_same_orbit(structure, xs, ys):
+    # tuple orbit equality through a partial injection and ``extendable``
+    if len(xs) != len(ys):
+        return False
+    m = {}
+    for a, b in zip(xs, ys):
+        if m.get(a, b) != b:
+            return False
+        m[a] = b
+    try:
+        pm = PartialMap(m.items())
+    except PreconditionError:
+        return False
+    return structure.extendable(pm)
+
+
+def test_orbit_keys_match_extendability(structure):
+    pts = structure.prefix(7)
+    tuples = [(a,) for a in pts] + list(product(pts, repeat=2))
+    rng = random.Random(3)
+    triples = rng.sample(list(product(pts, repeat=3)), 70)
+    pairs = [(s, t) for s in tuples for t in tuples]
+    pairs += [(s, t) for s in triples for t in triples]
+    agree = [structure.orbit_key(s) == structure.orbit_key(t) for s, t in pairs]
+    want = [_reference_same_orbit(structure, s, t) for s, t in pairs]
+    assert agree == want
+    assert any(w for (s, t), w in zip(pairs, want) if s != t and len(s) == 3)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from copyposet import PreconditionError
+from copyposet import PreconditionError, engine
 from copyposet.structures import get_structure
 from copyposet import typesets as ts
 
@@ -141,6 +141,38 @@ def test_profile_examples():
     assert ts.oligomorphic_profile(get_structure("dlo"), 2, 6) == 3
     assert ts.oligomorphic_profile(get_structure("pureset"), 2, 6) == 2
     assert ts.oligomorphic_profile(get_structure("rado"), 2, 8) == 3
+
+
+@pytest.mark.parametrize("sid, n, window, count", [
+    ("pureset", 4, 6, 15), ("dlo", 3, 8, 13), ("dlo", 4, 5, 75),
+    ("rado", 3, 8, 15), ("equiv", 3, 8, 12), ("pairs", 3, 8, 15),
+    ("zorder", 3, 8, 169),
+])
+def test_profile_values(sid, n, window, count):
+    assert ts.oligomorphic_profile(get_structure(sid), n, window) == count
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    fn = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return fn(self, *args)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_orbit_work_bounds(monkeypatch):
+    rado = get_structure("rado")
+    same_type = _count_calls(monkeypatch, type(rado), "same_type")
+    engine.bernstein_base(rado, 14)
+    assert len(same_type) <= 10_000
+    for sid, n, window in (("dlo", 3, 8), ("rado", 3, 8), ("pairs", 2, 6)):
+        st = get_structure(sid)
+        extendable = _count_calls(monkeypatch, type(st), "extendable")
+        ts.oligomorphic_profile(st, n, window)
+        assert extendable == []
 
 
 def test_profile_stabilizes_for_oligomorphic():
