@@ -10,7 +10,9 @@ sockel.
 brute_same_type re-derives orbit equality from each structure's raw data
 (order comparisons, adjacency bits, class labels, differences, meets,
 support permutations) without touching the structures' fast decision
-procedures; the differential test pits the two against each other.
+procedures; the differential test pits the two against each other.  For
+pairs it is a pruned search over the permutations of the support, which
+cuts a partial assignment once it breaks x -> y or moves a sockel pair.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import CopyPosetError, PreconditionError
 from .structures.rado import adjacent as rado_adjacent
@@ -269,17 +271,37 @@ def _brute_treetz(fset, x, y):
 
 
 def _brute_pairs(fset, x, y):
-    # plain exhaustive search over permutations of the combined support
-    elems = sorted(set().union(x, y, *fset) or {0})
-    fps = [tuple(sorted(u)) for u in fset]
-    xt, yt = tuple(sorted(x)), tuple(sorted(y))
-    for perm in permutations(elems):
-        img = dict(zip(elems, perm))
-        if tuple(sorted((img[xt[0]], img[xt[1]]))) != yt:
-            continue
-        if all(tuple(sorted((img[u[0]], img[u[1]]))) == u for u in fps):
+    # pruned search over the permutations of the sorted support, one element
+    # at a time, for x -> y and u -> u for each sockel pair u.  A prefix is
+    # cut as soon as an element's image leaves the target pair of a
+    # constraint containing it: no completion can mend that.  Images are
+    # distinct, so a constraint with both elements assigned inside its
+    # target pair maps onto it.
+    elems = sorted(set().union(x, y, *fset))
+    constraints = [(x, y)] + [(u, u) for u in fset]
+    img = {}
+
+    def breaks(e):
+        for s, t in constraints:
+            if e in s and img[e] not in t:
+                return True
+        return False
+
+    def extend(k):
+        if k == len(elems):
             return True
-    return False
+        e = elems[k]
+        used = set(img.values())
+        for v in elems:
+            if v in used:
+                continue
+            img[e] = v
+            if not breaks(e) and extend(k + 1):
+                return True
+            del img[e]
+        return False
+
+    return extend(0)
 
 
 _BRUTE = {

@@ -20,6 +20,31 @@ def adjacent(i, j):
     return (j >> i) & 1 == 1
 
 
+def _decimal(p):
+    """str(p), split at a power of ten when p has more digits than the
+    interpreter converts at once."""
+    try:
+        return str(p)
+    except ValueError:
+        k = int(p.bit_length() * 0.30103) // 2  # about half the digits
+        hi, lo = divmod(p, 10 ** k)
+        return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _from_decimal(s):
+    """int(s), split in halves when s has more digits than the interpreter
+    converts at once."""
+    try:
+        return int(s)
+    except ValueError:
+        digits = s.strip()
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        return _from_decimal(digits[:-k]) * 10 ** k + \
+            _from_decimal(digits[-k:])
+
+
 _LADDER_BASE = 300  # above every small-scan witness, so bit bands stay apart
 
 
@@ -89,10 +114,10 @@ class RadoGraph(Structure):
         return p
 
     def encode(self, p):
-        return str(p)
+        return _decimal(p)
 
     def decode(self, s):
-        p = int(s)
+        p = _from_decimal(s)
         if p < 0:
             raise ValueError("rado vertices are naturals")
         return p
@@ -119,19 +144,34 @@ class RadoGraph(Structure):
         return infinite_answer()
 
     def typeset_iter(self, sockel, x):
-        # Above max(sockel) the adjacency of y to a sockel point a is bit a
-        # of y, so the members there are the numbers whose sockel bits match
-        # x's adjacency pattern; they are stepped through in increasing order.
+        # Let L be the bit length of max F.  From L up to max F no vertex is
+        # adjacent to a sockel point a >= L, and its adjacency to a < L is
+        # bit a; above max F its adjacency to every sockel point a is bit a.
+        # Past the vertices below L, the members are therefore the numbers
+        # whose sockel bits match x's adjacency pattern, stepped through in
+        # increasing order.
         self.check_same_type_pre(sockel, x, x)
         top = max(sockel, default=-1)
-        for y in range(top + 1):
+        low = max(top, 0).bit_length()
+        for y in range(low):
             if y > _SCAN_CAP:
                 raise SearchBudgetError("typeset stream scan cap exceeded")
             if y not in sockel and (y == x or self.same_type(sockel, x, y)):
                 yield y
         mask = sum(1 << a for a in sockel)
         pattern = sum(1 << a for a in sockel if adjacent(x, a))
+        # when x is adjacent to a sockel point a >= L, pattern >= 2**a >
+        # max F and [L, max F] holds no member; otherwise its members are
+        # matched on the bits below L alone
+        low_mask = mask & ((1 << low) - 1)
         y = pattern
+        while y <= top:
+            if y >= low and y not in sockel:
+                yield y
+            step = (((y | low_mask) + 1) & ~low_mask) | pattern
+            if step > top:
+                break
+            y = step
         while True:
             if y > top:
                 yield y
@@ -190,9 +230,9 @@ class TaggedCopyRado(CopyHandle):
         return OUT
 
     def describe(self):
-        return "rado tagged-class floor=%d ones=%s zeros=%s fix={%s}" % (
-            self.floor, list(self.ones), list(self.zeros),
-            ",".join(str(v) for v in sorted(self.fix)))
+        return "rado tagged-class floor=%s ones=%s zeros=%s fix={%s}" % (
+            _decimal(self.floor), list(self.ones), list(self.zeros),
+            ",".join(_decimal(v) for v in sorted(self.fix)))
 
 
 def _rado_avoiding(structure, fixset, avoidset, ones=(), zeros=(), floor=-1):

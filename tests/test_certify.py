@@ -1,9 +1,12 @@
 """The bounded verifier and the raw ground-truth oracle."""
 
+import ast
 import json
+import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +239,63 @@ def test_brute_examples():
     dlo = get_structure("dlo")
     assert certify.brute_same_type(dlo, fs({F(0)}), F(1), F(2), 12) is True
     assert certify.brute_same_type(dlo, fs({F(0)}), F(1), F(-1), 12) is False
+    pairs = get_structure("pairs")
+    # {0,2} -> {1,2} swaps the sockel pair {0,1} and fixes 2
+    assert certify.brute_same_type(
+        pairs, fs({fs((0, 1))}), fs((0, 2)), fs((1, 2)), 12) is True
+    # {0,2} meets the sockel pair and {2,3} does not
+    assert certify.brute_same_type(
+        pairs, fs({fs((0, 1))}), fs((0, 2)), fs((2, 3)), 12) is False
+
+
+def _reference_brute_pairs(fset, x, y):
+    # every permutation of the combined support, with no cut
+    elems = sorted(set().union(x, y, *fset))
+    fps = [tuple(sorted(u)) for u in fset]
+    xt, yt = tuple(sorted(x)), tuple(sorted(y))
+    for perm in permutations(elems):
+        img = dict(zip(elems, perm))
+        if tuple(sorted((img[xt[0]], img[xt[1]]))) != yt:
+            continue
+        if all(tuple(sorted((img[u[0]], img[u[1]]))) == u for u in fps):
+            return True
+    return False
+
+
+def _pairs_oracle_cases():
+    pairs = get_structure("pairs")
+    win = pairs.prefix(8)
+    for size in (0, 1, 2):
+        for ftup in combinations(win, size):
+            pool = [p for p in win if p not in ftup]
+            for x in pool:
+                for y in pool:
+                    yield fs(ftup), x, y
+    rng = random.Random(7)
+    win = pairs.prefix(12)
+    for _ in range(60):
+        picked = rng.sample(win, 5)
+        yield fs(picked[:3]), picked[3], rng.choice(picked[3:])
+
+
+def test_brute_pairs_matches_full_enumeration():
+    for fset, x, y in _pairs_oracle_cases():
+        assert certify._brute_pairs(fset, x, y) == \
+            _reference_brute_pairs(fset, x, y), (fset, x, y)
+
+
+def test_brute_oracle_imports_no_pairs_module():
+    # the pairs oracle stays a derivation from the raw 2-subsets
+    tree = ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update("%s.%s" % (node.module, alias.name)
+                            for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [m for m in imported if m.endswith("structures.pairs")]
 
 
 def test_brute_ground_window_precondition(dlo):

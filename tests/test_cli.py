@@ -1,6 +1,8 @@
 """Command-line surface: parsing, exit codes, deterministic output."""
 
 import json
+from decimal import Context
+from itertools import islice
 
 import pytest
 
@@ -103,6 +105,43 @@ def test_rado_typeset_over_a_deep_sockel(capsys):
     assert len(set(members)) == 6 and not {300, 700} & set(members)
     for j in members:
         assert [adj(300, j), adj(700, j)] == [adj(300, 3), adj(700, 3)]
+
+
+@pytest.mark.parametrize("rep, count", [("0", 12), ("5", 9)])
+def test_rado_typeset_below_a_sockel_past_the_scan_cap(capsys, rep, count):
+    # from 19, the bit length of 300000, up to 300000 no vertex is adjacent
+    # to 300000; 5 is, so its ninth member is 2**300000
+    code, out, _ = run(capsys, "typeset", "--structure", "rado",
+                       "--sockel", "300000", "--rep", rep, "-n", str(count),
+                       "--format", "jsonl")
+    assert code == 0
+
+    # below 300000, adjacency to 300000 is bit y of 300000
+    pattern = (300000 >> int(rep)) & 1
+    below = list(islice((str(y) for y in range(300000)
+                         if (300000 >> y) & 1 == pattern), count))
+    if len(below) < count:
+        below.append(format(Context(prec=100_000).power(2, 300000), "f"))
+    assert json.loads(out)["members"] == below
+
+
+def test_rado_typeset_member_past_the_digit_limit(capsys):
+    # the sixth member is 2**20000, with 6021 decimal digits
+    code, out, _ = run(capsys, "typeset", "--structure", "rado",
+                       "--sockel", "20000", "--rep", "5", "-n", "6",
+                       "--format", "jsonl")
+    assert code == 0
+    members = json.loads(out)["members"]
+    assert members[:5] == ["5", "9", "10", "11", "14"]
+    assert members[5] == format(Context(prec=10_000).power(2, 20000), "f")
+
+
+def test_rado_copy_avoiding_a_vertex_past_the_digit_limit(capsys):
+    big = format(Context(prec=10_000).power(2, 20000), "f")
+    code, out, _ = run(capsys, "copy", "--structure", "rado", "--kind",
+                       "avoiding", "--avoid", big, "--format", "jsonl")
+    assert code == 0
+    assert "floor=%s " % big in json.loads(out.splitlines()[0])["copy"]
 
 
 def test_closure_command_ac(capsys):

@@ -1,8 +1,9 @@
 """Action-oracle behaviour: enumerations, orbit calculus, finiteness."""
 
 import random
+from decimal import Context
 from fractions import Fraction as F
-from itertools import islice, product
+from itertools import islice, product, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +266,20 @@ def test_rado_bit_adjacency():
     assert not adjacent(3, 3)
 
 
+def test_rado_vertices_past_the_digit_limit_round_trip():
+    # 2**20000 has 6021 digits, past the interpreter's int/str limit of 4300
+    rado = get_structure("rado")
+    context = Context(prec=10_000)
+    for p, exact in [
+            (2 ** 20000, context.power(2, 20000)),
+            (2 ** 20000 + 12345, context.add(context.power(2, 20000), 12345)),
+            (10 ** 6020 - 1, context.subtract(context.power(10, 6020), 1)),
+            (10 ** 4300, context.power(10, 4300))]:
+        text = rado.encode(p)
+        assert text == format(exact, "f")
+        assert rado.decode(text) == p
+
+
 def test_rado_typeset_stream_matches_scan():
     # the base-class enumeration scan is the reference for the closed form
     rado = get_structure("rado")
@@ -277,6 +292,18 @@ def test_rado_typeset_stream_matches_scan():
     for sockel, x in cases:
         want = list(islice(Structure.typeset_iter(rado, sockel, x), 60))
         assert list(islice(rado.typeset_iter(sockel, x), 60)) == want
+    # sockel points in the hundreds and thousands: members past max F can
+    # sit beyond the scan cap, so the scan is cut at a bound past max F
+    for _ in range(24):
+        deep = [rng.randrange(100, 5000) for _ in range(rng.randint(1, 2))]
+        sockel = fs(rng.sample(range(16), rng.randint(0, 2)) + deep)
+        x = rng.choice([p for p in range(64) if p not in sockel])
+        bound = max(sockel) + 256
+        want = [y for y in range(bound) if y not in sockel
+                and (y == x or rado.same_type(sockel, x, y))]
+        got = list(takewhile(lambda y: y < bound,
+                             rado.typeset_iter(sockel, x)))
+        assert got == want, (sockel, x)
 
 
 def _reference_same_orbit(structure, xs, ys):
