@@ -7,12 +7,14 @@ carries the unresolved obligations instead of silently passing.  One check
 reads its enumeration scan once, and searches each typeset class once per
 sockel.
 
-brute_same_type re-derives orbit equality from each structure's raw data
-(order comparisons, adjacency bits, class labels, differences, meets,
-support permutations) without touching the structures' fast decision
-procedures; the differential test pits the two against each other.  For
-pairs it is a pruned search over the permutations of the support, which
-cuts a partial assignment once it breaks x -> y or moves a sockel pair.
+brute_same_type and brute_extendable re-derive orbit equality from each
+structure's raw data (order comparisons, adjacency bits, class labels,
+differences, meets, support permutations) without touching the structures'
+orbit keys or decision procedures; the differential tests pit the two
+against each other.  Each raw oracle decides whether a list of (source,
+target) pairs extends to some g in G.  For pairs it is a pruned search over
+the permutations of the support, which cuts a partial assignment once it
+sends a source pair off its target.
 """
 
 from __future__ import annotations
@@ -191,27 +193,23 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
 # -- ground truth, structure by structure ------------------------------------
 
 
-def _brute_dlo(fset, x, y):
-    pairs = [(a, a) for a in fset] + [(x, y)]
-    pairs.sort()
+def _brute_dlo(pairs):
+    pairs = sorted(pairs)
     return all(s1 < s2 and t1 < t2
                for (s1, t1), (s2, t2) in zip(pairs, pairs[1:]))
 
 
-def _brute_pureset(fset, x, y):
-    del fset, x, y
-    return True  # the identity on F plus x -> y is injective, so it extends
+def _brute_pureset(pairs):
+    del pairs
+    return True  # a finite injection extends to a permutation
 
 
-def _brute_zorder(fset, x, y):
+def _brute_zorder(pairs):
     # the map preserves differences iff a single translation fits
-    deltas = {0} if fset else set()
-    deltas.add(y - x)
-    return len(deltas) <= 1
+    return len({t - s for s, t in pairs}) <= 1
 
 
-def _brute_rado(fset, x, y):
-    pairs = [(a, a) for a in fset] + [(x, y)]
+def _brute_rado(pairs):
     for i, (s1, t1) in enumerate(pairs):
         for s2, t2 in pairs[i + 1:]:
             if rado_adjacent(s1, s2) != rado_adjacent(t1, t2):
@@ -219,8 +217,7 @@ def _brute_rado(fset, x, y):
     return True
 
 
-def _brute_equiv(fset, x, y):
-    pairs = [(a, a) for a in fset] + [(x, y)]
+def _brute_equiv(pairs):
     for i, (s1, t1) in enumerate(pairs):
         for s2, t2 in pairs[i + 1:]:
             if (s1[0] == s2[0]) != (t1[0] == t2[0]):
@@ -228,8 +225,7 @@ def _brute_equiv(fset, x, y):
     return True
 
 
-def _brute_zeta2(fset, x, y):
-    pairs = [(a, a) for a in fset] + [(x, y)]
+def _brute_zeta2(pairs):
     outer = {t[0] - s[0] for s, t in pairs}
     if len(outer) > 1:
         return False
@@ -241,8 +237,7 @@ def _brute_zeta2(fset, x, y):
     return True
 
 
-def _brute_zetaeta(fset, x, y):
-    pairs = [(a, a) for a in fset] + [(x, y)]
+def _brute_zetaeta(pairs):
     inner = {}
     for s, t in pairs:
         d = t[1] - s[1]
@@ -257,12 +252,11 @@ def _brute_zetaeta(fset, x, y):
     return True
 
 
-def _brute_treetz(fset, x, y):
-    pairs = [(a, a) for a in fset] + [(x, y)]
+def _brute_treetz(pairs):
     deltas = {tree_level(t) - tree_level(s) for s, t in pairs}
     if len(deltas) > 1:
         return False
-    d = deltas.pop()
+    d = deltas.pop() if deltas else 0
     for i, (s1, t1) in enumerate(pairs):
         for s2, t2 in pairs[i + 1:]:
             if tree_level(tree_meet(t1, t2)) - tree_level(tree_meet(s1, s2)) != d:
@@ -270,19 +264,18 @@ def _brute_treetz(fset, x, y):
     return True
 
 
-def _brute_pairs(fset, x, y):
-    # pruned search over the permutations of the sorted support, one element
-    # at a time, for x -> y and u -> u for each sockel pair u.  A prefix is
-    # cut as soon as an element's image leaves the target pair of a
-    # constraint containing it: no completion can mend that.  Images are
-    # distinct, so a constraint with both elements assigned inside its
-    # target pair maps onto it.
-    elems = sorted(set().union(x, y, *fset))
-    constraints = [(x, y)] + [(u, u) for u in fset]
+def _brute_pairs(pairs):
+    # pruned search over the permutations of the sorted combined support,
+    # one element at a time, for the constraints s -> t.  A prefix is cut as
+    # soon as an element's image leaves the target pair of a constraint
+    # containing it: no completion can mend that.  Images are distinct, so a
+    # constraint with both elements assigned inside its target pair maps
+    # onto it.
+    elems = sorted(set().union(*[s | t for s, t in pairs]))
     img = {}
 
     def breaks(e):
-        for s, t in constraints:
+        for s, t in pairs:
             if e in s and img[e] not in t:
                 return True
         return False
@@ -322,9 +315,17 @@ def _ground_window(structure, ground_depth):
     return frozenset(structure.prefix(ground_depth))
 
 
+def _raw_oracle(structure):
+    try:
+        return _BRUTE[structure.structure_id]
+    except KeyError:
+        raise PreconditionError(
+            "no raw oracle for %s" % structure.structure_id) from None
+
+
 def brute_same_type(structure, sockel, x, y, ground_depth):
     """Ground-truth orbit equality from raw relational data, independent of
-    the structure's decision procedure."""
+    the structure's orbit key and decision procedure."""
     fset = frozenset(sockel)
     window = _ground_window(structure, ground_depth)
     if not fset <= window or x not in window or y not in window:
@@ -333,12 +334,16 @@ def brute_same_type(structure, sockel, x, y, ground_depth):
         raise PreconditionError("representative lies in the sockel")
     if x == y:
         return True
-    try:
-        fn = _BRUTE[structure.structure_id]
-    except KeyError:
-        raise PreconditionError(
-            "no raw oracle for %s" % structure.structure_id) from None
-    return fn(fset, x, y)
+    return _raw_oracle(structure)([(x, y)] + [(a, a) for a in fset])
+
+
+def brute_extendable(structure, pm, ground_depth):
+    """Ground-truth extendability of the finite partial injection ``pm``
+    from raw relational data, independent of the structure's orbit key."""
+    window = _ground_window(structure, ground_depth)
+    if not all(s in window and t in window for s, t in pm.items()):
+        raise PreconditionError("inputs must lie inside the ground window")
+    return _raw_oracle(structure)(list(pm.items()))
 
 
 def check_inclusion(lower, upper, depth):

@@ -2,11 +2,13 @@
 
 A Structure presents one countable set U with a fixed canonical enumeration
 u_0, u_1, ... and a decidable calculus for the pointwise stabilizers of its
-automorphism group: orbit equality of points over a finite sockel, finite
-extendability of partial injections, a canonical orbit key for tuples
-(``orbit_key``), exact finiteness of typesets, and certified unrankedness.
-All operations are pure; instances hold only append-only enumeration caches
-and are safe to share.
+automorphism group.  Each structure writes ``orbit_key``, a canonical
+invariant of the G-orbit of a tuple; orbit equality over a finite sockel
+(``same_type``) and extendability of finite partial injections
+(``extendable``) derive from it, and ``same_type`` is overridden where that
+measures faster.  Structures also decide exact finiteness of typesets and
+certify unrankedness.  All operations are pure; instances hold only
+append-only enumeration caches and are safe to share.
 """
 
 from __future__ import annotations
@@ -19,10 +21,41 @@ from ..errors import PreconditionError, SearchBudgetError
 _SCAN_CAP = 200_000
 
 
+# Orbit keys are built as tuple([...]): tuple(genexpr) allocates 10 slots and
+# resizes, and the freed keys pile up on the tuple freelists (peak memory).
 def equality_pattern(values):
     """For each entry, the position of its first occurrence."""
     first = {}
-    return tuple(first.setdefault(v, i) for i, v in enumerate(values))
+    return tuple([first.setdefault(v, i) for i, v in enumerate(values)])
+
+
+def _decimal(p):
+    """str(p), split at a power of ten when p has more digits than the
+    interpreter converts at once."""
+    try:
+        return str(p)
+    except ValueError:
+        if p < 0:
+            return "-" + _decimal(-p)  # divmod would round toward -inf
+        k = int(p.bit_length() * 0.30103) // 2  # about half the digits
+        hi, lo = divmod(p, 10 ** k)
+        return _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _from_decimal(s):
+    """int(s), split in halves when s has more digits than the interpreter
+    converts at once."""
+    try:
+        return int(s)
+    except ValueError:
+        digits = s.strip()
+        sign = digits[:1]
+        digits = digits[1:] if sign in ("+", "-") else digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        p = _from_decimal(digits[:-k]) * 10 ** k + _from_decimal(digits[-k:])
+        return -p if sign == "-" else p
 
 
 class Structure:
@@ -91,14 +124,24 @@ class Structure:
     # -- orbit calculus ----------------------------------------------------
 
     def same_type(self, sockel, x, y):
-        """True iff some g in G fixes ``sockel`` pointwise and maps x to y.
+        """True iff some g in G fixes ``sockel`` pointwise and maps x to y,
+        that is, iff the sockel followed by x and the sockel followed by y
+        share an orbit key.
 
-        Pre: x and y are not in sockel.  Exact for every built-in."""
-        raise NotImplementedError
+        Pre: x and y are not in sockel.  An override must agree with the
+        key."""
+        self.check_same_type_pre(sockel, x, y)
+        f = tuple(sockel)
+        return self.orbit_key(f + (x,)) == self.orbit_key(f + (y,))
 
     def extendable(self, pm):
-        """True iff some g in G extends the partial injection ``pm``."""
-        raise NotImplementedError
+        """True iff some g in G extends the partial injection ``pm``, that
+        is, iff its source and target tuples share an orbit key.  An
+        override must agree with the key."""
+        if not pm:
+            return True
+        sources, targets = zip(*pm.items())
+        return self.orbit_key(sources) == self.orbit_key(targets)
 
     def orbit_key(self, tup):
         """A hashable invariant of the G-orbit of the tuple ``tup``: two

@@ -82,7 +82,7 @@ def _signed_sb_stream():
 def order_pattern(values):
     """For each entry, its rank among the distinct entries."""
     rank = {v: i for i, v in enumerate(sorted(set(values)))}
-    return tuple(rank[v] for v in values)
+    return tuple([rank[v] for v in values])
 
 
 class DLO(Structure):
@@ -125,10 +125,6 @@ class DLO(Structure):
         self.check_same_type_pre(sockel, x, y)
         # same position relative to every sockel point
         return all((x < a) == (y < a) for a in sockel)
-
-    def extendable(self, pm):
-        items = sorted(pm.items())
-        return all(a[1] < b[1] for a, b in zip(items, items[1:]))
 
     def orbit_key(self, tup):
         return order_pattern(tup)

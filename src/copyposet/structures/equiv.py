@@ -44,14 +44,6 @@ class EquivInf(Structure):
         self.check_same_type_pre(sockel, x, y)
         return all((x[0] == a[0]) == (y[0] == a[0]) for a in sockel)
 
-    def extendable(self, pm):
-        items = list(pm.items())
-        for i, (a, fa) in enumerate(items):
-            for b, fb in items[i + 1:]:
-                if (a[0] == b[0]) != (fa[0] == fb[0]):
-                    return False
-        return True
-
     def orbit_key(self, tup):
         return equality_pattern(tup), equality_pattern([c for c, _ in tup])
 

@@ -1,8 +1,9 @@
 """The induced action of the symmetric group on 2-subsets of N.
 
 Points are unordered pairs {i, j}; a permutation of N acts by taking images
-elementwise.  Orbit questions reduce to searches over injective assignments
-of the finite supports involved.
+elementwise.  The orbit of a tuple is given by its Venn regions: which of
+its pairs each support element lies in.  Candidate images extend an
+injective assignment of the supports involved.
 """
 
 from itertools import combinations
@@ -51,10 +52,6 @@ def _find_assignment(pairs_map):
     return chosen if assign(0) else None
 
 
-def _assignment_exists(pairs_map):
-    return _find_assignment(pairs_map) is not None
-
-
 class PairsAction(Structure):
     structure_id = "pairs"
     description = "2-subsets of N under the symmetric group of N"
@@ -87,20 +84,15 @@ class PairsAction(Structure):
             raise ValueError("expected a 2-subset of the naturals")
         return frozenset((i, j))
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        m = {u: u for u in sockel}
-        m[x] = y
-        return _assignment_exists(m)
-
-    def extendable(self, pm):
-        return _assignment_exists(dict(pm.items()))
-
     def orbit_key(self, tup):
-        # which entries each support element lies in; a bijection of the
-        # supports matching these Venn regions induces the tuple map
-        return tuple(sorted(tuple(i for i, p in enumerate(tup) if e in p)
-                            for e in support(tup)))
+        # which entries each support element lies in, as a bitmask over the
+        # positions; a bijection of the supports matching these Venn regions
+        # induces the tuple map
+        regions = {}
+        for i, p in enumerate(tup):
+            for e in p:
+                regions[e] = regions.get(e, 0) | 1 << i
+        return tuple(sorted(regions.values()))
 
     def typeset_finite(self, sockel, x):
         supp = support(sockel)

@@ -1,7 +1,7 @@
 """The pure countable set: U = N with the full symmetric group."""
 
 from ..core import infinite_answer
-from .base import Structure, equality_pattern
+from .base import Structure, _decimal, _from_decimal, equality_pattern
 
 
 class PureSet(Structure):
@@ -23,10 +23,10 @@ class PureSet(Structure):
         return p
 
     def encode(self, p):
-        return str(p)
+        return _decimal(p)
 
     def decode(self, s):
-        p = int(s)
+        p = _from_decimal(s)
         if p < 0:
             raise ValueError("pureset points are naturals")
         return p
@@ -34,9 +34,6 @@ class PureSet(Structure):
     def same_type(self, sockel, x, y):
         self.check_same_type_pre(sockel, x, y)
         return True
-
-    def extendable(self, pm):
-        return True  # any finite injection extends to a permutation
 
     def orbit_key(self, tup):
         return equality_pattern(tup)

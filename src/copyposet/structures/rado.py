@@ -8,7 +8,8 @@ chains, and a residue split for the disjoint pair over nothing.
 
 from ..core import IN, OUT, CopyHandle, IdentityCopy, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
-from .base import _SCAN_CAP, Structure, equality_pattern
+from .base import (_SCAN_CAP, Structure, _decimal, _from_decimal,
+                   equality_pattern)
 
 
 def adjacent(i, j):
@@ -18,31 +19,6 @@ def adjacent(i, j):
     if i > j:
         i, j = j, i
     return (j >> i) & 1 == 1
-
-
-def _decimal(p):
-    """str(p), split at a power of ten when p has more digits than the
-    interpreter converts at once."""
-    try:
-        return str(p)
-    except ValueError:
-        k = int(p.bit_length() * 0.30103) // 2  # about half the digits
-        hi, lo = divmod(p, 10 ** k)
-        return _decimal(hi) + _decimal(lo).zfill(k)
-
-
-def _from_decimal(s):
-    """int(s), split in halves when s has more digits than the interpreter
-    converts at once."""
-    try:
-        return int(s)
-    except ValueError:
-        digits = s.strip()
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-        k = len(digits) // 2
-        return _from_decimal(digits[:-k]) * 10 ** k + \
-            _from_decimal(digits[-k:])
 
 
 _LADDER_BASE = 300  # above every small-scan witness, so bit bands stay apart
@@ -127,17 +103,9 @@ class RadoGraph(Structure):
         # same adjacency pattern to the sockel (homogeneity)
         return all(adjacent(x, a) == adjacent(y, a) for a in sockel)
 
-    def extendable(self, pm):
-        items = list(pm.items())
-        for i, (a, fa) in enumerate(items):
-            for b, fb in items[i + 1:]:
-                if adjacent(a, b) != adjacent(fa, fb):
-                    return False
-        return True
-
     def orbit_key(self, tup):
-        return equality_pattern(tup), tuple(
-            adjacent(a, b) for i, a in enumerate(tup) for b in tup[i + 1:])
+        return equality_pattern(tup), tuple([
+            adjacent(a, b) for i, a in enumerate(tup) for b in tup[i + 1:]])
 
     def typeset_finite(self, sockel, x):
         # every adjacency pattern is realized by infinitely many vertices

@@ -111,22 +111,10 @@ class TreeTZ(Structure):
         return all(
             level(meet(x, a)) == level(meet(y, a)) for a in sockel)
 
-    def extendable(self, pm):
-        items = list(pm.items())
-        deltas = {level(t) - level(s) for s, t in items}
-        if len(deltas) > 1:
-            return False
-        d = deltas.pop() if deltas else 0
-        for i, (a, fa) in enumerate(items):
-            for b, fb in items[i + 1:]:
-                if level(meet(fa, fb)) - level(meet(a, b)) != d:
-                    return False
-        return True
-
     def orbit_key(self, tup):
         # meet(a, a) = a, so the diagonal carries the levels themselves
-        return tuple(level(meet(a, b)) - level(tup[0])
-                     for i, a in enumerate(tup) for b in tup[i:])
+        return tuple([level(meet(a, b)) - level(tup[0])
+                      for i, a in enumerate(tup) for b in tup[i:]])
 
     def typeset_finite(self, sockel, x):
         if any(tree_le(x, a) for a in sockel):

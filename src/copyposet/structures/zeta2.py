@@ -45,21 +45,10 @@ class Zeta2(Structure):
             return x == y  # pinned block: the whole block is fixed pointwise
         return x[0] == y[0]  # free block: the inner translation is arbitrary
 
-    def extendable(self, pm):
-        outer = {tgt[0] - src[0] for src, tgt in pm.items()}
-        if len(outer) > 1:
-            return False
-        inner = {}
-        for src, tgt in pm.items():
-            d = tgt[1] - src[1]
-            if inner.setdefault(src[0], d) != d:
-                return False
-        return True
-
     def orbit_key(self, tup):
         first = equality_pattern([a for a, _ in tup])
-        return (tuple(a - tup[0][0] for a, _ in tup),
-                tuple(b - tup[j][1] for (_, b), j in zip(tup, first)))
+        return (tuple([a - tup[0][0] for a, _ in tup]),
+                tuple([b - tup[j][1] for (_, b), j in zip(tup, first)]))
 
     def typeset_finite(self, sockel, x):
         if not sockel:

@@ -49,26 +49,11 @@ class ZetaEta(Structure):
         # free blocks: same cut position among the pinned blocks
         return all((x[0] < b) == (y[0] < b) for b in blocks)
 
-    def extendable(self, pm):
-        inner = {}
-        for src, tgt in pm.items():
-            d = tgt[1] - src[1]
-            if inner.setdefault(src[0], d) != d:
-                return False
-        items = list(pm.items())
-        for i, (a, fa) in enumerate(items):
-            for b, fb in items[i + 1:]:
-                if (a[0] == b[0]) != (fa[0] == fb[0]):
-                    return False
-                if a[0] != b[0] and (a[0] < b[0]) != (fa[0] < fb[0]):
-                    return False
-        return True
-
     def orbit_key(self, tup):
         blocks = [q for q, _ in tup]
         first = equality_pattern(blocks)
         return (order_pattern(blocks),
-                tuple(n - tup[j][1] for (_, n), j in zip(tup, first)))
+                tuple([n - tup[j][1] for (_, n), j in zip(tup, first)]))
 
     def typeset_finite(self, sockel, x):
         blocks = {q for (q, _) in sockel}

@@ -1,7 +1,7 @@
 """The integers as a linear order; automorphisms are the translations."""
 
 from ..core import infinite_answer
-from .base import Structure
+from .base import Structure, _decimal, _from_decimal
 
 
 def zigzag(i):
@@ -35,10 +35,10 @@ class ZOrder(Structure):
         return zigzag_index(p)
 
     def encode(self, p):
-        return str(p)
+        return _decimal(p)
 
     def decode(self, s):
-        return int(s)
+        return _from_decimal(s)
 
     def same_type(self, sockel, x, y):
         self.check_same_type_pre(sockel, x, y)
@@ -46,14 +46,9 @@ class ZOrder(Structure):
             return True  # translations act transitively
         return x == y  # any fixed point pins the translation
 
-    def extendable(self, pm):
-        # a partial map extends to a translation iff all differences agree
-        deltas = {tgt - src for src, tgt in pm.items()}
-        return len(deltas) <= 1
-
     def orbit_key(self, tup):
         # a translation is fixed by where it sends the first entry
-        return tuple(t - tup[0] for t in tup)
+        return tuple([t - tup[0] for t in tup])
 
     def typeset_finite(self, sockel, x):
         if not sockel:

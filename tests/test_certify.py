@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from copyposet.core import IN, OUT, unknown_at
+from copyposet.core import IN, OUT, PartialMap, unknown_at
 from copyposet.errors import PreconditionError
 from copyposet import certify, engine
 from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
@@ -280,7 +280,8 @@ def _pairs_oracle_cases():
 
 def test_brute_pairs_matches_full_enumeration():
     for fset, x, y in _pairs_oracle_cases():
-        assert certify._brute_pairs(fset, x, y) == \
+        constraints = [(x, y)] + [(u, u) for u in fset]
+        assert certify._brute_pairs(constraints) == \
             _reference_brute_pairs(fset, x, y), (fset, x, y)
 
 
@@ -301,6 +302,26 @@ def test_brute_oracle_imports_no_pairs_module():
 def test_brute_ground_window_precondition(dlo):
     with pytest.raises(PreconditionError):
         certify.brute_same_type(dlo, fs(), F(1), F(1000000), 12)
+    with pytest.raises(PreconditionError):
+        certify.brute_extendable(
+            dlo, PartialMap({F(0): F(0), F(1): F(1000000)}), 12)
+
+
+def test_brute_extendable_examples():
+    assert certify.brute_extendable(get_structure("treetz"), PartialMap(), 8)
+    dlo = get_structure("dlo")
+    assert certify.brute_extendable(dlo, PartialMap({F(0): F(1)}), 12)
+    assert not certify.brute_extendable(
+        dlo, PartialMap({F(0): F(1), F(1): F(0)}), 12)
+    z = get_structure("zorder")
+    assert certify.brute_extendable(z, PartialMap({0: 3, 1: 4}), 12)
+    assert not certify.brute_extendable(z, PartialMap({0: 3, 1: 5}), 12)
+    pairs = get_structure("pairs")
+    # {0,1} -> {0,2} and {0,2} -> {0,1} swap 1 and 2; {1,2} cannot follow
+    swap = {fs((0, 1)): fs((0, 2)), fs((0, 2)): fs((0, 1))}
+    assert certify.brute_extendable(pairs, PartialMap(swap), 12)
+    swap[fs((1, 2))] = fs((0, 3))
+    assert not certify.brute_extendable(pairs, PartialMap(swap), 12)
 
 
 def test_differential_small_window():

@@ -144,6 +144,19 @@ def test_rado_copy_avoiding_a_vertex_past_the_digit_limit(capsys):
     assert "floor=%s " % big in json.loads(out.splitlines()[0])["copy"]
 
 
+@pytest.mark.parametrize("sid, members", [("zorder", None),
+                                          ("pureset", ["1", "2", "3"])])
+def test_integer_typeset_at_a_point_past_the_digit_limit(capsys, sid,
+                                                         members):
+    big = "1" + "0" * 5000
+    code, out, _ = run(capsys, "typeset", "--structure", sid, "--sockel",
+                       "0", "--rep", big, "-n", "3", "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["rep"] == big
+    assert rec["members"] == (members or [big])
+
+
 def test_closure_command_ac(capsys):
     code, out, _ = run(capsys, "closure", "ac", "--structure", "dlo",
                        "--base", "0,1", "--depth", "10")

@@ -394,6 +394,9 @@ def test_structures_write_one_candidate_generator():
     # back steps read target_candidates over the inverse map
     assert not [cls for cls in structures._CLASSES
                 if "source_candidates" in vars(cls)]
+    # extendability is derived from the orbit key in the base class
+    assert not [cls for cls in structures._CLASSES
+                if "extendable" in vars(cls)]
 
 
 class _EmptyCopy(engine.CopyHandle):

@@ -3,12 +3,12 @@
 import random
 from decimal import Context
 from fractions import Fraction as F
-from itertools import islice, product, takewhile
+from itertools import combinations, islice, product, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet import PartialMap, PreconditionError
+from copyposet import PartialMap, PreconditionError, certify
 from copyposet.errors import UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.rado import adjacent
@@ -98,20 +98,23 @@ def test_same_type_is_equivalence_relation(structure):
 
 
 def test_same_type_matches_extendable_reduction(structure):
-    # some g in G<F> maps x to y iff id_F plus x->y extends
+    # some g in G<F> maps x to y iff id_F plus x->y extends; extendable is
+    # the orbit key, so this ties every hand-written same_type to the key
     window = structure.prefix(7)
-    sockel = frozenset(structure.prefix(2))
-    pool = [p for p in window if p not in sockel]
-    for x in pool:
-        for y in pool:
-            m = {a: a for a in sockel}
-            m[x] = y
-            try:
-                pm = PartialMap(m.items())
-            except PreconditionError:
-                continue
-            assert structure.same_type(sockel, x, y) == \
-                structure.extendable(pm)
+    for size in (0, 1, 2):
+        for ftup in combinations(structure.prefix(6), size):
+            sockel = frozenset(ftup)
+            pool = [p for p in window if p not in sockel]
+            for x in pool:
+                for y in pool:
+                    m = {a: a for a in sockel}
+                    m[x] = y
+                    try:
+                        pm = PartialMap(m.items())
+                    except PreconditionError:
+                        continue
+                    assert structure.same_type(sockel, x, y) == \
+                        structure.extendable(pm), (ftup, x, y)
 
 
 # -- extendable ----------------------------------------------------------------
@@ -280,6 +283,28 @@ def test_rado_vertices_past_the_digit_limit_round_trip():
         assert rado.decode(text) == p
 
 
+@pytest.mark.parametrize("sid", ["zorder", "pureset"])
+def test_integer_points_past_the_digit_limit_round_trip(sid):
+    # 10**6020 has 6021 digits, past the interpreter's int/str limit of 4300
+    st = get_structure(sid)
+    context = Context(prec=10_000)
+    ten = context.power(10, 6020)
+    cases = [(10 ** 6020, ten), (10 ** 6020 - 1, context.subtract(ten, 1)),
+             (10 ** 6020 + 12345, context.add(ten, 12345)),
+             (10 ** 4300, context.power(10, 4300))]
+    if sid == "zorder":
+        cases += [(-p, context.minus(exact)) for p, exact in cases]
+    for p, exact in cases:
+        text = st.encode(p)
+        assert text == format(exact, "f")
+        assert st.decode(text) == p
+        if p > 0:
+            assert st.decode(" +%s " % text) == p  # as int() reads it
+    for bad in ("--" + "1" * 5000, "+-" + "1" * 5000):
+        with pytest.raises(ValueError):
+            st.decode(bad)
+
+
 def test_rado_typeset_stream_matches_scan():
     # the base-class enumeration scan is the reference for the closed form
     rado = get_structure("rado")
@@ -307,7 +332,7 @@ def test_rado_typeset_stream_matches_scan():
 
 
 def _reference_same_orbit(structure, xs, ys):
-    # tuple orbit equality through a partial injection and ``extendable``
+    # tuple orbit equality through a partial injection and the raw oracle
     if len(xs) != len(ys):
         return False
     m = {}
@@ -319,7 +344,7 @@ def _reference_same_orbit(structure, xs, ys):
         pm = PartialMap(m.items())
     except PreconditionError:
         return False
-    return structure.extendable(pm)
+    return certify.brute_extendable(structure, pm, 7)
 
 
 def test_orbit_keys_match_extendability(structure):
