@@ -102,7 +102,11 @@ class Structure:
         return list(self._enum_cache[:n])
 
     def index_of(self, p):
-        """Position of p in the canonical enumeration (total, by bijectivity)."""
+        """Position of p in the canonical enumeration (total, by bijectivity).
+
+        This scan of the enumeration is the reference.  A structure may
+        override it with a closed form, which must equal the enumeration
+        on every point."""
         while p not in self._index_cache:
             if len(self._enum_cache) > _SCAN_CAP:
                 raise SearchBudgetError(

@@ -7,6 +7,15 @@ order, then their negatives), skipping anything already emitted.  The
 rounds front-load every unit interval (s, s+1) so small windows carry
 witnesses for them; the filler makes the enumeration onto Q.
 
+``index_of`` inverts the enumeration in closed form.  A positive a/b with
+continued fraction [a0; a1, ..., an] sits at the end of the Stern-Brocot
+path R^a0 L^a1 R^a2 ... (last run one shorter), so its row is the path
+length and its place in the ascending row is the path read in binary
+(R = 1, L = 0); that fixes its place in the signed stream.  The filler
+skips the integers and half-integers, which the rounds emit first: +-1 in
+row 0 and, in each row j >= 1, +-(2j-1)/2 and +-(j+1) at the ends of the
+two halves.  The one exception is 2, the filler of round 1.
+
 Closed-form copies are interval systems with total membership: interval
 unions indexed by sets of naturals (the powerset embedding) and pieces
 pinching a finite set from either side (the disjoint pair).
@@ -16,8 +25,8 @@ from collections import deque
 from fractions import Fraction
 
 from ..core import IN, OUT, CopyHandle, infinite_answer
-from ..errors import UnsupportedConstructionError
-from .base import Structure
+from ..errors import SearchBudgetError, UnsupportedConstructionError
+from .base import _SCAN_CAP, Structure
 
 ZERO = Fraction(0)
 
@@ -71,6 +80,25 @@ def _stern_brocot_rows():
         row = nxt
 
 
+def _stern_brocot_place(a, b):
+    """(row, position) of a/b > 0 in the positive Stern-Brocot tree, each
+    row in ascending order: the path R^a0 L^a1 R^a2 ... read off the
+    continued fraction [a0; a1, ..., an], its last run one shorter."""
+    runs = []
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        runs.append(q)
+    runs[-1] -= 1
+    row = sum(runs)
+    if row > _SCAN_CAP:  # the position alone would have that many bits
+        raise SearchBudgetError(
+            "Stern-Brocot row %d is past the index cap %d" % (row, _SCAN_CAP))
+    pos = 0
+    for j, q in enumerate(runs):
+        pos = ((pos + 1) << q) - 1 if j % 2 == 0 else pos << q
+    return row, pos
+
+
 def _signed_sb_stream():
     for row in _stern_brocot_rows():
         for v in row:
@@ -112,6 +140,21 @@ class DLO(Structure):
                     yield v
                     break
             k += 1
+
+    def index_of(self, p):
+        a, b = abs(p.numerator), p.denominator
+        neg = p < 0
+        if b <= 2:  # emitted by the rounds, 2 as the filler of round 1
+            if a == 0:
+                return 0
+            k = (a + 1) // 2 if b == 2 else a
+            return 5 * k - 5 + (k == 1) + 2 * (b == 2) + neg
+        row, pos = _stern_brocot_place(a, b)
+        s = (1 << (row + 1)) - 2 + pos + (neg << row)  # signed-stream place
+        # the filler of round k >= 2 sits at 5k - 1, where k is s + 1 less
+        # the 4 * row - 3 integers and half-integers skipped before this
+        # row, and less two more in it when p is negative
+        return 5 * (s - 4 * row + 4 - 2 * neg) - 1
 
     def encode(self, p):
         if p.denominator == 1:

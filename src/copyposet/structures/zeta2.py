@@ -7,7 +7,7 @@ block, so (a, b) |-> (a + t, b + s_a).
 
 from ..core import infinite_answer
 from .base import Structure, equality_pattern
-from .zorder import zigzag
+from .zorder import zigzag, zigzag_index
 
 
 class Zeta2(Structure):
@@ -25,6 +25,11 @@ class Zeta2(Structure):
             for i in range(d + 1):
                 yield (zigzag(i), zigzag(d - i))
             d += 1
+
+    def index_of(self, p):
+        i = zigzag_index(p[0])
+        d = i + zigzag_index(p[1])
+        return d * (d + 1) // 2 + i
 
     def encode(self, p):
         return "(%d,%d)" % p

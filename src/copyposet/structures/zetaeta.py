@@ -8,7 +8,7 @@ the block line with an independent translation inside each block.
 from ..core import infinite_answer
 from .base import Structure, equality_pattern
 from .dlo import DLO, order_pattern
-from .zorder import zigzag
+from .zorder import zigzag, zigzag_index
 
 _dlo = DLO()
 
@@ -28,6 +28,11 @@ class ZetaEta(Structure):
             for i in range(d + 1):
                 yield (_dlo.point_at(i), zigzag(d - i))
             d += 1
+
+    def index_of(self, p):
+        i = _dlo.index_of(p[0])
+        d = i + zigzag_index(p[1])
+        return d * (d + 1) // 2 + i
 
     def encode(self, p):
         return "(%s|%d)" % (_dlo.encode(p[0]), p[1])

@@ -2,6 +2,7 @@
 
 import json
 from decimal import Context
+from fractions import Fraction as F
 from itertools import islice
 
 import pytest
@@ -105,6 +106,37 @@ def test_rado_typeset_over_a_deep_sockel(capsys):
     assert len(set(members)) == 6 and not {300, 700} & set(members)
     for j in members:
         assert [adj(300, j), adj(700, j)] == [adj(300, 3), adj(700, 3)]
+
+
+def _dlo_cut(m):
+    return F(m) < F(1, 16)
+
+
+def _zetaeta_block_cut(m):
+    q, _ = m[1:-1].split("|")
+    return F(q) < F(1, 8)
+
+
+def _zeta2_block(m):
+    a, _ = m[1:-1].split(",")
+    return int(a) == 0
+
+
+@pytest.mark.parametrize("sid, sockel, rep, relation", [
+    ("dlo", "1/16", "0", _dlo_cut),
+    ("zetaeta", "(1/8|0)", "(0|0)", _zetaeta_block_cut),
+    ("zeta2", "(700,0)", "(0,0)", _zeta2_block),
+], ids=["dlo", "zetaeta", "zeta2"])
+def test_typeset_over_a_sockel_past_the_scan_cap(capsys, sid, sockel, rep,
+                                                 relation):
+    # each sockel lies past the first 200,000 points of the enumeration
+    code, out, _ = run(capsys, "typeset", "--structure", sid,
+                       "--sockel", sockel, "--rep", rep, "--format", "jsonl")
+    assert code == 0
+    members = json.loads(out)["members"]
+    assert len(set(members)) == 6 and sockel not in members
+    assert relation(rep)
+    assert all(relation(m) for m in members)
 
 
 @pytest.mark.parametrize("rep, count", [("0", 12), ("5", 9)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet import PartialMap, PreconditionError, certify
-from copyposet.errors import UnknownStructureError
+from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.rado import adjacent
 
@@ -42,6 +42,40 @@ def test_enumeration_is_bijective_prefix(structure):
     assert len(set(pts)) == 80
     for i, p in enumerate(pts):
         assert structure.index_of(p) == i
+
+
+@pytest.mark.parametrize("sid, n", [("dlo", 150_000), ("zetaeta", 20_000),
+                                    ("zeta2", 20_000)])
+def test_closed_form_index_matches_enumeration(sid, n):
+    # 150,000 dlo points cover the Stern-Brocot rows up to 12 and most of 13
+    structure = get_structure(sid)
+    for i, p in enumerate(islice(structure._generate(), n)):
+        assert structure.index_of(p) == i, (i, p)
+
+
+@given(st.integers(min_value=-11, max_value=11),
+       st.integers(min_value=1, max_value=11))
+@settings(max_examples=60, deadline=None)
+def test_dlo_index_round_trips_small_rationals(a, b):
+    # every index here lies below 150,000
+    dlo = get_structure("dlo")
+    q = F(a, b)
+    assert dlo.point_at(dlo.index_of(q)) == q
+
+
+def test_closed_form_index_past_the_scan_cap():
+    dlo = get_structure("dlo")
+    assert dlo.index_of(F(1, 8)) == 1149
+    assert dlo.index_of(F(1, 16)) == 327389
+    assert get_structure("zetaeta").index_of((F(1, 8), 0)) == 661824
+    # Stern-Brocot row 10**12 - 1: the index would have 10**12 bits
+    with pytest.raises(SearchBudgetError):
+        dlo.index_of(F(1, 10**12))
+
+
+def test_index_of_is_closed_form_except_on_treetz(structure):
+    overridden = type(structure).index_of is not Structure.index_of
+    assert overridden == (structure.structure_id != "treetz")
 
 
 def test_encoding_round_trip(structure):
