@@ -10,8 +10,9 @@ sockel.
 brute_same_type and brute_extendable re-derive orbit equality from each
 structure's raw data (order comparisons, adjacency bits, class labels,
 differences, meets, support permutations) without touching the structures'
-orbit keys or decision procedures; the differential tests pit the two
-against each other.  Each raw oracle decides whether a list of (source,
+orbit keys or decision procedures: they read the raw point encodings and
+import no structure module.  The differential tests pit the two against
+each other.  Each raw oracle decides whether a list of (source,
 target) pairs extends to some g in G.  For pairs it is a pruned search over
 the permutations of the support, which cuts a partial assignment once it
 sends a source pair off its target.
@@ -20,26 +21,28 @@ sends a source pair off its target.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
+from .core import Frozen
 from .errors import CopyPosetError, PreconditionError
-from .structures.rado import adjacent as rado_adjacent
-from .structures.treetz import level as tree_level, meet as tree_meet
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    structure_id: str
-    params: dict = field(default_factory=dict)
-    verdict: str = "pass"  # pass | fail | unknown
-    counterexample: dict | None = None
-    witnesses: tuple = ()
-    unresolved: tuple = ()
+class Certificate(Frozen):
+    __slots__ = ("kind", "structure_id", "params", "verdict",
+                 "counterexample", "witnesses", "unresolved")
+
+    def __init__(self, kind, structure_id, params=None, verdict="pass",
+                 counterexample=None, witnesses=(), unresolved=()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "structure_id", structure_id)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "verdict", verdict)  # pass | fail | unknown
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "unresolved", unresolved)
 
     @property
     def passed(self):
@@ -209,10 +212,17 @@ def _brute_zorder(pairs):
     return len({t - s for s, t in pairs}) <= 1
 
 
+def _bit_adjacent(i, j):
+    # Rado's BIT presentation: for i < j, i ~ j iff bit i of j is set
+    if i > j:
+        i, j = j, i
+    return i != j and (j >> i) & 1 == 1
+
+
 def _brute_rado(pairs):
     for i, (s1, t1) in enumerate(pairs):
         for s2, t2 in pairs[i + 1:]:
-            if rado_adjacent(s1, s2) != rado_adjacent(t1, t2):
+            if _bit_adjacent(s1, s2) != _bit_adjacent(t1, t2):
                 return False
     return True
 
@@ -252,14 +262,26 @@ def _brute_zetaeta(pairs):
     return True
 
 
+def _meet_level(x, y):
+    # a tree node (L, ((i, e), ...)) sits at level L with nonzero choice
+    # entries e at levels i; two downward chains part one level below the
+    # first level where their entries differ, and no higher than either node
+    cx, cy = dict(x[1]), dict(y[1])
+    lvl = min(x[0], y[0])
+    for i in cx.keys() | cy.keys():
+        if cx.get(i, 0) != cy.get(i, 0):
+            lvl = min(lvl, i - 1)
+    return lvl
+
+
 def _brute_treetz(pairs):
-    deltas = {tree_level(t) - tree_level(s) for s, t in pairs}
+    deltas = {t[0] - s[0] for s, t in pairs}
     if len(deltas) > 1:
         return False
     d = deltas.pop() if deltas else 0
     for i, (s1, t1) in enumerate(pairs):
         for s2, t2 in pairs[i + 1:]:
-            if tree_level(tree_meet(t1, t2)) - tree_level(tree_meet(s1, s2)) != d:
+            if _meet_level(t1, t2) - _meet_level(s1, s2) != d:
                 return False
     return True
 

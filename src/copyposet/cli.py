@@ -2,6 +2,9 @@
 
 Exit codes: 0 pass/success, 1 fail/counterexample, 2 unknown or budget
 exhausted, 3 unsupported or impossible construction.
+
+Each command imports the library modules it calls when it runs, so a
+command pays the import of only those.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import json
 import os
 import sys
 
-from . import battery, certify, closures, engine, typesets
 from .errors import (
     CopyPosetError,
     ImpossibleConstructionError,
@@ -100,6 +102,8 @@ def cmd_structures(args, out):
 
 
 def cmd_typeset(args, out):
+    from . import typesets
+
     st = get_structure(args.structure)
     sockel = frozenset(parse_points(st, args.sockel))
     rep = st.decode(args.rep)
@@ -117,12 +121,16 @@ def cmd_typeset(args, out):
 
 
 def cmd_closure(args, out):
+    from . import closures
+
     st = get_structure(args.structure)
     base = frozenset(parse_points(st, args.base))
     if args.kind == "ac":
         res = closures.algebraic_closure(st, base, args.depth)
     elif args.kind == "rc":
-        res = closures.ranked_closure(st, base, args.maxrank, args.depth)
+        maxrank = closures.DEFAULT_MAXRANK if args.maxrank is None \
+            else args.maxrank
+        res = closures.ranked_closure(st, base, maxrank, args.depth)
     else:
         members = closures.intersection_closure_upper(
             st, base, samples=args.samples, depth=args.depth, seed=args.seed)
@@ -141,6 +149,8 @@ def cmd_closure(args, out):
 
 
 def _build_copy(args, st):
+    from . import engine
+
     fix = frozenset(parse_points(st, args.fix))
     avoid = frozenset(parse_points(st, args.avoid))
     if args.kind == "identity":
@@ -169,6 +179,8 @@ def cmd_copy(args, out):
     out.record({"op": "copy", "structure": args.structure,
                 "copy": c.describe(), "membership": table})
     if args.certify:
+        from . import certify
+
         cert = certify.check_copy(c, min(args.depth, 8), args.sockel_cap,
                                   args.budget)
         out.cert(cert)
@@ -177,6 +189,8 @@ def cmd_copy(args, out):
 
 
 def cmd_chain(args, out):
+    from . import certify, engine
+
     st = get_structure(args.structure)
     fix = frozenset(parse_points(st, args.fix))
     chain = engine.descending_chain(
@@ -196,6 +210,8 @@ def cmd_chain(args, out):
 
 
 def cmd_disjoint(args, out):
+    from . import certify, engine
+
     st = get_structure(args.structure)
     fix = frozenset(parse_points(st, args.fix))
     left, right = engine.disjoint_pair(st, fix, seed=args.seed)
@@ -207,13 +223,14 @@ def cmd_disjoint(args, out):
 
 
 def cmd_embed_powerset(args, out):
+    from .structures.dlo import powerset_embedding_dlo
+
     st = get_structure(args.structure)
     members = tuple(int(tok) for tok in split_points(args.set))
     if args.cofinite:
-        handle = engine.powerset_embedding_dlo(
-            st, cofinite_complement=members)
+        handle = powerset_embedding_dlo(st, cofinite_complement=members)
     else:
-        handle = engine.powerset_embedding_dlo(st, members=members)
+        handle = powerset_embedding_dlo(st, members=members)
     table = {st.encode(x): handle.membership(x).kind
              for x in st.prefix(args.depth)}
     out.human("copy %s" % handle.describe())
@@ -221,6 +238,8 @@ def cmd_embed_powerset(args, out):
                 "set": sorted(members), "cofinite": bool(args.cofinite),
                 "membership": table})
     if args.certify:
+        from . import certify
+
         cert = certify.check_copy(handle, min(args.depth, 8),
                                   args.sockel_cap, args.budget)
         out.cert(cert)
@@ -229,6 +248,8 @@ def cmd_embed_powerset(args, out):
 
 
 def cmd_bernstein(args, out):
+    from . import engine
+
     st = get_structure(args.structure)
     res = engine.bernstein_base(st, args.depth, sockel_cap=args.sockel_cap)
     out.human("A = {%s}" % ", ".join(st.encode(p) for p in res.side_a))
@@ -243,18 +264,24 @@ def cmd_bernstein(args, out):
 
 
 def cmd_certify(args, out):
+    from . import certify
+
     st = get_structure(args.structure)
     if args.what == "copy":
         c = _build_copy(args, st)
         cert = certify.check_copy(c, min(args.depth, 8), args.sockel_cap,
                                   args.budget)
     elif args.what == "inclusion":
-        lower = engine.powerset_embedding_dlo(
+        from .structures.dlo import powerset_embedding_dlo
+
+        lower = powerset_embedding_dlo(
             st, members=tuple(int(t) for t in split_points(args.set)))
-        upper = engine.powerset_embedding_dlo(
+        upper = powerset_embedding_dlo(
             st, members=tuple(int(t) for t in split_points(args.set2)))
         cert = certify.check_inclusion(lower, upper, args.depth)
     elif args.what == "meet":
+        from . import engine
+
         avoid = parse_points(st, args.avoid)
         c = engine.max_avoiding_copy(st, avoid, args.depth, seed=args.seed)
         cert = certify.check_meet_irreducible_candidate(
@@ -267,6 +294,8 @@ def cmd_certify(args, out):
 
 
 def cmd_verify(args, out):
+    from . import battery
+
     st = get_structure(args.structure)
     rows, certs = battery.run_battery(
         st, depth=args.depth, budget=args.budget,
@@ -335,7 +364,8 @@ def build_parser():
     p.add_argument("kind", choices=("ac", "rc", "ic"))
     common(p)
     p.add_argument("--base", default="")
-    p.add_argument("--maxrank", type=int, default=closures.DEFAULT_MAXRANK)
+    # None stands for closures.DEFAULT_MAXRANK, read when rc runs
+    p.add_argument("--maxrank", type=int, default=None)
     p.add_argument("--samples", type=int, default=6)
     p.set_defaults(fn=cmd_closure)
 
@@ -400,6 +430,12 @@ def main(argv=None):
         parser.error("need depth >= 1 and budget >= depth")
     if args.sockel_cap < 0:
         parser.error("need sockel-cap >= 0")
+    if getattr(args, "k", 1) < 1:
+        parser.error("need k >= 1")
+    if (getattr(args, "maxrank", None) or 0) < 0:
+        parser.error("need maxrank >= 0")
+    if getattr(args, "what", None) == "meet" and not split_points(args.avoid):
+        parser.error("certify meet needs --avoid")
     out = _Out(args)
     try:
         code = args.fn(args, out)

@@ -8,22 +8,26 @@ ranked closure and the intersection of all copies over a finite base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import typesets
+from .core import Frozen
 from .errors import PreconditionError
 
 DEFAULT_MAXRANK = 3
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    structure_id: str
-    kind: str
-    base: tuple
-    members: tuple
-    exact: bool
-    certificates: tuple = field(default_factory=tuple, compare=False)
+class ClosureResult(Frozen):
+    __slots__ = ("structure_id", "kind", "base", "members", "exact",
+                 "certificates")
+    _uncompared = ("certificates",)
+
+    def __init__(self, structure_id, kind, base, members, exact,
+                 certificates=()):
+        object.__setattr__(self, "structure_id", structure_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "certificates", certificates)
 
     def member_set(self):
         return frozenset(self.members)

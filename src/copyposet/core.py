@@ -3,8 +3,6 @@ and the copy-handle interface whose memberships they are."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError, SearchBudgetError
 
 _WITNESS_SCAN_CAP = 5000
@@ -77,12 +75,44 @@ class PartialMap:
         return "PartialMap{%s}" % inner
 
 
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets each once in its
+    ``__init__`` through ``object.__setattr__``.  Equality and hashing read
+    the fields not listed in ``_uncompared``; the repr shows them all."""
+
+    __slots__ = ()
+    _uncompared = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self.__slots__
+                     if f not in self._uncompared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
 FINITE = "finite"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class FinitenessAnswer:
+class FinitenessAnswer(Frozen):
     """Answer to "is this typeset finite?".
 
     ``members`` lists the entire typeset when kind == "finite".  For
@@ -90,9 +120,12 @@ class FinitenessAnswer:
     is reserved for user oracles without a finiteness method and carries the
     scanned window."""
 
-    kind: str
-    members: tuple = ()
-    window: int = 0
+    __slots__ = ("kind", "members", "window")
+
+    def __init__(self, kind, members=(), window=0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "window", window)
 
     @property
     def is_finite(self):
@@ -111,15 +144,17 @@ def infinite_answer():
     return FinitenessAnswer(INFINITE)
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(Frozen):
     """Three-valued membership in a progressively constructed copy.
 
     In/Out answers are permanent across stages; unknown carries the stage at
     which the question was asked."""
 
-    kind: str
-    stage: int = -1
+    __slots__ = ("kind", "stage")
+
+    def __init__(self, kind, stage=-1):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "stage", stage)
 
     @property
     def is_in(self):

@@ -24,11 +24,11 @@ Constructors take the structure's closed form when it has one
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 # CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
-from .core import IN, OUT, CopyHandle, IdentityCopy, PartialMap, unknown_at
+from .core import (IN, OUT, CopyHandle, Frozen, IdentityCopy, PartialMap,
+                   unknown_at)
 from .errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -36,7 +36,6 @@ from .errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
-from .structures.dlo import powerset_embedding_dlo
 
 DEFAULT_BUDGET_BASE = 100
 DEFAULT_BUDGET_SLOPE = 10
@@ -559,12 +558,14 @@ def compose_restrict(structure, f, g):
     return pm
 
 
-@dataclass(frozen=True)
-class BernsteinResult:
-    side_a: tuple
-    side_b: tuple
-    served: tuple
-    unserved: tuple
+class BernsteinResult(Frozen):
+    __slots__ = ("side_a", "side_b", "served", "unserved")
+
+    def __init__(self, side_a, side_b, served, unserved):
+        object.__setattr__(self, "side_a", side_a)
+        object.__setattr__(self, "side_b", side_b)
+        object.__setattr__(self, "served", served)
+        object.__setattr__(self, "unserved", unserved)
 
 
 def bernstein_base(structure, depth, sockel_cap=2):
@@ -617,3 +618,11 @@ def bernstein_base(structure, depth, sockel_cap=2):
         tuple(x for x in window if assigned[x] == "A"),
         tuple(x for x in window if assigned[x] == "B"),
         tuple(served), tuple(unserved))
+
+
+def __getattr__(name):
+    # the re-export loads dlo (and fractions) only when it is asked for
+    if name == "powerset_embedding_dlo":
+        from .structures.dlo import powerset_embedding_dlo
+        return powerset_embedding_dlo
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

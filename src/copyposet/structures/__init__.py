@@ -1,43 +1,64 @@
-"""Built-in structure registry."""
+"""Built-in structure registry.
+
+Each built-in lives in its own module, which is imported the first time
+``get_structure`` or a class name such as ``structures.DLO`` asks for it,
+so a caller that works on one structure loads only that structure's
+module (and ``base``).
+"""
+
+from importlib import import_module
 
 from ..errors import UnknownStructureError
-from .base import Structure
-from .dlo import DLO
-from .equiv import EquivInf
-from .pairs import PairsAction
-from .pureset import PureSet
-from .rado import RadoGraph
-from .treetz import TreeTZ
-from .zeta2 import Zeta2
-from .zetaeta import ZetaEta
-from .zorder import ZOrder
 
-_CLASSES = (
-    PureSet, ZOrder, DLO, RadoGraph, EquivInf,
-    Zeta2, ZetaEta, TreeTZ, PairsAction,
-)
+# id -> (module, class), in listing order
+_REGISTRY = {
+    "pureset": ("pureset", "PureSet"),
+    "zorder": ("zorder", "ZOrder"),
+    "dlo": ("dlo", "DLO"),
+    "rado": ("rado", "RadoGraph"),
+    "equiv": ("equiv", "EquivInf"),
+    "zeta2": ("zeta2", "Zeta2"),
+    "zetaeta": ("zetaeta", "ZetaEta"),
+    "treetz": ("treetz", "TreeTZ"),
+    "pairs": ("pairs", "PairsAction"),
+}
 
-BUILTIN_IDS = tuple(cls.structure_id for cls in _CLASSES)
+BUILTIN_IDS = tuple(_REGISTRY)
 
 _instances = {}
+
+
+def _load(module, name):
+    return getattr(import_module("." + module, __name__), name)
 
 
 def get_structure(structure_id):
     """Shared instance of a built-in structure (instances are stateless apart
     from append-only enumeration caches)."""
-    try:
-        cls = next(c for c in _CLASSES if c.structure_id == structure_id)
-    except StopIteration:
-        raise UnknownStructureError(
-            "unknown structure id %r (known: %s)"
-            % (structure_id, ", ".join(BUILTIN_IDS))) from None
-    if structure_id not in _instances:
-        _instances[structure_id] = cls()
-    return _instances[structure_id]
+    st = _instances.get(structure_id)
+    if st is None:
+        try:
+            module, name = _REGISTRY[structure_id]
+        except KeyError:
+            raise UnknownStructureError(
+                "unknown structure id %r (known: %s)"
+                % (structure_id, ", ".join(BUILTIN_IDS))) from None
+        st = _instances[structure_id] = _load(module, name)()
+    return st
 
 
 def all_structures():
     return [get_structure(sid) for sid in BUILTIN_IDS]
+
+
+def __getattr__(name):
+    # Structure and the built-in classes resolve on first access
+    if name == "Structure":
+        return _load("base", name)
+    for module, cls in _REGISTRY.values():
+        if cls == name:
+            return _load(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 __all__ = [

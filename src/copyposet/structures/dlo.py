@@ -25,7 +25,11 @@ from collections import deque
 from fractions import Fraction
 
 from ..core import IN, OUT, CopyHandle, infinite_answer
-from ..errors import SearchBudgetError, UnsupportedConstructionError
+from ..errors import (
+    PreconditionError,
+    SearchBudgetError,
+    UnsupportedConstructionError,
+)
 from .base import _SCAN_CAP, Structure
 
 ZERO = Fraction(0)
@@ -162,7 +166,11 @@ class DLO(Structure):
         return "%d/%d" % (p.numerator, p.denominator)
 
     def decode(self, s):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise PreconditionError(
+                "zero denominator in rational %r" % s) from None
 
     def same_type(self, sockel, x, y):
         self.check_same_type_pre(sockel, x, y)
@@ -216,20 +224,29 @@ def powerset_embedding_dlo(structure, members=(), cofinite_complement=None):
                            cofinite_complement=cofinite_complement)
 
 
+def _naturals(entries):
+    s = frozenset(int(e) for e in entries)
+    if s and min(s) < 0:
+        raise PreconditionError(
+            "interval copies are indexed by naturals, got %d" % min(s))
+    return s
+
+
 class IntervalCopyDLO(CopyHandle):
     """A closed-form rational copy: the interval union
     ((-1,0) plus (s,s+1) for s in S) for a finite or cofinite S of naturals.
 
-    Membership is total; integers are never members."""
+    Membership is total; integers are never members.  Distinct sets give
+    distinct copies only on the naturals, so a negative entry is refused."""
 
     def __init__(self, structure, members=(), cofinite_complement=None):
         super().__init__(structure)
         if cofinite_complement is None:
-            self.finite_part = frozenset(int(s) for s in members)
+            self.finite_part = _naturals(members)
             self.cofinite = None
         else:
             self.finite_part = None
-            self.cofinite = frozenset(int(s) for s in cofinite_complement)
+            self.cofinite = _naturals(cofinite_complement)
 
     def contains_index(self, s):
         if s < 0:

@@ -10,9 +10,9 @@ never from search failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
+from .core import Frozen
 from .errors import PreconditionError
 
 AT_MOST = "at_most"
@@ -22,13 +22,15 @@ UNRANKED = "unranked"
 DEFAULT_SOCKEL_EXTENSION_CAP = 6
 
 
-@dataclass(frozen=True)
-class TypeHandle:
+class TypeHandle(Frozen):
     """A type: finite sockel plus a representative point outside it."""
 
-    structure_id: str
-    sockel: tuple
-    rep: object
+    __slots__ = ("structure_id", "sockel", "rep")
+
+    def __init__(self, structure_id, sockel, rep):
+        object.__setattr__(self, "structure_id", structure_id)
+        object.__setattr__(self, "sockel", sockel)
+        object.__setattr__(self, "rep", rep)
 
     def sockel_set(self):
         return frozenset(self.sockel)
@@ -50,8 +52,7 @@ def types_equal(structure, t1, t2):
     return structure.same_type(t1.sockel_set(), t1.rep, t2.rep)
 
 
-@dataclass(frozen=True)
-class RankAnswer:
+class RankAnswer(Frozen):
     """Outcome of a bounded rank computation.
 
     at_most: ``bound`` is an upper bound for the rank, with a witness chain
@@ -60,11 +61,17 @@ class RankAnswer:
     evidence of a rank lower bound.
     unranked: certified by the structure's property-(p) witness method."""
 
-    kind: str
-    bound: int = -1
-    window: int = 0
-    certified: bool = False
-    witness: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("kind", "bound", "window", "certified", "witness")
+    _uncompared = ("witness",)
+
+    def __init__(self, kind, bound=-1, window=0, certified=False,
+                 witness=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "witness", {} if witness is None
+                           else witness)
 
     @property
     def is_at_most(self):

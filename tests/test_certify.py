@@ -286,7 +286,9 @@ def test_brute_pairs_matches_full_enumeration():
 
 
 def test_brute_oracle_imports_no_pairs_module():
-    # the pairs oracle stays a derivation from the raw 2-subsets
+    # the raw oracles read point encodings, never a structure module: the
+    # pairs oracle stays a derivation from the raw 2-subsets, and the rado
+    # and treetz oracles compute adjacency and meet levels themselves
     tree = ast.parse(Path(certify.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -296,7 +298,7 @@ def test_brute_oracle_imports_no_pairs_module():
                             for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not [m for m in imported if m.endswith("structures.pairs")]
+    assert not [m for m in imported if "structures" in m.split(".")]
 
 
 def test_brute_ground_window_precondition(dlo):

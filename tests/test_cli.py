@@ -1,12 +1,16 @@
 """Command-line surface: parsing, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 from decimal import Context
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
 
+import copyposet
 from copyposet import cli
 
 
@@ -62,15 +66,22 @@ def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys, name,
     assert capsys.readouterr().err == flag_err
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--sockel-cap", "-5"),
-    ("--depth", "0"),
-    ("--budget", "3"),
-], ids=["sockel-cap", "depth", "budget-below-depth"])
-def test_out_of_range_flag_is_a_usage_error(capsys, option, value):
+_POWERSET = ["embed-powerset", "--structure", "dlo", "--set", "0",
+             "--certify"]
+
+
+@pytest.mark.parametrize("argv", [
+    _POWERSET + ["--sockel-cap", "-5"],
+    _POWERSET + ["--depth", "0"],
+    _POWERSET + ["--budget", "3"],
+    ["chain", "--structure", "dlo", "--k", "0"],
+    ["closure", "rc", "--structure", "dlo", "--maxrank", "-1"],
+    ["certify", "meet", "--structure", "dlo"],
+], ids=["sockel-cap", "depth", "budget-below-depth", "k", "maxrank",
+        "meet-without-avoid"])
+def test_out_of_range_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        cli.main(["embed-powerset", "--structure", "dlo", "--set", "0",
-                  "--certify", option, value])
+        cli.main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -276,3 +287,55 @@ def test_verify_jsonl_deterministic(tmp_path, capsys):
 def test_unknown_structure_exit_3(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "typeset", "--structure", "nope", "--rep", "0")
+
+
+@pytest.mark.parametrize("structure, rep", [
+    ("dlo", "1/0"),
+    ("zetaeta", "(1/0|0)"),
+], ids=["dlo", "zetaeta"])
+def test_zero_denominator_is_a_precondition_error(capsys, structure, rep):
+    code, out, err = run(capsys, "typeset", "--structure", structure,
+                         "--rep", rep, "--format", "jsonl")
+    assert code == 1
+    assert json.loads(out)["error"] == "precondition"
+    assert err.startswith("error: zero denominator")
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed-powerset", "--structure", "dlo", "--set=-1"],
+    ["embed-powerset", "--structure", "dlo", "--set=2,-1", "--cofinite"],
+    ["certify", "inclusion", "--structure", "dlo", "--set=-1", "--set2="],
+], ids=["members", "cofinite-complement", "inclusion"])
+def test_negative_interval_index_is_a_precondition_error(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    assert code == 1
+    assert json.loads(out.splitlines()[-1])["error"] == "precondition"
+
+
+def _fresh_modules(code):
+    """The copyposet, structure and dataclasses modules loaded after
+    running ``code`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(copyposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = code + "\nimport sys\nprint(' '.join(sorted(m for m in " \
+        "sys.modules if m.startswith('copyposet') or m == 'dataclasses')))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_command_module():
+    loaded = _fresh_modules("import copyposet.cli")
+    assert "dataclasses" not in loaded
+    assert not loaded & {"copyposet." + m for m in (
+        "engine", "certify", "battery", "closures", "typesets")}
+    assert not [m for m in loaded if m.startswith("copyposet.structures.")]
+
+
+def test_typeset_command_loads_only_its_structure():
+    loaded = _fresh_modules(
+        "from copyposet import cli\n"
+        "cli.main(['typeset', '--structure', 'zorder', '--sockel', '0',"
+        " '--rep', '1'])")
+    assert {m for m in loaded if m.startswith("copyposet.structures.")} \
+        == {"copyposet.structures.base", "copyposet.structures.zorder"}

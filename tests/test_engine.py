@@ -15,8 +15,8 @@ from copyposet.errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
-from copyposet import certify, engine, structures
-from copyposet.core import OUT
+from copyposet import certify, closures, engine, typesets
+from copyposet.core import IN, OUT, FinitenessAnswer, Membership, unknown_at
 from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
 
 fs = frozenset
@@ -391,12 +391,11 @@ def test_engine_names_no_structure():
 
 
 def test_structures_write_one_candidate_generator():
+    classes = [type(get_structure(sid)) for sid in BUILTIN_IDS]
     # back steps read target_candidates over the inverse map
-    assert not [cls for cls in structures._CLASSES
-                if "source_candidates" in vars(cls)]
+    assert not [cls for cls in classes if "source_candidates" in vars(cls)]
     # extendability is derived from the orbit key in the base class
-    assert not [cls for cls in structures._CLASSES
-                if "extendable" in vars(cls)]
+    assert not [cls for cls in classes if "extendable" in vars(cls)]
 
 
 class _EmptyCopy(engine.CopyHandle):
@@ -408,3 +407,28 @@ def test_properness_witness_scan_is_capped(dlo):
     with pytest.raises(SearchBudgetError) as err:
         _EmptyCopy(dlo).unranked_member(fs())
     assert err.value.scanned == 5000
+
+
+def test_value_types_are_immutable_values():
+    assert (repr(IN), repr(OUT), repr(unknown_at(3))) == \
+        ("In", "Out", "UnknownAtStage(3)")
+    assert Membership("in") == IN and hash(Membership("in")) == hash(IN)
+    assert FinitenessAnswer("finite", (1,)) != FinitenessAnswer("finite")
+    assert repr(FinitenessAnswer("infinite")) == \
+        "FinitenessAnswer(kind='infinite', members=(), window=0)"
+    with pytest.raises(AttributeError):
+        IN.kind = "out"
+    with pytest.raises(AttributeError):
+        del IN.stage
+    # dict defaults are per instance
+    a, b = certify.Certificate("k", "dlo"), certify.Certificate("k", "dlo")
+    assert a == b and a.params == {} and a.params is not b.params
+    r1, r2 = typesets.RankAnswer("at_most"), typesets.RankAnswer("at_most")
+    assert r1.witness == {} and r1.witness is not r2.witness
+    # witness and certificates stay out of equality and hashing
+    assert typesets.RankAnswer("at_most", 1, witness={"x": 1}) == \
+        typesets.RankAnswer("at_most", 1)
+    c1 = closures.ClosureResult("dlo", "ac", (), (), True, ("cert",))
+    c2 = closures.ClosureResult("dlo", "ac", (), (), True)
+    assert c1 == c2 and hash(c1) == hash(c2)
+    assert c1 != closures.ClosureResult("dlo", "ac", (), (), False)
