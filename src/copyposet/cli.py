@@ -434,6 +434,12 @@ def main(argv=None):
         parser.error("need k >= 1")
     if (getattr(args, "maxrank", None) or 0) < 0:
         parser.error("need maxrank >= 0")
+    if getattr(args, "count", 0) < 0:
+        parser.error("need n >= 0")
+    if getattr(args, "samples", 1) < 1:
+        parser.error("need samples >= 1")
+    if getattr(args, "stages", 0) < 0:
+        parser.error("need stages >= 0")
     if getattr(args, "what", None) == "meet" and not split_points(args.avoid):
         parser.error("certify meet needs --avoid")
     out = _Out(args)

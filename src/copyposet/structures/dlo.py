@@ -16,6 +16,16 @@ skips the integers and half-integers, which the rounds emit first: +-1 in
 row 0 and, in each row j >= 1, +-(2j-1)/2 and +-(j+1) at the ends of the
 two halves.  The one exception is 2, the filler of round 1.
 
+Every point is a ``Rational``: a slotted ``Fraction`` subclass with one
+extra slot that caches its hash.  The cached value is ``Fraction``'s own,
+so sets of points iterate in the same order as sets of ``Fraction``s and
+certificate bytes do not depend on the point type.  Two ``Rational``s
+compare by integer arithmetic on their fields; any other operand (an
+``int``, a plain ``Fraction``) takes ``Fraction``'s comparison, so points
+stay equal to, hash like and order against both.  Arithmetic returns a
+plain ``Fraction``, so code that derives a point by arithmetic wraps the
+result in ``Rational``.
+
 Closed-form copies are interval systems with total membership: interval
 unions indexed by sets of naturals (the powerset embedding) and pieces
 pinching a finite set from either side (the disjoint pair).
@@ -32,18 +42,55 @@ from ..errors import (
 )
 from .base import _SCAN_CAP, Structure
 
-ZERO = Fraction(0)
+
+class Rational(Fraction):
+    """A rational point: a ``Fraction`` that caches its hash and compares
+    with another ``Rational`` by integer arithmetic.
+
+    The fast paths read ``Fraction``'s private slots: the public
+    ``numerator`` and ``denominator`` properties cost a call each, which
+    is most of a comparison's time."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = Fraction.__hash__(self)
+            return h
+
+    def __eq__(self, other):
+        if type(other) is Rational:
+            return (self._numerator == other._numerator
+                    and self._denominator == other._denominator)
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is Rational:
+            return (self._numerator * other._denominator
+                    < other._numerator * self._denominator)
+        return Fraction.__lt__(self, other)
+
+    def __repr__(self):
+        return "Fraction(%s, %s)" % (self._numerator, self._denominator)
+
+
+ZERO = Rational(0)
 
 
 def simplest_in_gap(lo, hi):
     """Rationals strictly between lo and hi (None for unbounded), simplest
-    first in Stern-Brocot order.  Deterministic and exhaustive on the gap."""
+    first in Stern-Brocot order.  Deterministic and exhaustive on the gap;
+    an empty gap (lo >= hi) raises PreconditionError."""
+    if lo is not None and hi is not None and not lo < hi:
+        raise PreconditionError("empty gap (%s, %s)" % (lo, hi))
     left, right = (-1, 0), (1, 0)
     while True:
         mid = (left[0] + right[0], left[1] + right[1])
         if mid[1] == 0:
             mid = (0, 1)  # root of the full-line tree
-        val = Fraction(*mid)
+        val = Rational(*mid)
         if lo is not None and val <= lo:
             left = mid
             continue
@@ -54,11 +101,11 @@ def simplest_in_gap(lo, hi):
     queue = deque([(left, mid, right)])
     while queue:
         lnode, mnode, rnode = queue.popleft()
-        val = Fraction(*mnode)
+        val = Rational(*mnode)
         if (lo is None or val > lo) and (hi is None or val < hi):
             yield val
-        span_lo = None if lnode[1] == 0 else Fraction(*lnode)
-        span_hi = None if rnode[1] == 0 else Fraction(*rnode)
+        span_lo = None if lnode[1] == 0 else Rational(*lnode)
+        span_hi = None if rnode[1] == 0 else Rational(*rnode)
         lmid = (lnode[0] + mnode[0], lnode[1] + mnode[1])
         rmid = (mnode[0] + rnode[0], mnode[1] + rnode[1])
         # descend only into subtrees whose span meets the open gap
@@ -74,7 +121,7 @@ def _stern_brocot_rows():
     """Rows of the positive Stern-Brocot tree, each in ascending order."""
     row = [((0, 1), (1, 1), (1, 0))]  # (left bound, value, right bound)
     while True:
-        yield [Fraction(v[0], v[1]) for (_, v, _) in row]
+        yield [Rational(v[0], v[1]) for (_, v, _) in row]
         nxt = []
         for left, val, right in row:
             lmed = (left[0] + val[0], left[1] + val[1])
@@ -108,7 +155,7 @@ def _signed_sb_stream():
         for v in row:
             yield v
         for v in row:
-            yield -v
+            yield Rational(-v.numerator, v.denominator)
 
 
 def order_pattern(values):
@@ -132,8 +179,8 @@ class DLO(Structure):
         filler = _signed_sb_stream()
         k = 1
         while True:
-            half = Fraction(2 * k - 1, 2)
-            for v in (Fraction(k), Fraction(-k), half, -half):
+            for v in (Rational(k), Rational(-k), Rational(2 * k - 1, 2),
+                      Rational(1 - 2 * k, 2)):
                 if v not in emitted:
                     emitted.add(v)
                     yield v
@@ -167,7 +214,7 @@ class DLO(Structure):
 
     def decode(self, s):
         try:
-            return Fraction(s)
+            return Rational(s)
         except ZeroDivisionError:
             raise PreconditionError(
                 "zero denominator in rational %r" % s) from None
@@ -208,8 +255,8 @@ class DLO(Structure):
                     IntervalPiecesCopyDLO(self, [(ZERO, None, False)]))
         gaps = [b - a for a, b in zip(pts, pts[1:])]
         delta = min(gaps + [Fraction(2)]) / 2
-        left_pieces = [(a - delta, a, True) for a in pts]
-        left_pieces.append((pts[-1] + delta, None, False))
+        left_pieces = [(Rational(a - delta), a, True) for a in pts]
+        left_pieces.append((Rational(pts[-1] + delta), None, False))
         return (IntervalPiecesCopyDLO(self, left_pieces),
                 _RightPiecesCopyDLO(self, pts, delta))
 
@@ -256,11 +303,12 @@ class IntervalCopyDLO(CopyHandle):
         return s in self.finite_part
 
     def membership(self, x):
-        if Fraction(-1) < x < 0:
+        n, d = x.numerator, x.denominator
+        if -d < n < 0:
             return IN
-        if x.denominator == 1:
+        if d == 1:
             return OUT
-        return IN if self.contains_index(x.numerator // x.denominator) else OUT
+        return IN if self.contains_index(n // d) else OUT
 
     def describe(self):
         if self.cofinite is not None:

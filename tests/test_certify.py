@@ -1,6 +1,7 @@
 """The bounded verifier and the raw ground-truth oracle."""
 
 import ast
+import hashlib
 import json
 import random
 from collections import Counter
@@ -416,3 +417,37 @@ def test_certificate_jsonl_round_trip(dlo, tmp_path):
         assert rec["kind"] == cert.kind
     # canonical form: dumping again is byte-identical
     assert lines[0] == certs[0].to_json()
+
+
+# sha256 of the check_copy(h, 8, 2, 500) certificates of _pinned_copies(),
+# one to_json() line each: the bytes must not move with the point type
+PINNED_CERTIFICATES_SHA256 = (
+    "c0dffa998bf3a406f3f8bc3f56f455c9fe56e684077e3110597bea2da797d324")
+
+
+def _pinned_copies():
+    """The 1,024 interval copies, the decided through-proper and avoiding
+    copies of dlo and zetaeta at d = 8 and 12, and both sides of the dlo
+    disjoint pairs over {} and {0, 1/2}."""
+    dlo, ze = get_structure("dlo"), get_structure("zetaeta")
+    handles = [engine.powerset_embedding_dlo(dlo, members=c)
+               for k in range(11) for c in combinations(range(10), k)]
+    for st in (dlo, ze):
+        for d in (8, 12):
+            handles.append(engine.decide_window(engine.copy_through(
+                st, fs(), engine.copy_identity(st), proper=True, seed=0), d))
+            avoid = next(x for x in st.prefix(d)
+                         if st.type_unranked(fs(), x) is True)
+            handles.append(engine.decide_window(engine.copy_avoiding(
+                st, fs(), {avoid}, seed=0), d))
+    for fix in ((), ("0", "1/2")):
+        handles.extend(engine.disjoint_pair(dlo, fs(map(dlo.decode, fix))))
+    return handles
+
+
+def test_certificate_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for h in _pinned_copies():
+        cert = certify.check_copy(h, 8, 2, 500)
+        digest.update(cert.to_json().encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CERTIFICATES_SHA256

@@ -77,8 +77,11 @@ _POWERSET = ["embed-powerset", "--structure", "dlo", "--set", "0",
     ["chain", "--structure", "dlo", "--k", "0"],
     ["closure", "rc", "--structure", "dlo", "--maxrank", "-1"],
     ["certify", "meet", "--structure", "dlo"],
+    ["typeset", "--structure", "dlo", "--rep", "1", "-n", "-1"],
+    ["closure", "ic", "--structure", "dlo", "--samples", "0"],
+    ["copy", "--structure", "dlo", "--stages", "-1"],
 ], ids=["sockel-cap", "depth", "budget-below-depth", "k", "maxrank",
-        "meet-without-avoid"])
+        "meet-without-avoid", "n", "samples", "stages"])
 def test_out_of_range_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)

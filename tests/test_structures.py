@@ -1,5 +1,6 @@
 """Action-oracle behaviour: enumerations, orbit calculus, finiteness."""
 
+import pickle
 import random
 from decimal import Context
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from copyposet import PartialMap, PreconditionError, certify
 from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
+from copyposet.structures.dlo import Rational, simplest_in_gap
 from copyposet.structures.rado import adjacent
 
 fs = frozenset
@@ -95,6 +97,83 @@ def test_dlo_enumeration_covers_unit_intervals():
 def test_enumerate_rejects_negative(structure):
     with pytest.raises(PreconditionError):
         structure.prefix(-1)
+
+
+# -- dlo points ----------------------------------------------------------------
+
+def _dlo_points():
+    """Rational points from every source that makes them: the dlo and
+    zetaeta enumerations, decode, simplest_in_gap and target_candidates."""
+    dlo, ze = get_structure("dlo"), get_structure("zetaeta")
+    pts = dlo.prefix(3000)
+    pts += [q for q, _ in ze.prefix(300)]
+    pts += [dlo.decode(s) for s in ("0", "-3", "1/2", "-7/3", " 4/6 ", "0.5",
+                                    "-1.25", "1e3", "2E-2")]
+    pts += [ze.decode(s)[0] for s in ("(-5/2|3)", "(0.75|0)")]
+    pts += list(islice(simplest_in_gap(None, None), 60))
+    pts += list(islice(simplest_in_gap(F(1, 3), F(1, 2)), 60))
+    pts += list(islice(dlo.target_candidates([(F(0), F(1))], F(1, 2)), 60))
+    pts += list(islice(dlo.target_candidates([(F(0), F(-2))], F(-1)), 60))
+    pts += [q for q, _ in islice(ze.target_candidates(
+        [((F(0), 0), (F(1), 4))], (F(5), 2)), 60)]
+    return pts
+
+
+def test_every_dlo_point_is_the_point_type():
+    assert all(type(p) is Rational for p in _dlo_points())
+
+
+def test_dlo_points_hash_and_equal_like_fraction_and_int():
+    for p in _dlo_points():
+        f = F(p.numerator, p.denominator)
+        assert type(f) is F
+        assert p == f and f == p and not p != f and not f != p
+        assert hash(p) == hash(f) == hash(p)
+        if p.denominator == 1:
+            assert p == p.numerator and p.numerator == p
+            assert hash(p) == hash(p.numerator)
+        assert p != p + F(1, 7) and p + 1 != p
+
+
+def test_dlo_point_order_matches_fraction():
+    pts = _dlo_points()
+    rng = random.Random(7)
+    for _ in range(5000):
+        p, q = rng.choice(pts), rng.choice(pts)
+        fp, fq = F(p), F(q)
+        assert (p < q) == (p < fq) == (fp < q) == (fp < fq)
+        assert (p == q) == (fp == fq)
+        assert (p > q) == (fp > fq) and (p <= q) == (fp <= fq)
+        k = rng.randint(-4, 4)
+        assert (p < k) == (fp < k) and (k < p) == (k < fp)
+        assert (p >= k) == (fp >= k) and (k >= p) == (k >= fp)
+
+
+def test_dlo_point_repr_and_pickle():
+    for p in _dlo_points():
+        assert repr(p) == repr(F(p)) and str(p) == str(F(p))
+        back = pickle.loads(pickle.dumps(p))
+        assert type(back) is Rational
+        assert back == p and hash(back) == hash(p)
+
+
+def test_fraction_slot_layout():
+    # Rational's comparisons read these two private slots directly
+    assert F.__slots__ == ("_numerator", "_denominator")
+
+
+def test_empty_gap_is_a_precondition_error_on_dlo(dlo):
+    with pytest.raises(PreconditionError):
+        next(dlo.target_candidates([(F(0), F(1)), (F(1), F(0))], F(1, 2)))
+    with pytest.raises(PreconditionError):
+        next(simplest_in_gap(F(1), F(1)))
+
+
+def test_empty_gap_is_a_precondition_error_on_zetaeta():
+    ze = get_structure("zetaeta")
+    items = [((F(0), 0), (F(1), 0)), ((F(1), 0), (F(0), 0))]
+    with pytest.raises(PreconditionError):
+        next(ze.target_candidates(items, (F(1, 2), 0)))
 
 
 # -- same_type ---------------------------------------------------------------
