@@ -29,6 +29,10 @@ from .errors import CopyPosetError, PreconditionError
 
 SCHEMA_VERSION = 1
 
+# json.dumps(obj, sort_keys=True) builds a new encoder on every call
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+_WITNESSES_KEPT = 64
+
 
 class Certificate(Frozen):
     __slots__ = ("kind", "structure_id", "params", "verdict",
@@ -150,18 +154,19 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
     window = st.prefix(depth)
+    enc = {p: st.encode(p) for p in window}
     inside = [p for p in window if handle.membership(p).is_in]
     # a point inside the copy is its own witness (g = identity)
     rest = [p for p in window if p not in inside]
     scan = _Scan(handle, budget)
     unresolved = []
-    witnesses = []
+    witnesses = []  # only the first _WITNESSES_KEPT are emitted
     params = {"depth": depth, "sockel_cap": sockel_cap, "budget": budget,
               "copy": handle.describe()}
     for size in range(0, sockel_cap + 1):
         for ftup in combinations(inside, size):
             fset = frozenset(ftup)
-            fenc = [st.encode(p) for p in ftup]
+            fenc = [enc[p] for p in ftup]
             searched = []  # (rep, witness) per typeset class met so far
             for x in rest:
                 for rep, found in searched:
@@ -173,24 +178,19 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
                         return Certificate(
                             "copy-check", st.structure_id, params, "fail",
                             counterexample={"sockel": fenc,
-                                            "point": st.encode(x),
+                                            "point": enc[x],
                                             **counterexample})
                     searched.append((x, found))
                 if found is None:
-                    unresolved.append({"sockel": fenc, "point": st.encode(x)})
-                else:
-                    witnesses.append({
-                        "sockel": fenc, "point": st.encode(x),
-                        "witness": st.encode(found)})
+                    unresolved.append({"sockel": fenc, "point": enc[x]})
+                elif len(witnesses) < _WITNESSES_KEPT:
+                    witnesses.append({"sockel": fenc, "point": enc[x],
+                                      "witness": st.encode(found)})
     if unresolved:
         return Certificate("copy-check", st.structure_id, params, "unknown",
-                           unresolved=tuple(
-                               json.dumps(u, sort_keys=True)
-                               for u in unresolved))
+                           unresolved=tuple(map(_encode_sorted, unresolved)))
     return Certificate("copy-check", st.structure_id, params, "pass",
-                       witnesses=tuple(
-                           json.dumps(w, sort_keys=True)
-                           for w in witnesses[:64]))
+                       witnesses=tuple(map(_encode_sorted, witnesses)))
 
 
 # -- ground truth, structure by structure ------------------------------------

@@ -10,7 +10,7 @@ never from search failure.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .core import Frozen
 from .errors import PreconditionError
@@ -99,8 +99,23 @@ def continuation_partition(structure, t, ext_sockel, depth):
     pool = [q for q in window
             if q not in sockel and q not in ext
             and (q == t.rep or structure.same_type(sockel, t.rep, q))]
-    reps = structure.orbit_reps(ext, pool)
-    return [make_type(structure, ext, rep) for rep, _ in reps]
+    return [make_type(structure, ext, rep)
+            for rep in _class_reps(structure, ext, pool)]
+
+
+def _class_reps(structure, sockel, pool):
+    """Stream the enum-least representative of each typeset class over
+    ``sockel`` met in ``pool``, a list of points outside the sockel in
+    enumeration order; a point is compared only with the classes found
+    before it, so stopping early skips the rest of the pool."""
+    reps = []
+    for p in pool:
+        for rep in reps:
+            if structure.same_type(sockel, rep, p):
+                break
+        else:
+            reps.append(p)
+            yield p
 
 
 class _RankSearch:
@@ -139,20 +154,19 @@ class _RankSearch:
         # recursion bottoms out on and it keeps the reported bounds tight.
         cand = set(st.prefix(self.window)) | {rep}
         window_pts = [p for p in st.sort_points(cand) if p not in sockel]
-        probe_pts = st.prefix(self.probe)
-        candidates = [(rep,)]
-        for size in range(1, DEFAULT_SOCKEL_EXTENSION_CAP + 1):
-            candidates.extend(
-                added for added in combinations(window_pts, size)
-                if added != (rep,))
+        candidates = chain([(rep,)], (
+            added for size in range(1, DEFAULT_SOCKEL_EXTENSION_CAP + 1)
+            for added in combinations(window_pts, size) if added != (rep,)))
+        # the probe-window typeset is filtered once per call; each candidate
+        # streams its continuation classes only up to the first failing one
+        members = [q for q in st.prefix(self.probe)
+                   if q not in sockel
+                   and (q == rep or st.same_type(sockel, rep, q))]
         for added in candidates:
-            ext = sockel | set(added)
-            pool = [q for q in probe_pts
-                    if q not in ext
-                    and (q == rep or st.same_type(sockel, rep, q))]
-            reps = st.orbit_reps(ext, pool)
+            ext = sockel.union(added)
+            reps = _class_reps(st, ext, [q for q in members if q not in ext])
             subs = []
-            for crep, _ in reps:
+            for crep in reps:
                 sub = self.bound(ext, crep, k - 1)
                 if not sub.is_at_most:
                     subs = None

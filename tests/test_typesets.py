@@ -1,11 +1,14 @@
 """Types, continuations, bounded rank, orbit profiles."""
 
+import hashlib
+import json
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from copyposet import PreconditionError, engine
-from copyposet.structures import get_structure
+from copyposet import PreconditionError, closures, engine
+from copyposet.structures import BUILTIN_IDS, get_structure
 from copyposet import typesets as ts
 
 fs = frozenset
@@ -135,6 +138,45 @@ def test_rank_preconditions(dlo):
         ts.rank_at_most(dlo, t, -1, 8)
 
 
+# sha256 of _rank_records(), one sorted-key JSON line each: the rank search
+# may get cheaper, but its answers and witness chains must not move
+PINNED_RANKS_SHA256 = (
+    "abc815e5e959fdb15edeabefaa0d9548137141be6d77f417f2ab982a861ddafd")
+
+
+def _rank_records():
+    """rank_at_most over sockels of size <= 2 and reps in U_6, k in 0..2 and
+    windows 4 and 8, then ranked_closure over U_0, U_1 and U_2, for every
+    built-in structure."""
+    for sid in BUILTIN_IDS:
+        st = get_structure(sid)
+        pts = st.prefix(6)
+        for size in range(3):
+            for sockel in combinations(pts, size):
+                for rep in pts:
+                    if rep in sockel:
+                        continue
+                    t = ts.make_type(st, sockel, rep)
+                    for k in (0, 1, 2):
+                        for window in (4, 8):
+                            a = ts.rank_at_most(st, t, k, window)
+                            yield [sid, [st.encode(p) for p in sockel],
+                                   st.encode(rep), k, window, a.kind,
+                                   a.bound, a.certified, a.witness]
+        for n in (0, 1, 2):
+            rc = closures.ranked_closure(st, st.prefix(n),
+                                         closures.DEFAULT_MAXRANK, 8)
+            yield [sid, n, [st.encode(p) for p in rc.members], rc.exact,
+                   list(rc.certificates)]
+
+
+def test_rank_answers_are_pinned():
+    digest = hashlib.sha256()
+    for rec in _rank_records():
+        digest.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_RANKS_SHA256
+
+
 # -- oligomorphic profiles ---------------------------------------------------------
 
 def test_profile_examples():
@@ -173,6 +215,17 @@ def test_orbit_work_bounds(monkeypatch):
         extendable = _count_calls(monkeypatch, type(st), "extendable")
         ts.oligomorphic_profile(st, n, window)
         assert extendable == []
+
+
+def test_rank_search_work_bound(monkeypatch):
+    # the probe-window typeset is filtered once per search node, and each
+    # candidate extension stops comparing continuation classes at the
+    # first one that fails (15,814 same_type calls when neither held)
+    z2 = get_structure("zeta2")
+    same_type = _count_calls(monkeypatch, type(z2), "same_type")
+    a = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 0)), 1, 8)
+    assert a.kind == ts.NOT_WITHIN
+    assert len(same_type) <= 3_000
 
 
 def test_profile_stabilizes_for_oligomorphic():
