@@ -13,9 +13,9 @@ differences, meets, support permutations) without touching the structures'
 orbit keys or decision procedures: they read the raw point encodings and
 import no structure module.  The differential tests pit the two against
 each other.  Each raw oracle decides whether a list of (source,
-target) pairs extends to some g in G.  For pairs it is a pruned search over
-the permutations of the support, which cuts a partial assignment once it
-sends a source pair off its target.
+target) pairs extends to some g in G.  For pairs it searches the injections
+of the source support that send each source pair's elements into its
+target; such an injection extends to a permutation of the whole support.
 """
 
 from __future__ import annotations
@@ -287,33 +287,28 @@ def _brute_treetz(pairs):
 
 
 def _brute_pairs(pairs):
-    # pruned search over the permutations of the sorted combined support,
-    # one element at a time, for the constraints s -> t.  A prefix is cut as
-    # soon as an element's image leaves the target pair of a constraint
-    # containing it: no completion can mend that.  Images are distinct, so a
-    # constraint with both elements assigned inside its target pair maps
-    # onto it.
-    elems = sorted(set().union(*[s | t for s, t in pairs]))
-    img = {}
-
-    def breaks(e):
-        for s, t in pairs:
-            if e in s and img[e] not in t:
-                return True
-        return False
+    # a permutation sends a source pair s onto its target t iff it sends
+    # each element of s into t, so a source element's image lies in the
+    # intersection of the targets of the constraints whose source holds it:
+    # at most two values.  Search the injections of the source support into
+    # those domains.  Target-only elements get no image: an injection of
+    # part of a finite support extends to a permutation of all of it.
+    dom = {}
+    for s, t in pairs:
+        for e in s:
+            dom[e] = dom[e] & t if e in dom else t
+    doms = sorted(dom.values(), key=len)
+    used = set()
 
     def extend(k):
-        if k == len(elems):
+        if k == len(doms):
             return True
-        e = elems[k]
-        used = set(img.values())
-        for v in elems:
-            if v in used:
-                continue
-            img[e] = v
-            if not breaks(e) and extend(k + 1):
-                return True
-            del img[e]
+        for v in doms[k]:
+            if v not in used:
+                used.add(v)
+                if extend(k + 1):
+                    return True
+                used.discard(v)
         return False
 
     return extend(0)

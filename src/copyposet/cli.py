@@ -423,6 +423,22 @@ def build_parser():
     return ap
 
 
+def _budget_record(args, e):
+    """The error record of a SearchBudgetError, with the scan count and the
+    blocking (map, point) obligation when the error carries them."""
+    rec = {"error": "budget", "message": str(e)}
+    if e.scanned:
+        rec["scanned"] = e.scanned
+    if e.blocking is not None:
+        st = get_structure(args.structure)
+        pm, point = e.blocking
+        rec["blocking"] = {
+            "map": sorted([st.encode(s), st.encode(t)]
+                          for s, t in pm.items()),
+            "point": st.encode(point)}
+    return rec
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -451,7 +467,7 @@ def main(argv=None):
         code = EXIT_UNSUPPORTED
     except SearchBudgetError as e:
         print("budget exhausted: %s" % e, file=sys.stderr)
-        out.record({"error": "budget", "message": str(e)})
+        out.record(_budget_record(args, e))
         code = EXIT_UNKNOWN
     except (PreconditionError, UnknownStructureError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)

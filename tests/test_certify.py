@@ -6,10 +6,12 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copyposet.core import IN, OUT, PartialMap, unknown_at
 from copyposet.errors import PreconditionError
@@ -249,18 +251,17 @@ def test_brute_examples():
         pairs, fs({fs((0, 1))}), fs((0, 2)), fs((2, 3)), 12) is False
 
 
-def _reference_brute_pairs(fset, x, y):
+@lru_cache(maxsize=None)
+def _permutations_of(elems):
+    return [dict(zip(elems, perm)) for perm in permutations(elems)]
+
+
+def _reference_brute_pairs(constraints):
     # every permutation of the combined support, with no cut
-    elems = sorted(set().union(x, y, *fset))
-    fps = [tuple(sorted(u)) for u in fset]
-    xt, yt = tuple(sorted(x)), tuple(sorted(y))
-    for perm in permutations(elems):
-        img = dict(zip(elems, perm))
-        if tuple(sorted((img[xt[0]], img[xt[1]]))) != yt:
-            continue
-        if all(tuple(sorted((img[u[0]], img[u[1]]))) == u for u in fps):
-            return True
-    return False
+    elems = tuple(sorted(set().union(*[s | t for s, t in constraints])))
+    ends = [(tuple(s), t) for s, t in constraints]
+    return any(all({img[a], img[b]} == t for (a, b), t in ends)
+               for img in _permutations_of(elems))
 
 
 def _pairs_oracle_cases():
@@ -283,7 +284,32 @@ def test_brute_pairs_matches_full_enumeration():
     for fset, x, y in _pairs_oracle_cases():
         constraints = [(x, y)] + [(u, u) for u in fset]
         assert certify._brute_pairs(constraints) == \
-            _reference_brute_pairs(fset, x, y), (fset, x, y)
+            _reference_brute_pairs(constraints), (fset, x, y)
+
+
+def test_brute_pairs_extendable_matches_full_enumeration():
+    # every partial injection of 1-3 pairs of the first 8 points; its
+    # targets may use support elements no source pair holds
+    pairs = get_structure("pairs")
+    win = pairs.prefix(8)
+    for k in (1, 2, 3):
+        for dom in combinations(win, k):
+            for img in permutations(win, k):
+                pm = dict(zip(dom, img))
+                assert certify.brute_extendable(pairs, PartialMap(pm), 12) \
+                    == _reference_brute_pairs(list(pm.items())), pm
+
+
+_PAIRS_12 = get_structure("pairs").prefix(12)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_PAIRS_12),
+                          st.sampled_from(_PAIRS_12)), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_brute_pairs_matches_full_enumeration_on_any_constraints(
+        constraints):
+    assert certify._brute_pairs(constraints) == \
+        _reference_brute_pairs(constraints)
 
 
 def test_brute_oracle_imports_no_pairs_module():

@@ -249,6 +249,37 @@ def test_certify_copy_unknown_exit_2(capsys):
     assert code == 2
 
 
+def test_budget_error_names_its_blocking_obligation(monkeypatch, capsys):
+    from copyposet.errors import SearchBudgetError
+
+    def exhausted(args, out):
+        st = cli.get_structure(args.structure)
+        raise SearchBudgetError(
+            "no admissible image for 2 within 40 candidates",
+            blocking=({st.decode("1/2"): st.decode("-3"),
+                       st.decode("0"): st.decode("1")}, st.decode("2")),
+            scanned=40)
+
+    monkeypatch.setattr(cli, "cmd_copy", exhausted)
+    code, out, err = run(capsys, "copy", "--structure", "dlo",
+                         "--format", "jsonl")
+    assert code == 2
+    assert "budget exhausted" in err
+    assert out == (
+        '{"blocking":{"map":[["0","1"],["1/2","-3"]],"point":"2"},'
+        '"error":"budget","message":"no admissible image for 2 within 40 '
+        'candidates","scanned":40}\n')
+
+
+def test_budget_error_without_obligation_keeps_its_record(capsys):
+    code, out, _ = run(capsys, "typeset", "--structure", "treetz",
+                       "--sockel", "L25:[]", "--rep", "L24:[]",
+                       "--format", "jsonl")
+    assert code == 2
+    assert out == ('{"error":"budget","message":"point (25, ()) not found '
+                   'within enumeration scan cap"}\n')
+
+
 def test_certify_meet_not_refuted(capsys):
     code, out, _ = run(capsys, "certify", "meet", "--structure", "dlo",
                        "--avoid", "0", "--depth", "8")
