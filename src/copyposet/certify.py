@@ -48,10 +48,6 @@ class Certificate(Frozen):
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "unresolved", unresolved)
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
     def to_record(self):
         rec = {
             "schema": SCHEMA_VERSION,
@@ -71,12 +67,6 @@ class Certificate(Frozen):
     def to_json(self):
         return json.dumps(self.to_record(), sort_keys=True,
                           separators=(",", ":"))
-
-
-def write_certificates(path, certs):
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in certs:
-            fh.write(c.to_json() + "\n")
 
 
 class _Scan:

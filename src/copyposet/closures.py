@@ -65,11 +65,6 @@ def algebraic_closure(structure, base, depth):
         exact, tuple(certs))
 
 
-def kernel(structure, depth):
-    """The union of the finite orbits of the group itself: ac of nothing."""
-    return algebraic_closure(structure, frozenset(), depth)
-
-
 def ranked_closure(structure, base, maxrank, depth):
     """base plus the typesets over base whose bounded rank search succeeds
     with bound maxrank; a lower approximation of the ranked closure.

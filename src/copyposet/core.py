@@ -30,12 +30,6 @@ class PartialMap:
     def __contains__(self, src):
         return src in self._map
 
-    def __getitem__(self, src):
-        return self._map[src]
-
-    def get(self, src, default=None):
-        return self._map.get(src, default)
-
     def items(self):
         return self._map.items()
 
@@ -60,12 +54,6 @@ class PartialMap:
         m[src] = tgt
         pm._map = m
         return pm
-
-    def inverse(self):
-        return PartialMap((v, k) for k, v in self._map.items())
-
-    def fixes(self, points):
-        return all(self._map.get(a) == a for a in points)
 
     def __eq__(self, other):
         return isinstance(other, PartialMap) and self._map == other._map
@@ -130,10 +118,6 @@ class FinitenessAnswer(Frozen):
     @property
     def is_finite(self):
         return self.kind == FINITE
-
-    @property
-    def is_infinite(self):
-        return self.kind == INFINITE
 
 
 def finite_answer(members):

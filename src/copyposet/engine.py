@@ -27,8 +27,7 @@ from collections import deque
 from itertools import combinations, islice
 
 # CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
-from .core import (IN, OUT, CopyHandle, Frozen, IdentityCopy, PartialMap,
-                   unknown_at)
+from .core import IN, OUT, CopyHandle, Frozen, IdentityCopy, unknown_at
 from .errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -153,27 +152,34 @@ class BackForthCopy(CopyHandle):
                 return u
             self._cursor += 1
 
-    def _find_target(self, u, budget):
-        base = PartialMap(self._map)
+    def _search(self, items, point, skip, budget, admit=None):
+        """(c, scanned) for the first of ``budget`` candidate images c of
+        ``point`` over the pairs ``items`` that is not skipped, extends the
+        map and is admitted; (None, scanned) when none is."""
         scanned = 0
-        for y in islice(self.structure.target_candidates(
-                list(self._map.items()), u), budget):
+        for c in islice(self.structure.target_candidates(items, point),
+                        budget):
             scanned += 1
-            if y in self._range or y in self._outs:
+            if skip(c) or not self.structure.extendable(
+                    dict(items + [(point, c)])):
                 continue
-            if self.parent is not None and \
-                    not self.parent.try_decide(y).is_in:
-                continue
-            cand = base.extended(u, y)
-            if cand is None or not self.structure.extendable(cand):
-                continue
-            if not self._guards_pass(y):
-                continue
-            return y, scanned
-        raise SearchBudgetError(
-            "no admissible image for %s within %d candidates"
-            % (self.structure.encode(u), budget),
-            blocking=(dict(self._map), u), scanned=budget)
+            if admit is None or admit(c):
+                return c, scanned
+        return None, scanned
+
+    def _forth(self, u, budget):
+        parent = self.parent
+        y, scanned = self._search(
+            list(self._map.items()), u,
+            lambda c: c in self._range or c in self._outs or (
+                parent is not None and not parent.try_decide(c).is_in),
+            budget, self._guards_pass)
+        if y is None:
+            raise SearchBudgetError(
+                "no admissible image for %s within %d candidates"
+                % (self.structure.encode(u), budget),
+                blocking=(dict(self._map), u), scanned=budget)
+        self._set(u, y, "forth", scanned)
 
     def _set(self, src, tgt, move, scanned):
         self._map[src] = tgt
@@ -210,18 +216,12 @@ class BackForthCopy(CopyHandle):
         if not self._guards_pass(y):
             return self.membership(y)
         # a back step is a forth step of the inverse map
-        base = PartialMap(self._map)
-        scanned = 0
-        for s in islice(self.structure.target_candidates(
-                [(t, u) for u, t in self._map.items()], y), budget):
-            scanned += 1
-            if s in self._map:
-                continue
-            cand = base.extended(s, y)
-            if cand is not None and self.structure.extendable(cand):
-                self._set(s, y, "back", scanned)
-                return IN
-        return self.membership(y)
+        s, scanned = self._search([(t, u) for u, t in self._map.items()], y,
+                                  self._map.__contains__, budget)
+        if s is None:
+            return self.membership(y)
+        self._set(s, y, "back", scanned)
+        return IN
 
     def _process_one_claim(self, budget):
         attempts = 0
@@ -242,9 +242,7 @@ class BackForthCopy(CopyHandle):
         claims_first = (self._stage + self.seed) % 3 == 0
         if claims_first:
             self._process_one_claim(budget)
-        u = self._next_source()
-        y, scanned = self._find_target(u, budget)
-        self._set(u, y, "forth", scanned)
+        self._forth(self._next_source(), budget)
         if not claims_first:
             self._process_one_claim(budget)
         self._stage += 1
@@ -455,8 +453,7 @@ class _DisjointCoordinator:
             if u in side._map:
                 side._cursor += 1
                 continue
-            y, scanned = side._find_target(u, side._budget())
-            side._set(u, y, "forth", scanned)
+            side._forth(u, side._budget())
             side._stage += 1
             return
         side._stage += 1
@@ -539,23 +536,6 @@ def union_chain(handles):
                 raise InclusionContractError(
                     "chain inclusion violated at %s" % structure.encode(x))
     return UnionCopy(structure, handles)
-
-
-def compose_restrict(structure, f, g):
-    """The partial map g^-1 after f, defined where f lands in range(g)."""
-    if not structure.extendable(f) or not structure.extendable(g):
-        raise PreconditionError("both maps must be extendable")
-    ginv = {v: k for k, v in g.items()}
-    out = {}
-    for x, fx in f.items():
-        if fx not in ginv:
-            raise PreconditionError(
-                "range(f) is not inside range(g) on the shared window")
-        out[x] = ginv[fx]
-    pm = PartialMap(out)
-    if not structure.extendable(pm):
-        raise PreconditionError("composite map is not extendable")
-    return pm
 
 
 class BernsteinResult(Frozen):

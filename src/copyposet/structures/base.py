@@ -7,13 +7,17 @@ invariant of the G-orbit of a tuple; orbit equality over a finite sockel
 (``same_type``) and extendability of finite partial injections
 (``extendable``) derive from it, and ``same_type`` is overridden where that
 measures faster.  Structures also decide exact finiteness of typesets and
-certify unrankedness.  All operations are pure; instances hold only
-append-only enumeration caches and are safe to share.
+certify unrankedness.  Where every stabilizer orbit off a finite set is
+infinite (``stabilizer_orbits_all_infinite``), the base class gives those
+answers: every typeset is infinite, so no type reaches rank 0 and every
+type is unranked, and a finite set is its own algebraic closure.  All
+operations are pure; instances hold only append-only enumeration caches
+and are safe to share.
 """
 
 from __future__ import annotations
 
-from ..core import finite_answer
+from ..core import finite_answer, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
 
 # Safety cap for searches that are mathematically guaranteed to terminate on
@@ -108,10 +112,13 @@ class Structure:
         override it with a closed form, which must equal the enumeration
         on every point."""
         while p not in self._index_cache:
-            if len(self._enum_cache) > _SCAN_CAP:
+            n = len(self._enum_cache)
+            if n > _SCAN_CAP:
                 raise SearchBudgetError(
-                    "point %r not found within enumeration scan cap" % (p,))
-            self._grow(len(self._enum_cache) + 64)
+                    "point %r not found within enumeration scan cap" % (p,),
+                    blocking=({}, p), scanned=n)
+            # stop just past the cap: a miss reads the same points always
+            self._grow(min(n + 64, _SCAN_CAP + 1))
         return self._index_cache[p]
 
     def sort_points(self, pts):
@@ -154,6 +161,8 @@ class Structure:
 
     def typeset_finite(self, sockel, x):
         """Exact finiteness of the typeset of <sockel |> x>."""
+        if self.stabilizer_orbits_all_infinite:
+            return infinite_answer()
         raise NotImplementedError
 
     def type_unranked(self, sockel, x):
@@ -161,6 +170,8 @@ class Structure:
 
         True: certified unranked.  False: certified ranked.  None: the
         structure cannot certify (reserved for user-supplied oracles)."""
+        if self.stabilizer_orbits_all_infinite:
+            return True
         raise NotImplementedError
 
     # -- generic derived operations ----------------------------------------
@@ -198,7 +209,9 @@ class Structure:
         i = 0
         while True:
             if i > _SCAN_CAP:
-                raise SearchBudgetError("typeset stream scan cap exceeded")
+                raise SearchBudgetError(
+                    "typeset stream scan cap exceeded",
+                    blocking=({a: a for a in sockel}, x), scanned=i)
             y = self.point_at(i)
             i += 1
             if y in sockel:
@@ -292,6 +305,8 @@ class Structure:
     def ac_members_exact(self, sockel):
         """The full algebraic closure of a finite set, for algebraically
         finite structures only (exact, closed form)."""
+        if self.stabilizer_orbits_all_infinite:
+            return frozenset(sockel)
         raise PreconditionError(
             "%s is not certified algebraically finite" % self.structure_id)
 

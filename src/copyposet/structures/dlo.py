@@ -34,7 +34,7 @@ pinching a finite set from either side (the disjoint pair).
 from collections import deque
 from fractions import Fraction
 
-from ..core import IN, OUT, CopyHandle, infinite_answer
+from ..core import IN, OUT, CopyHandle
 from ..errors import (
     PreconditionError,
     SearchBudgetError,
@@ -227,10 +227,6 @@ class DLO(Structure):
     def orbit_key(self, tup):
         return order_pattern(tup)
 
-    def typeset_finite(self, sockel, x):
-        # stabilizer orbits off the sockel are open intervals
-        return infinite_answer()
-
     def target_candidates(self, items, source):
         lo = hi = None
         for s, t in items:
@@ -239,12 +235,6 @@ class DLO(Structure):
             else:
                 hi = t if hi is None or t < hi else hi
         yield from simplest_in_gap(lo, hi)
-
-    def type_unranked(self, sockel, x):
-        return True
-
-    def ac_members_exact(self, sockel):
-        return frozenset(sockel)
 
     def closed_form_disjoint_pair(self, fix):
         # interval systems pinching the fixed points from opposite sides;

@@ -5,7 +5,6 @@ so the only invariant of a point over a sockel is its class-membership
 pattern.
 """
 
-from ..core import infinite_answer
 from .base import Structure, equality_pattern
 
 
@@ -47,10 +46,6 @@ class EquivInf(Structure):
     def orbit_key(self, tup):
         return equality_pattern(tup), equality_pattern([c for c, _ in tup])
 
-    def typeset_finite(self, sockel, x):
-        # classes are infinite and there are infinitely many classes
-        return infinite_answer()
-
     def target_candidates(self, items, source):
         forced = None
         used = set()
@@ -69,9 +64,3 @@ class EquivInf(Structure):
                 for i in range(3):
                     yield (c, i)
             c += 1
-
-    def type_unranked(self, sockel, x):
-        return True
-
-    def ac_members_exact(self, sockel):
-        return frozenset(sockel)

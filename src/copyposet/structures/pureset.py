@@ -1,6 +1,5 @@
 """The pure countable set: U = N with the full symmetric group."""
 
-from ..core import infinite_answer
 from .base import Structure, _decimal, _from_decimal, equality_pattern
 
 
@@ -37,12 +36,3 @@ class PureSet(Structure):
 
     def orbit_key(self, tup):
         return equality_pattern(tup)
-
-    def typeset_finite(self, sockel, x):
-        return infinite_answer()
-
-    def type_unranked(self, sockel, x):
-        return True
-
-    def ac_members_exact(self, sockel):
-        return frozenset(sockel)

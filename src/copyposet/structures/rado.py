@@ -6,7 +6,7 @@ realizing the same objects: tagged bit-classes for avoiding copies and
 chains, and a residue split for the disjoint pair over nothing.
 """
 
-from ..core import IN, OUT, CopyHandle, IdentityCopy, infinite_answer
+from ..core import IN, OUT, CopyHandle, IdentityCopy
 from ..errors import PreconditionError, SearchBudgetError
 from .base import (_SCAN_CAP, Structure, _decimal, _from_decimal,
                    equality_pattern)
@@ -107,10 +107,6 @@ class RadoGraph(Structure):
         return equality_pattern(tup), tuple([
             adjacent(a, b) for i, a in enumerate(tup) for b in tup[i + 1:]])
 
-    def typeset_finite(self, sockel, x):
-        # every adjacency pattern is realized by infinitely many vertices
-        return infinite_answer()
-
     def typeset_iter(self, sockel, x):
         # Let L be the bit length of max F.  From L up to max F no vertex is
         # adjacent to a sockel point a >= L, and its adjacency to a < L is
@@ -123,7 +119,9 @@ class RadoGraph(Structure):
         low = max(top, 0).bit_length()
         for y in range(low):
             if y > _SCAN_CAP:
-                raise SearchBudgetError("typeset stream scan cap exceeded")
+                raise SearchBudgetError(
+                    "typeset stream scan cap exceeded",
+                    blocking=({a: a for a in sockel}, x), scanned=y)
             if y not in sockel and (y == x or self.same_type(sockel, x, y)):
                 yield y
         mask = sum(1 << a for a in sockel)
@@ -148,12 +146,6 @@ class RadoGraph(Structure):
     def target_candidates(self, items, source):
         pattern = [(t, adjacent(source, s)) for s, t in items]
         yield from _pattern_witnesses(pattern)
-
-    def type_unranked(self, sockel, x):
-        return True
-
-    def ac_members_exact(self, sockel):
-        return frozenset(sockel)
 
     def closed_form_avoiding(self, fix, avoid, parent):
         if isinstance(parent, TaggedCopyRado):

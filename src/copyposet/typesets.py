@@ -44,14 +44,6 @@ def make_type(structure, sockel, rep):
                       tuple(structure.sort_points(sockel)), rep)
 
 
-def types_equal(structure, t1, t2):
-    if t1.sockel_set() != t2.sockel_set():
-        return False
-    if t1.rep == t2.rep:
-        return True
-    return structure.same_type(t1.sockel_set(), t1.rep, t2.rep)
-
-
 class RankAnswer(Frozen):
     """Outcome of a bounded rank computation.
 

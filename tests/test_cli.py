@@ -271,13 +271,14 @@ def test_budget_error_names_its_blocking_obligation(monkeypatch, capsys):
         'candidates","scanned":40}\n')
 
 
-def test_budget_error_without_obligation_keeps_its_record(capsys):
+def test_scan_cap_budget_error_names_the_point_it_looked_for(capsys):
     code, out, _ = run(capsys, "typeset", "--structure", "treetz",
                        "--sockel", "L25:[]", "--rep", "L24:[]",
                        "--format", "jsonl")
     assert code == 2
-    assert out == ('{"error":"budget","message":"point (25, ()) not found '
-                   'within enumeration scan cap"}\n')
+    assert out == ('{"blocking":{"map":[],"point":"L25:[]"},"error":"budget",'
+                   '"message":"point (25, ()) not found within enumeration '
+                   'scan cap","scanned":200001}\n')
 
 
 def test_certify_meet_not_refuted(capsys):

@@ -40,7 +40,7 @@ def test_exchange_failure_on_pairs(pairs):
 
 def test_kernels_empty():
     for sid in ("zorder", "pureset", "dlo"):
-        res = closures.kernel(get_structure(sid), 10)
+        res = closures.algebraic_closure(get_structure(sid), frozenset(), 10)
         assert res.member_set() == set()
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet import PartialMap
 from copyposet.errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -218,24 +217,6 @@ def test_union_single_handle(dlo):
         assert u.membership(x).kind == s0.membership(x).kind
 
 
-# -- compose_restrict ---------------------------------------------------------------
-
-def test_compose_restrict_examples(dlo):
-    f = PartialMap({F(0): F(1), F(1): F(2)})
-    g = PartialMap({F(0): F(1), F(1): F(2), F(2): F(3)})
-    got = engine.compose_restrict(dlo, f, g)
-    assert dict(got.items()) == {F(0): F(0), F(1): F(1)}
-    same = engine.compose_restrict(dlo, f, f)
-    assert all(k == v for k, v in same.items())
-
-
-def test_compose_restrict_range_condition(dlo):
-    f = PartialMap({F(0): F(5)})
-    g = PartialMap({F(0): F(1)})
-    with pytest.raises(PreconditionError):
-        engine.compose_restrict(dlo, f, g)
-
-
 # -- descending chains ----------------------------------------------------------------
 
 def test_descending_chain_dlo(dlo):
@@ -381,6 +362,107 @@ def test_golden_trace_dlo_avoiding(dlo):
     ]
 
 
+# (round, move, source, target, scanned, checks) of every move of a
+# through-proper copy over nothing with its window decided at depth 8,
+# frozen from a reference run: back steps as well as forth steps
+GOLDEN_THROUGH_TRACES = {
+    "pureset": [
+        (0, "back", "0", "1", 1, 1), (0, "forth", "1", "2", 3, 1),
+        (1, "forth", "2", "3", 4, 1), (1, "back", "3", "4", 4, 1),
+        (2, "forth", "4", "5", 6, 1), (2, "back", "5", "6", 6, 1),
+        (3, "back", "6", "7", 7, 1), (3, "forth", "7", "8", 9, 1),
+        (4, "forth", "8", "9", 10, 1), (5, "forth", "9", "10", 11, 1),
+        (6, "forth", "10", "11", 12, 1), (7, "forth", "11", "12", 13, 1),
+        (8, "forth", "12", "13", 14, 1), (9, "forth", "13", "14", 15, 1),
+        (10, "forth", "14", "15", 16, 1), (11, "forth", "15", "16", 17, 1),
+        (12, "forth", "16", "17", 18, 1), (13, "forth", "17", "18", 19, 1),
+        (14, "forth", "18", "19", 20, 1), (15, "forth", "19", "20", 21, 1),
+        (16, "forth", "20", "21", 22, 1), (17, "forth", "21", "22", 23, 1),
+        (18, "forth", "22", "23", 24, 1), (19, "forth", "23", "24", 25, 1),
+        (20, "forth", "24", "25", 26, 1), (21, "forth", "25", "26", 27, 1),
+        (22, "forth", "26", "27", 28, 1), (23, "forth", "27", "28", 29, 1)],
+    "equiv": [
+        (0, "back", "0.0", "0.1", 1, 1), (0, "forth", "0.1", "0.2", 3, 1),
+        (1, "forth", "1.0", "1.0", 1, 1), (1, "back", "1.1", "1.1", 2, 1),
+        (2, "forth", "0.2", "0.3", 4, 1), (2, "back", "2.0", "2.0", 1, 1),
+        (3, "back", "1.2", "1.2", 3, 1), (3, "forth", "0.3", "0.4", 5, 1),
+        (4, "forth", "2.1", "2.1", 2, 1), (5, "forth", "3.0", "3.0", 1, 1),
+        (6, "forth", "0.4", "0.5", 6, 1), (7, "forth", "1.3", "1.3", 4, 1),
+        (8, "forth", "2.2", "2.2", 3, 1), (9, "forth", "3.1", "3.1", 2, 1),
+        (10, "forth", "4.0", "4.0", 1, 1), (11, "forth", "0.5", "0.6", 7, 1),
+        (12, "forth", "1.4", "1.4", 5, 1), (13, "forth", "2.3", "2.3", 4, 1),
+        (14, "forth", "3.2", "3.2", 3, 1), (15, "forth", "4.1", "4.1", 2, 1),
+        (16, "forth", "5.0", "5.0", 1, 1), (17, "forth", "0.6", "0.7", 8, 1),
+        (18, "forth", "1.5", "1.5", 6, 1), (19, "forth", "2.4", "2.4", 5, 1),
+        (20, "forth", "3.3", "3.3", 4, 1), (21, "forth", "4.2", "4.2", 3, 1),
+        (22, "forth", "5.1", "5.1", 2, 1), (23, "forth", "6.0", "6.0", 1, 1)],
+    "zetaeta": [
+        (0, "forth", "(0|0)", "(-1|0)", 2, 1),
+        (1, "forth", "(0|1)", "(-1|1)", 1, 1),
+        (1, "back", "(1|0)", "(1|0)", 1, 1),
+        (2, "forth", "(0|-1)", "(-1|-1)", 1, 1),
+        (3, "back", "(1|1)", "(1|1)", 1, 1),
+        (3, "forth", "(-1|0)", "(-2|0)", 1, 1),
+        (4, "forth", "(0|2)", "(-1|2)", 1, 1),
+        (5, "forth", "(1|-1)", "(1|-1)", 1, 1),
+        (6, "forth", "(-1|1)", "(-2|1)", 1, 1),
+        (7, "forth", "(1/2|0)", "(-1/2|0)", 2, 1),
+        (8, "forth", "(0|-2)", "(-1|-2)", 1, 1),
+        (9, "forth", "(1|2)", "(1|2)", 1, 1),
+        (10, "forth", "(-1|-1)", "(-2|-1)", 1, 1),
+        (11, "forth", "(1/2|1)", "(-1/2|1)", 1, 1),
+        (12, "forth", "(-1/2|0)", "(-3/2|0)", 1, 1),
+        (13, "forth", "(0|3)", "(-1|3)", 1, 1),
+        (14, "forth", "(1|-2)", "(1|-2)", 1, 1),
+        (15, "forth", "(-1|2)", "(-2|2)", 1, 1),
+        (16, "forth", "(1/2|-1)", "(-1/2|-1)", 1, 1),
+        (17, "forth", "(-1/2|1)", "(-3/2|1)", 1, 1),
+        (18, "forth", "(2|0)", "(2|0)", 1, 1),
+        (19, "forth", "(0|-3)", "(-1|-3)", 1, 1),
+        (20, "forth", "(1|3)", "(1|3)", 1, 1),
+        (21, "forth", "(-1|-2)", "(-2|-2)", 1, 1),
+        (22, "forth", "(1/2|2)", "(-1/2|2)", 1, 1),
+        (23, "forth", "(-1/2|-1)", "(-3/2|-1)", 1, 1)],
+    "pairs": [
+        (0, "back", "{0,1}", "{0,2}", 1, 1),
+        (0, "forth", "{0,2}", "{0,3}", 4, 1),
+        (1, "forth", "{1,2}", "{2,3}", 6, 1),
+        (2, "forth", "{0,3}", "{0,4}", 7, 1),
+        (3, "forth", "{1,3}", "{2,4}", 9, 1),
+        (4, "forth", "{2,3}", "{3,4}", 10, 1),
+        (5, "forth", "{0,4}", "{0,5}", 11, 1),
+        (6, "forth", "{1,4}", "{2,5}", 13, 1),
+        (7, "forth", "{2,4}", "{3,5}", 14, 1),
+        (8, "forth", "{3,4}", "{4,5}", 15, 1),
+        (9, "forth", "{0,5}", "{0,6}", 16, 1),
+        (10, "forth", "{1,5}", "{2,6}", 18, 1),
+        (11, "forth", "{2,5}", "{3,6}", 19, 1),
+        (12, "forth", "{3,5}", "{4,6}", 20, 1),
+        (13, "forth", "{4,5}", "{5,6}", 21, 1),
+        (14, "forth", "{0,6}", "{0,7}", 22, 1),
+        (15, "forth", "{1,6}", "{2,7}", 24, 1),
+        (16, "forth", "{2,6}", "{3,7}", 25, 1),
+        (17, "forth", "{3,6}", "{4,7}", 26, 1),
+        (18, "forth", "{4,6}", "{5,7}", 27, 1),
+        (19, "forth", "{5,6}", "{6,7}", 28, 1),
+        (20, "forth", "{0,7}", "{0,8}", 29, 1),
+        (21, "forth", "{1,7}", "{2,8}", 31, 1),
+        (22, "forth", "{2,7}", "{3,8}", 32, 1),
+        (23, "forth", "{3,7}", "{4,8}", 33, 1)],
+}
+
+
+@pytest.mark.parametrize("sid", sorted(GOLDEN_THROUGH_TRACES))
+def test_golden_trace_through_proper_with_back_moves(sid):
+    st = get_structure(sid)
+    c = engine.copy_through(st, fs(), engine.copy_identity(st), proper=True,
+                            seed=0)
+    engine.decide_window(c, 8)
+    keys = ["round", "move", "source", "target", "scanned", "checks"]
+    assert [list(m) for m in c.trace] == [keys] * len(c.trace)
+    assert [tuple(m.values()) for m in c.trace] == GOLDEN_THROUGH_TRACES[sid]
+
+
 def test_engine_names_no_structure():
     # structure-specific copies live behind the structure hooks
     tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
@@ -396,6 +478,12 @@ def test_structures_write_one_candidate_generator():
     assert not [cls for cls in classes if "source_candidates" in vars(cls)]
     # extendability is derived from the orbit key in the base class
     assert not [cls for cls in classes if "extendable" in vars(cls)]
+    # with every stabilizer orbit infinite, the finiteness, rank and
+    # algebraic-closure answers follow from the flag in the base class
+    assert not [(cls, name) for cls in classes
+                if cls.stabilizer_orbits_all_infinite
+                for name in ("typeset_finite", "type_unranked",
+                             "ac_members_exact") if name in vars(cls)]
 
 
 class _EmptyCopy(engine.CopyHandle):

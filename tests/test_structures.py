@@ -316,7 +316,7 @@ def test_typeset_finite_examples(pairs):
     assert set(ans.members) == {fs((0, 2)), fs((0, 3)), fs((1, 2)),
                                 fs((1, 3))}
     dlo = get_structure("dlo")
-    assert dlo.typeset_finite(frozenset(), F(0)).is_infinite
+    assert dlo.typeset_finite(frozenset(), F(0)).kind == "infinite"
 
 
 def test_finite_typesets_are_closed_orbits(structure):
@@ -342,10 +342,41 @@ def test_finite_typesets_are_closed_orbits(structure):
 
 def test_infinite_typeset_stream_yields_distinct(structure):
     x = next(p for p in structure.prefix(10)
-             if structure.typeset_finite(frozenset(), p).is_infinite)
+             if structure.typeset_finite(frozenset(), p).kind == "infinite")
     stream = structure.typeset_iter(frozenset(), x)
     got = [next(stream) for _ in range(8)]
     assert len(set(got)) == 8
+
+
+def test_orbit_flag_matches_the_typesets(structure):
+    # the flag claims every typeset infinite: check it against the streams
+    # over small sockels, and that an unflagged structure has a finite one
+    types = [(fs(f), x) for k in range(3)
+             for f in combinations(structure.prefix(5), k)
+             for x in structure.prefix(8) if x not in f]
+    if structure.stabilizer_orbits_all_infinite:
+        for f, x in types:
+            got = set(islice(structure.typeset_iter(f, x), 8))
+            assert len(got) == 8, (f, x)
+    else:
+        assert any(len(list(islice(structure.typeset_iter(f, x), 8))) < 8
+                   for f, x in types)
+
+
+def test_typeset_scan_caps_name_their_obligation(monkeypatch):
+    from copyposet.structures import base, rado
+
+    monkeypatch.setattr(base, "_SCAN_CAP", 20)
+    dlo = get_structure("dlo")
+    with pytest.raises(SearchBudgetError) as err:
+        list(dlo.typeset_iter(fs({F(0), F(1, 8)}), F(1, 16)))
+    assert err.value.blocking == ({F(0): F(0), F(1, 8): F(1, 8)}, F(1, 16))
+    assert err.value.scanned == 21
+    monkeypatch.setattr(rado, "_SCAN_CAP", 2)
+    with pytest.raises(SearchBudgetError) as err:
+        list(islice(get_structure("rado").typeset_iter(fs({1000}), 1), 8))
+    assert err.value.blocking == ({1000: 1000}, 1)
+    assert err.value.scanned == 3
 
 
 # -- unranked witnesses ----------------------------------------------------------

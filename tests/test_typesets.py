@@ -29,14 +29,6 @@ def test_typeset_members_examples():
     assert ts.typeset_members(ps, ts.make_type(ps, set(), 0), 2) == [0, 1]
 
 
-def test_types_equal_by_orbit(dlo):
-    t1 = ts.make_type(dlo, {F(0)}, F(1))
-    t2 = ts.make_type(dlo, {F(0)}, F(2))
-    t3 = ts.make_type(dlo, {F(0)}, F(-1))
-    assert ts.types_equal(dlo, t1, t2)
-    assert not ts.types_equal(dlo, t1, t3)
-
-
 # -- continuation partitions ---------------------------------------------------
 
 def test_continuation_partition_dlo_depths(dlo):
