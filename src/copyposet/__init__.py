@@ -6,7 +6,7 @@ back-and-forth, and certifies every construction against the membership
 characterization at finite truncation depth.
 """
 
-from .core import IN, OUT, FinitenessAnswer, Membership, PartialMap
+from .core import IN, OUT, UNKNOWN, FinitenessAnswer, Membership
 from .errors import (
     CopyPosetError,
     ImpossibleConstructionError,
@@ -21,7 +21,7 @@ from .structures import BUILTIN_IDS, all_structures, get_structure
 __version__ = "0.1.0"
 
 __all__ = [
-    "IN", "OUT", "FinitenessAnswer", "Membership", "PartialMap",
+    "IN", "OUT", "UNKNOWN", "FinitenessAnswer", "Membership",
     "BUILTIN_IDS", "all_structures", "get_structure",
     "CopyPosetError", "ImpossibleConstructionError",
     "InclusionContractError", "PreconditionError", "SearchBudgetError",

@@ -345,11 +345,14 @@ def brute_same_type(structure, sockel, x, y, ground_depth):
 
 
 def brute_extendable(structure, pm, ground_depth):
-    """Ground-truth extendability of the finite partial injection ``pm``
-    from raw relational data, independent of the structure's orbit key."""
+    """Ground-truth extendability of the finite partial map ``pm`` from raw
+    relational data, independent of the structure's orbit key.  A map that
+    is not injective extends to no permutation."""
     window = _ground_window(structure, ground_depth)
     if not all(s in window and t in window for s, t in pm.items()):
         raise PreconditionError("inputs must lie inside the ground window")
+    if len(set(pm.values())) != len(pm):
+        return False
     return _raw_oracle(structure)(list(pm.items()))
 
 

@@ -55,7 +55,6 @@ class _Out:
         self.fmt = args.format
         self.path = args.out
         self.lines = []
-        self.certs = []
 
     def human(self, text):
         if self.fmt == "human":
@@ -68,7 +67,6 @@ class _Out:
             print(line)
 
     def cert(self, c):
-        self.certs.append(c)
         self.record(c.to_record())
 
     def flush(self):

@@ -1,66 +1,11 @@
-"""Shared value types: partial injections, finiteness answers, memberships,
-and the copy-handle interface whose memberships they are."""
+"""Shared value types: finiteness answers, memberships, and the copy-handle
+interface whose memberships they are."""
 
 from __future__ import annotations
 
 from .errors import PreconditionError, SearchBudgetError
 
 _WITNESS_SCAN_CAP = 5000
-
-
-class PartialMap:
-    """A finite partial injection on the points of one structure.
-
-    Functional by construction (dict-backed); injectivity is enforced.
-    Instances are immutable from the outside: use ``extended`` to grow.
-    """
-
-    __slots__ = ("_map",)
-
-    def __init__(self, pairs=()):
-        m = dict(pairs)
-        targets = list(m.values())
-        if len(set(targets)) != len(targets):
-            raise PreconditionError("partial map is not injective: %r" % (m,))
-        self._map = m
-
-    def __len__(self):
-        return len(self._map)
-
-    def __contains__(self, src):
-        return src in self._map
-
-    def items(self):
-        return self._map.items()
-
-    @property
-    def sources(self):
-        return self._map.keys()
-
-    @property
-    def targets(self):
-        return set(self._map.values())
-
-    def extended(self, src, tgt):
-        """Return self plus ``src -> tgt``, or None if the extension would
-        break functionality or injectivity."""
-        old = self._map.get(src)
-        if old is not None or src in self._map:
-            return self if old == tgt else None
-        if tgt in self.targets:
-            return None
-        pm = PartialMap.__new__(PartialMap)
-        m = dict(self._map)
-        m[src] = tgt
-        pm._map = m
-        return pm
-
-    def __eq__(self, other):
-        return isinstance(other, PartialMap) and self._map == other._map
-
-    def __repr__(self):
-        inner = ", ".join("%r->%r" % kv for kv in self._map.items())
-        return "PartialMap{%s}" % inner
 
 
 class Frozen:
@@ -104,16 +49,13 @@ class FinitenessAnswer(Frozen):
     """Answer to "is this typeset finite?".
 
     ``members`` lists the entire typeset when kind == "finite".  For
-    "infinite" the witness stream is ``Structure.typeset_iter``.  "unknown"
-    is reserved for user oracles without a finiteness method and carries the
-    scanned window."""
+    "infinite" the witness stream is ``Structure.typeset_iter``."""
 
-    __slots__ = ("kind", "members", "window")
+    __slots__ = ("kind", "members")
 
-    def __init__(self, kind, members=(), window=0):
+    def __init__(self, kind, members=()):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "window", window)
 
     @property
     def is_finite(self):
@@ -131,14 +73,13 @@ def infinite_answer():
 class Membership(Frozen):
     """Three-valued membership in a progressively constructed copy.
 
-    In/Out answers are permanent across stages; unknown carries the stage at
-    which the question was asked."""
+    In/Out answers are permanent across stages; an undecided point is
+    UNKNOWN."""
 
-    __slots__ = ("kind", "stage")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind, stage=-1):
+    def __init__(self, kind):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "stage", stage)
 
     @property
     def is_in(self):
@@ -153,17 +94,12 @@ class Membership(Frozen):
         return self.kind == "unknown"
 
     def __repr__(self):
-        if self.kind == "unknown":
-            return "UnknownAtStage(%d)" % self.stage
         return self.kind.capitalize()
 
 
 IN = Membership("in")
 OUT = Membership("out")
-
-
-def unknown_at(stage):
-    return Membership("unknown", stage)
+UNKNOWN = Membership("unknown")
 
 
 class CopyHandle:

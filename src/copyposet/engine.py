@@ -27,7 +27,7 @@ from collections import deque
 from itertools import combinations, islice
 
 # CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
-from .core import IN, OUT, CopyHandle, Frozen, IdentityCopy, unknown_at
+from .core import IN, OUT, UNKNOWN, CopyHandle, Frozen, IdentityCopy
 from .errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -57,7 +57,7 @@ class UnionCopy(CopyHandle):
                 return IN
             if m.is_unknown:
                 saw_unknown = True
-        return unknown_at(self._stage) if saw_unknown else OUT
+        return UNKNOWN if saw_unknown else OUT
 
     def _round(self):
         for c in self.members:
@@ -114,7 +114,7 @@ class BackForthCopy(CopyHandle):
             return OUT
         if self.parent is not None and self.parent.membership(x).is_out:
             return OUT
-        return unknown_at(self._stage)
+        return UNKNOWN
 
     def add_avoid_constraint(self, x):
         """Promote a point to a guarded avoidance constraint: it is decided
@@ -177,8 +177,8 @@ class BackForthCopy(CopyHandle):
         if y is None:
             raise SearchBudgetError(
                 "no admissible image for %s within %d candidates"
-                % (self.structure.encode(u), budget),
-                blocking=(dict(self._map), u), scanned=budget)
+                % (self.structure.encode(u), scanned),
+                blocking=(dict(self._map), u), scanned=scanned)
         self._set(u, y, "forth", scanned)
 
     def _set(self, src, tgt, move, scanned):

@@ -17,6 +17,8 @@ and are safe to share.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ..core import finite_answer, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
 
@@ -146,9 +148,10 @@ class Structure:
         return self.orbit_key(f + (x,)) == self.orbit_key(f + (y,))
 
     def extendable(self, pm):
-        """True iff some g in G extends the partial injection ``pm``, that
-        is, iff its source and target tuples share an orbit key.  An
-        override must agree with the key."""
+        """True iff some g in G extends the finite partial map ``pm`` (a
+        dict), that is, iff its source and target tuples share an orbit
+        key.  The key is a complete invariant, so a map that is not
+        injective answers False.  An override must agree with the key."""
         if not pm:
             return True
         sources, targets = zip(*pm.items())
@@ -187,10 +190,10 @@ class Structure:
             raise PreconditionError("base map is not extendable")
         if x in pm:
             raise PreconditionError("x already in the sources of the map")
+        used = set(pm.values())
         for i in range(budget):
             y = self.point_at(i)
-            cand = pm.extended(x, y)
-            if cand is not None and self.extendable(cand):
+            if y not in used and self.extendable({**pm, x: y}):
                 yield y
 
     def typeset_iter(self, sockel, x):
@@ -220,12 +223,8 @@ class Structure:
                 yield y
 
     def typeset_members(self, sockel, x, n):
-        out = []
-        for y in self.typeset_iter(sockel, x):
-            if len(out) >= n:
-                break
-            out.append(y)
-        return out
+        self.check_same_type_pre(sockel, x, x)
+        return list(islice(self.typeset_iter(sockel, x), n))
 
     def unranked_witness(self, sockel, x, sockel_ext):
         """A continuation witness for property (p), or None if the type

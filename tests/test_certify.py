@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet.core import IN, OUT, PartialMap, unknown_at
+from copyposet.core import IN, OUT, UNKNOWN
 from copyposet.errors import PreconditionError
 from copyposet import certify, engine
 from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
@@ -207,16 +207,15 @@ def _differential_cases():
     cases.append(("fresh back-and-forth",
                   lambda: engine.copy_avoiding(dlo, set(), {F(0)}), 8, 1, 50))
     zorder, pairs = get_structure("zorder"), get_structure("pairs")
-    unknown = unknown_at(0)
     cases.append(("zorder finite typeset out",
                   lambda: RuleCopy(zorder, lambda x: IN if x >= 0 else (
-                      unknown if x == -1 else OUT)), 8, 1, 50))
+                      UNKNOWN if x == -1 else OUT)), 8, 1, 50))
     cases.append(("zorder finite typeset unknown",
                   lambda: RuleCopy(zorder, lambda x: IN if x >= 0
-                                   else unknown), 8, 1, 50))
+                                   else UNKNOWN), 8, 1, 50))
     open_pairs = {fs((0, 2)), fs((1, 2))}
     cases.append(("pairs finite typeset witness",
-                  lambda: RuleCopy(pairs, lambda x: unknown
+                  lambda: RuleCopy(pairs, lambda x: UNKNOWN
                                    if x in open_pairs else IN), 8, 2, 3))
     return cases
 
@@ -296,7 +295,7 @@ def test_brute_pairs_extendable_matches_full_enumeration():
         for dom in combinations(win, k):
             for img in permutations(win, k):
                 pm = dict(zip(dom, img))
-                assert certify.brute_extendable(pairs, PartialMap(pm), 12) \
+                assert certify.brute_extendable(pairs, pm, 12) \
                     == _reference_brute_pairs(list(pm.items())), pm
 
 
@@ -333,24 +332,24 @@ def test_brute_ground_window_precondition(dlo):
         certify.brute_same_type(dlo, fs(), F(1), F(1000000), 12)
     with pytest.raises(PreconditionError):
         certify.brute_extendable(
-            dlo, PartialMap({F(0): F(0), F(1): F(1000000)}), 12)
+            dlo, {F(0): F(0), F(1): F(1000000)}, 12)
 
 
 def test_brute_extendable_examples():
-    assert certify.brute_extendable(get_structure("treetz"), PartialMap(), 8)
+    assert certify.brute_extendable(get_structure("treetz"), {}, 8)
     dlo = get_structure("dlo")
-    assert certify.brute_extendable(dlo, PartialMap({F(0): F(1)}), 12)
+    assert certify.brute_extendable(dlo, {F(0): F(1)}, 12)
     assert not certify.brute_extendable(
-        dlo, PartialMap({F(0): F(1), F(1): F(0)}), 12)
+        dlo, {F(0): F(1), F(1): F(0)}, 12)
     z = get_structure("zorder")
-    assert certify.brute_extendable(z, PartialMap({0: 3, 1: 4}), 12)
-    assert not certify.brute_extendable(z, PartialMap({0: 3, 1: 5}), 12)
+    assert certify.brute_extendable(z, {0: 3, 1: 4}, 12)
+    assert not certify.brute_extendable(z, {0: 3, 1: 5}, 12)
     pairs = get_structure("pairs")
     # {0,1} -> {0,2} and {0,2} -> {0,1} swap 1 and 2; {1,2} cannot follow
     swap = {fs((0, 1)): fs((0, 2)), fs((0, 2)): fs((0, 1))}
-    assert certify.brute_extendable(pairs, PartialMap(swap), 12)
+    assert certify.brute_extendable(pairs, swap, 12)
     swap[fs((1, 2))] = fs((0, 3))
-    assert not certify.brute_extendable(pairs, PartialMap(swap), 12)
+    assert not certify.brute_extendable(pairs, swap, 12)
 
 
 def test_differential_small_window():

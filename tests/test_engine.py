@@ -15,7 +15,7 @@ from copyposet.errors import (
     UnsupportedConstructionError,
 )
 from copyposet import certify, closures, engine, typesets
-from copyposet.core import IN, OUT, FinitenessAnswer, Membership, unknown_at
+from copyposet.core import IN, OUT, UNKNOWN, FinitenessAnswer, Membership
 from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
 
 fs = frozenset
@@ -497,17 +497,37 @@ def test_properness_witness_scan_is_capped(dlo):
     assert err.value.scanned == 5000
 
 
+def test_forth_budget_error_reports_the_candidates_read():
+    # a point in a pinned zetaeta block has one candidate image; the
+    # record counts that one, not the budget of 100
+    z = get_structure("zetaeta")
+    c = engine.BackForthCopy(z, fix=[z.decode("(0|0)")],
+                             avoid=[z.decode("(0|1)")])
+    with pytest.raises(SearchBudgetError) as err:
+        c.advance(3)
+    assert err.value.scanned == 1
+    assert "within 1 candidates" in str(err.value)
+
+
+def test_undecided_membership_is_one_constant(dlo):
+    c = engine.BackForthCopy(dlo, fix=[F(0)], avoid=[F(1)]).advance(2)
+    undecided = [x for x in dlo.prefix(20) if c.membership(x).is_unknown]
+    assert undecided and all(c.membership(x) is UNKNOWN for x in undecided)
+    assert engine.UnionCopy(dlo, [c]).membership(undecided[0]) is UNKNOWN
+
+
 def test_value_types_are_immutable_values():
-    assert (repr(IN), repr(OUT), repr(unknown_at(3))) == \
-        ("In", "Out", "UnknownAtStage(3)")
+    assert (repr(IN), repr(OUT), repr(UNKNOWN)) == ("In", "Out", "Unknown")
+    assert Membership.__slots__ == ("kind",)
+    assert FinitenessAnswer.__slots__ == ("kind", "members")
     assert Membership("in") == IN and hash(Membership("in")) == hash(IN)
     assert FinitenessAnswer("finite", (1,)) != FinitenessAnswer("finite")
     assert repr(FinitenessAnswer("infinite")) == \
-        "FinitenessAnswer(kind='infinite', members=(), window=0)"
+        "FinitenessAnswer(kind='infinite', members=())"
     with pytest.raises(AttributeError):
         IN.kind = "out"
     with pytest.raises(AttributeError):
-        del IN.stage
+        del IN.kind
     # dict defaults are per instance
     a, b = certify.Certificate("k", "dlo"), certify.Certificate("k", "dlo")
     assert a == b and a.params == {} and a.params is not b.params

@@ -9,7 +9,7 @@ from itertools import combinations, islice, product, takewhile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet import PartialMap, PreconditionError, certify
+from copyposet import PreconditionError, certify
 from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.dlo import Rational, simplest_in_gap
@@ -220,12 +220,8 @@ def test_same_type_matches_extendable_reduction(structure):
             pool = [p for p in window if p not in sockel]
             for x in pool:
                 for y in pool:
-                    m = {a: a for a in sockel}
-                    m[x] = y
-                    try:
-                        pm = PartialMap(m.items())
-                    except PreconditionError:
-                        continue
+                    pm = {a: a for a in sockel}
+                    pm[x] = y
                     assert structure.same_type(sockel, x, y) == \
                         structure.extendable(pm), (ftup, x, y)
 
@@ -235,10 +231,10 @@ def test_same_type_matches_extendable_reduction(structure):
 def test_extendable_examples():
     dlo = get_structure("dlo")
     z = get_structure("zorder")
-    assert dlo.extendable(PartialMap({F(0): F(0), F(1): F(2)}))
-    assert not dlo.extendable(PartialMap({F(0): F(1), F(1): F(0)}))
-    assert not z.extendable(PartialMap({0: 3, 1: 5}))
-    assert z.extendable(PartialMap({0: 3, 1: 4}))
+    assert dlo.extendable({F(0): F(0), F(1): F(2)})
+    assert not dlo.extendable({F(0): F(1), F(1): F(0)})
+    assert not z.extendable({0: 3, 1: 5})
+    assert z.extendable({0: 3, 1: 4})
 
 
 def test_extendable_closed_under_restriction(structure):
@@ -248,10 +244,7 @@ def test_extendable_closed_under_restriction(structure):
     for y0 in pts:
         for y1 in pts:
             for y2 in pts:
-                try:
-                    cand = PartialMap({pts[0]: y0, pts[1]: y1, pts[2]: y2})
-                except PreconditionError:
-                    continue
+                cand = {pts[0]: y0, pts[1]: y1, pts[2]: y2}
                 if structure.extendable(cand):
                     pm = cand
                     break
@@ -260,14 +253,18 @@ def test_extendable_closed_under_restriction(structure):
         if pm:
             break
     assert pm is not None
-    for drop in list(pm.sources):
-        rest = PartialMap((k, v) for k, v in pm.items() if k != drop)
+    for drop in pm:
+        rest = {k: v for k, v in pm.items() if k != drop}
         assert structure.extendable(rest)
 
 
-def test_partial_map_injectivity_enforced():
-    with pytest.raises(PreconditionError):
-        PartialMap({0: 1, 2: 1})
+def test_non_injective_maps_are_refused(structure):
+    # a partial map that sends two points onto one extends to no
+    # permutation: the orbit key and the raw oracle must both refuse it
+    p0, p1, p2 = structure.prefix(3)
+    for pm in ({p0: p1, p2: p1}, {p0: p0, p1: p0}, {p0: p2, p1: p1, p2: p2}):
+        assert not structure.extendable(pm), pm
+        assert not certify.brute_extendable(structure, pm, 7), pm
 
 
 @given(st.integers(min_value=-30, max_value=30),
@@ -278,10 +275,10 @@ def test_zorder_extendable_iff_single_translation(a, b, d):
     z = get_structure("zorder")
     if a == b:
         return
-    pm = PartialMap({a: a + d, b: b + d})
+    pm = {a: a + d, b: b + d}
     assert z.extendable(pm)
     if a + d != b + d + 1:
-        pm2 = PartialMap({a: a + d, b: b + d + 1})
+        pm2 = {a: a + d, b: b + d + 1}
         assert not z.extendable(pm2)
 
 
@@ -291,17 +288,17 @@ def test_extensions_examples():
     dlo = get_structure("dlo")
     z = get_structure("zorder")
     ps = get_structure("pureset")
-    got = list(dlo.extensions(PartialMap({F(0): F(0)}), F(1), 10))
+    got = list(dlo.extensions({F(0): F(0)}, F(1), 10))
     assert got[0] == F(1)
     assert got == [F(1), F(1, 2), F(2), F(3, 2), F(1, 3)]
-    assert list(z.extensions(PartialMap({0: 4}), 1, 10)) == [5]
-    assert list(ps.extensions(PartialMap(), 0, 3)) == [0, 1, 2]
+    assert list(z.extensions({0: 4}, 1, 10)) == [5]
+    assert list(ps.extensions({}, 0, 3)) == [0, 1, 2]
 
 
 def test_extensions_precondition():
     dlo = get_structure("dlo")
     with pytest.raises(PreconditionError):
-        list(dlo.extensions(PartialMap({F(0): F(1), F(1): F(0)}), F(2), 5))
+        list(dlo.extensions({F(0): F(1), F(1): F(0)}, F(2), 5))
 
 
 # -- typeset finiteness ---------------------------------------------------------
@@ -476,18 +473,14 @@ def test_rado_typeset_stream_matches_scan():
 
 
 def _reference_same_orbit(structure, xs, ys):
-    # tuple orbit equality through a partial injection and the raw oracle
+    # tuple orbit equality through a partial map and the raw oracle
     if len(xs) != len(ys):
         return False
-    m = {}
+    pm = {}
     for a, b in zip(xs, ys):
-        if m.get(a, b) != b:
+        if pm.get(a, b) != b:
             return False
-        m[a] = b
-    try:
-        pm = PartialMap(m.items())
-    except PreconditionError:
-        return False
+        pm[a] = b
     return certify.brute_extendable(structure, pm, 7)
 
 

@@ -29,6 +29,26 @@ def test_typeset_members_examples():
     assert ts.typeset_members(ps, ts.make_type(ps, set(), 0), 2) == [0, 1]
 
 
+def test_typeset_members_draws_exactly_n(monkeypatch):
+    dlo = get_structure("dlo")
+    drawn = []
+    stream = dlo.typeset_iter
+
+    def counted(sockel, x):
+        for y in stream(sockel, x):
+            drawn.append(y)
+            yield y
+
+    monkeypatch.setattr(dlo, "typeset_iter", counted)
+    for n in (0, 1, 3):
+        drawn.clear()
+        got = dlo.typeset_members(fs({F(0)}), F(1), n)
+        assert got == drawn and len(got) == n
+    # the stream is not started for n = 0, yet the rep is still checked
+    with pytest.raises(PreconditionError):
+        dlo.typeset_members(fs({F(0)}), F(0), 0)
+
+
 # -- continuation partitions ---------------------------------------------------
 
 def test_continuation_partition_dlo_depths(dlo):
