@@ -98,14 +98,17 @@ class _Scan:
         return False
 
 
-def _obligation(scan, fset, x):
-    """Settle <fset |> x> against the copy: returns (witness, None), or
-    (None, counterexample fields) when the typeset provably misses the
-    copy, or (None, None) when unknown memberships leave it open."""
+def _obligation(scan, ftup, x, key):
+    """Settle <F |> x> against the copy, for the sockel F listed in
+    ``ftup`` and x's type ``key`` over that listing: returns (witness,
+    None), or (None, counterexample fields) when the typeset provably
+    misses the copy, or (None, None) when unknown memberships leave it
+    open."""
     handle, st = scan.handle, scan.handle.structure
+    fset = frozenset(ftup)
     saw_unknown = False
     for y, m in scan:
-        if y in fset or (y != x and not st.same_type(fset, x, y)):
+        if y in fset or st.type_key(ftup, y) != key:
             continue
         if m.is_in:
             return y, None
@@ -155,22 +158,21 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
               "copy": handle.describe()}
     for size in range(0, sockel_cap + 1):
         for ftup in combinations(inside, size):
-            fset = frozenset(ftup)
             fenc = [enc[p] for p in ftup]
-            searched = []  # (rep, witness) per typeset class met so far
+            searched = {}  # type key -> witness, per typeset class met
             for x in rest:
-                for rep, found in searched:
-                    if st.same_type(fset, rep, x):
-                        break
+                key = st.type_key(ftup, x)
+                if key in searched:
+                    found = searched[key]
                 else:
-                    found, counterexample = _obligation(scan, fset, x)
+                    found, counterexample = _obligation(scan, ftup, x, key)
                     if counterexample is not None:
                         return Certificate(
                             "copy-check", st.structure_id, params, "fail",
                             counterexample={"sockel": fenc,
                                             "point": enc[x],
                                             **counterexample})
-                    searched.append((x, found))
+                    searched[key] = found
                 if found is None:
                     unresolved.append({"sockel": fenc, "point": enc[x]})
                 elif len(witnesses) < _WITNESSES_KEPT:

@@ -3,10 +3,12 @@
 A Structure presents one countable set U with a fixed canonical enumeration
 u_0, u_1, ... and a decidable calculus for the pointwise stabilizers of its
 automorphism group.  Each structure writes ``orbit_key``, a canonical
-invariant of the G-orbit of a tuple; orbit equality over a finite sockel
-(``same_type``) and extendability of finite partial injections
-(``extendable``) derive from it, and ``same_type`` is overridden where that
-measures faster.  Structures also decide exact finiteness of typesets and
+invariant of the G-orbit of a tuple, and may write ``type_key``, the key
+of a point's type over a finite sockel (by default the orbit key of the
+sockel followed by the point).  Orbit equality over a sockel
+(``same_type``) compares two type keys, callers group points by type key,
+and extendability of finite partial injections (``extendable``) compares
+orbit keys.  Structures also decide exact finiteness of typesets and
 certify unrankedness.  Where every stabilizer orbit off a finite set is
 infinite (``stabilizer_orbits_all_infinite``), the base class gives those
 answers: every typeset is infinite, so no type reaches rank 0 and every
@@ -138,14 +140,23 @@ class Structure:
 
     def same_type(self, sockel, x, y):
         """True iff some g in G fixes ``sockel`` pointwise and maps x to y,
-        that is, iff the sockel followed by x and the sockel followed by y
-        share an orbit key.
+        that is, iff x and y share a type key over the sockel.
 
-        Pre: x and y are not in sockel.  An override must agree with the
-        key."""
-        self.check_same_type_pre(sockel, x, y)
+        Pre: x and y are not in sockel."""
+        if x in sockel or y in sockel:
+            raise PreconditionError("representative lies in the sockel")
+        if x == y:
+            return True
         f = tuple(sockel)
-        return self.orbit_key(f + (x,)) == self.orbit_key(f + (y,))
+        return self.type_key(f, x) == self.type_key(f, y)
+
+    def type_key(self, ftup, x):
+        """A hashable key of the type <F |> x> for the sockel F listed in
+        the tuple ``ftup``: for x and y outside F, the keys over one
+        listing are equal iff some g in G fixes F pointwise and maps x to
+        y.  Default: the orbit key of ``ftup`` followed by x.  An override
+        must agree with it."""
+        return self.orbit_key(ftup + (x,))
 
     def extendable(self, pm):
         """True iff some g in G extends the finite partial map ``pm`` (a
@@ -209,18 +220,21 @@ class Structure:
             for y in self.sort_points(fin.members):
                 yield y
             return
-        i = 0
-        while True:
-            if i > _SCAN_CAP:
-                raise SearchBudgetError(
-                    "typeset stream scan cap exceeded",
-                    blocking=({a: a for a in sockel}, x), scanned=i)
-            y = self.point_at(i)
-            i += 1
-            if y in sockel:
-                continue
-            if y == x or self.same_type(sockel, x, y):
-                yield y
+        yield from self.typeset_in(
+            sockel, x, map(self.point_at, range(_SCAN_CAP + 1)))
+        raise SearchBudgetError(
+            "typeset stream scan cap exceeded",
+            blocking=({a: a for a in sockel}, x), scanned=_SCAN_CAP + 1)
+
+    def typeset_in(self, sockel, x, points):
+        """The members of the typeset of <sockel |> x> among ``points``,
+        streamed in their order."""
+        self.check_same_type_pre(sockel, x, x)
+        f = tuple(sockel)
+        type_key = self.type_key
+        key = type_key(f, x)
+        return (y for y in points
+                if y not in sockel and type_key(f, y) == key)
 
     def typeset_members(self, sockel, x, n):
         self.check_same_type_pre(sockel, x, x)
@@ -273,15 +287,11 @@ class Structure:
         """Partition ``pool`` (points outside sockel) into typeset classes.
 
         Returns [(rep, members)] with enum-least reps, in rep order."""
-        classes = []
+        f = tuple(sockel)
+        classes = {}
         for p in self.sort_points(pool):
-            for rep, members in classes:
-                if self.same_type(sockel, rep, p):
-                    members.append(p)
-                    break
-            else:
-                classes.append((p, [p]))
-        return classes
+            classes.setdefault(self.type_key(f, p), (p, []))[1].append(p)
+        return list(classes.values())
 
     def tuples_same_orbit(self, xs, ys):
         """Orbit equality of two tuples under G."""

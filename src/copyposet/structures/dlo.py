@@ -219,10 +219,9 @@ class DLO(Structure):
             raise PreconditionError(
                 "zero denominator in rational %r" % s) from None
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        # same position relative to every sockel point
-        return all((x < a) == (y < a) for a in sockel)
+    def type_key(self, ftup, x):
+        # the position relative to every sockel point
+        return tuple([x < a for a in ftup])
 
     def orbit_key(self, tup):
         return order_pattern(tup)

@@ -39,9 +39,9 @@ class EquivInf(Structure):
             raise ValueError("class and index are naturals")
         return (c, i)
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        return all((x[0] == a[0]) == (y[0] == a[0]) for a in sockel)
+    def type_key(self, ftup, x):
+        # the class-equality pattern to the sockel
+        return tuple([x[0] == a[0] for a in ftup])
 
     def orbit_key(self, tup):
         return equality_pattern(tup), equality_pattern([c for c, _ in tup])

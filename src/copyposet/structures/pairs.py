@@ -98,12 +98,8 @@ class PairsAction(Structure):
         supp = support(sockel)
         if not x <= supp:
             return infinite_answer()  # a free element can move arbitrarily far
-        members = [
-            frozenset(c)
-            for c in combinations(sorted(supp), 2)
-            if frozenset(c) not in sockel
-            and (frozenset(c) == x or self.same_type(sockel, x, frozenset(c)))
-        ]
+        members = self.typeset_in(
+            sockel, x, map(frozenset, combinations(sorted(supp), 2)))
         return finite_answer(self.sort_points(members))
 
     def type_unranked(self, sockel, x):

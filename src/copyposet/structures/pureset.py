@@ -30,9 +30,8 @@ class PureSet(Structure):
             raise ValueError("pureset points are naturals")
         return p
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        return True
+    def type_key(self, ftup, x):
+        return None
 
     def orbit_key(self, tup):
         return equality_pattern(tup)

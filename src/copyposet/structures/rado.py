@@ -98,10 +98,9 @@ class RadoGraph(Structure):
             raise ValueError("rado vertices are naturals")
         return p
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        # same adjacency pattern to the sockel (homogeneity)
-        return all(adjacent(x, a) == adjacent(y, a) for a in sockel)
+    def type_key(self, ftup, x):
+        # the adjacency pattern to the sockel (homogeneity)
+        return tuple([adjacent(x, a) for a in ftup])
 
     def orbit_key(self, tup):
         return equality_pattern(tup), tuple([
@@ -117,13 +116,11 @@ class RadoGraph(Structure):
         self.check_same_type_pre(sockel, x, x)
         top = max(sockel, default=-1)
         low = max(top, 0).bit_length()
-        for y in range(low):
-            if y > _SCAN_CAP:
-                raise SearchBudgetError(
-                    "typeset stream scan cap exceeded",
-                    blocking=({a: a for a in sockel}, x), scanned=y)
-            if y not in sockel and (y == x or self.same_type(sockel, x, y)):
-                yield y
+        yield from self.typeset_in(sockel, x, range(min(low, _SCAN_CAP + 1)))
+        if low > _SCAN_CAP + 1:
+            raise SearchBudgetError(
+                "typeset stream scan cap exceeded",
+                blocking=({a: a for a in sockel}, x), scanned=_SCAN_CAP + 1)
         mask = sum(1 << a for a in sockel)
         pattern = sum(1 << a for a in sockel if adjacent(x, a))
         # when x is adjacent to a sockel point a >= L, pattern >= 2**a >

@@ -21,14 +21,6 @@ from ..errors import ImpossibleConstructionError
 from .base import Structure
 
 
-def level(x):
-    return x[0]
-
-
-def _cmap(x):
-    return dict(x[1])
-
-
 def trunc(x, lvl):
     if lvl > x[0]:
         raise ValueError("cannot truncate upward")
@@ -39,13 +31,21 @@ def tree_le(x, y):
     return x[0] <= y[0] and trunc(y, x[0]) == x
 
 
-def meet(x, y):
-    cx, cy = _cmap(x), _cmap(y)
-    diff = [i for i in set(cx) | set(cy) if cx.get(i, 0) != cy.get(i, 0)]
-    lvl = min(x[0], y[0])
-    if diff:
-        lvl = min(lvl, min(diff) - 1)
-    return trunc(x if lvl <= x[0] else y, lvl)
+def meet_level(x, y):
+    """The level of the meet of two nodes: one below the first level where
+    their sorted choice entries differ, and no higher than either node."""
+    lvl = x[0] if x[0] < y[0] else y[0]
+    cx, cy = x[1], y[1]
+    if cx == cy:
+        return lvl
+    for a, b in zip(cx, cy):
+        if a != b:
+            break
+    else:  # one is a prefix of the other: the longer one's next entry
+        a = b = (cx[len(cy):] or cy[len(cx):])[0]
+    # (level, choice) entries sort by level first
+    d = (a if a < b else b)[0] - 1
+    return lvl if lvl < d else d
 
 
 def _cost_sets(rem, min_d):
@@ -102,18 +102,15 @@ class TreeTZ(Structure):
             raise ValueError("invalid choice entries")
         return (lvl, tuple(choices))
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        if not sockel:
-            return True
-        if level(x) != level(y):
-            return False
-        return all(
-            level(meet(x, a)) == level(meet(y, a)) for a in sockel)
+    def type_key(self, ftup, x):
+        if not ftup:
+            return None  # level shifts act transitively
+        return x[0], tuple([meet_level(x, a) for a in ftup])
 
     def orbit_key(self, tup):
-        # meet(a, a) = a, so the diagonal carries the levels themselves
-        return tuple([level(meet(a, b)) - level(tup[0])
+        # a node meets itself at its own level, so the diagonal carries
+        # the levels themselves
+        return tuple([meet_level(a, b) - tup[0][0]
                       for i, a in enumerate(tup) for b in tup[i:]])
 
     def typeset_finite(self, sockel, x):

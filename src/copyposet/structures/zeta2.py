@@ -41,14 +41,13 @@ class Zeta2(Structure):
         a, b = s[1:-1].split(",")
         return (int(a), int(b))
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        if not sockel:
-            return True
-        blocks = {a for (a, _) in sockel}
-        if x[0] in blocks:
-            return x == y  # pinned block: the whole block is fixed pointwise
-        return x[0] == y[0]  # free block: the inner translation is arbitrary
+    def type_key(self, ftup, x):
+        a = x[0]
+        for b, _ in ftup:
+            if a == b:
+                return True, x  # pinned block: the block is fixed pointwise
+        # free block: the inner translation is arbitrary
+        return (False, a) if ftup else None
 
     def orbit_key(self, tup):
         first = equality_pattern([a for a, _ in tup])

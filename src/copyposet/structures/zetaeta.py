@@ -44,15 +44,16 @@ class ZetaEta(Structure):
         q, n = s[1:-1].split("|")
         return (_dlo.decode(q), int(n))
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        blocks = {q for (q, _) in sockel}
-        if x[0] in blocks:
-            return x == y  # a pinned block is fixed pointwise
-        if y[0] in blocks:
-            return False
-        # free blocks: same cut position among the pinned blocks
-        return all((x[0] < b) == (y[0] < b) for b in blocks)
+    def type_key(self, ftup, x):
+        # the tags keep a pinned (1|1) apart from the free cut (True, True),
+        # which it equals as a tuple
+        q = x[0]
+        cut = []
+        for b, _ in ftup:
+            if q == b:
+                return True, x  # a pinned block is fixed pointwise
+            cut.append(q < b)
+        return False, tuple(cut)  # a free block: its cut among the pinned
 
     def orbit_key(self, tup):
         blocks = [q for q, _ in tup]

@@ -40,11 +40,9 @@ class ZOrder(Structure):
     def decode(self, s):
         return _from_decimal(s)
 
-    def same_type(self, sockel, x, y):
-        self.check_same_type_pre(sockel, x, y)
-        if not sockel:
-            return True  # translations act transitively
-        return x == y  # any fixed point pins the translation
+    def type_key(self, ftup, x):
+        # translations act transitively; any fixed point pins the translation
+        return x if ftup else None
 
     def orbit_key(self, tup):
         # a translation is fixed by where it sends the first entry

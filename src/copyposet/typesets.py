@@ -86,11 +86,9 @@ def continuation_partition(structure, t, ext_sockel, depth):
     ext = frozenset(ext_sockel)
     if not t.sockel_set() <= ext:
         raise PreconditionError("extended sockel must contain the sockel")
-    sockel = t.sockel_set()
-    window = structure.prefix(depth)
-    pool = [q for q in window
-            if q not in sockel and q not in ext
-            and (q == t.rep or structure.same_type(sockel, t.rep, q))]
+    members = structure.typeset_in(t.sockel_set(), t.rep,
+                                   structure.prefix(depth))
+    pool = [q for q in members if q not in ext]
     return [make_type(structure, ext, rep)
             for rep in _class_reps(structure, ext, pool)]
 
@@ -98,15 +96,13 @@ def continuation_partition(structure, t, ext_sockel, depth):
 def _class_reps(structure, sockel, pool):
     """Stream the enum-least representative of each typeset class over
     ``sockel`` met in ``pool``, a list of points outside the sockel in
-    enumeration order; a point is compared only with the classes found
-    before it, so stopping early skips the rest of the pool."""
-    reps = []
+    enumeration order; stopping early skips the rest of the pool."""
+    f = tuple(sockel)
+    seen = set()
     for p in pool:
-        for rep in reps:
-            if structure.same_type(sockel, rep, p):
-                break
-        else:
-            reps.append(p)
+        key = structure.type_key(f, p)
+        if key not in seen:
+            seen.add(key)
             yield p
 
 
@@ -118,9 +114,10 @@ class _RankSearch:
         self._memo = {}
 
     def _class_key(self, sockel, rep):
-        # enum-least member of the typeset identifies the orbit
-        least = next(iter(self.structure.typeset_iter(sockel, rep)))
-        return (sockel, least)
+        # the type key over the sockel in enumeration order names the
+        # class, so every rep of a class shares one memo entry
+        st = self.structure
+        return (sockel, st.type_key(tuple(st.sort_points(sockel)), rep))
 
     def bound(self, sockel, rep, k):
         key = (self._class_key(frozenset(sockel), rep), k)
@@ -151,9 +148,7 @@ class _RankSearch:
             for added in combinations(window_pts, size) if added != (rep,)))
         # the probe-window typeset is filtered once per call; each candidate
         # streams its continuation classes only up to the first failing one
-        members = [q for q in st.prefix(self.probe)
-                   if q not in sockel
-                   and (q == rep or st.same_type(sockel, rep, q))]
+        members = list(st.typeset_in(sockel, rep, st.prefix(self.probe)))
         for added in candidates:
             ext = sockel.union(added)
             reps = _class_reps(st, ext, [q for q in members if q not in ext])

@@ -478,6 +478,8 @@ def test_structures_write_one_candidate_generator():
     assert not [cls for cls in classes if "source_candidates" in vars(cls)]
     # extendability is derived from the orbit key in the base class
     assert not [cls for cls in classes if "extendable" in vars(cls)]
+    # orbit equality over a sockel compares type keys in the base class
+    assert not [cls for cls in classes if "same_type" in vars(cls)]
     # with every stabilizer orbit infinite, the finiteness, rank and
     # algebraic-closure answers follow from the flag in the base class
     assert not [(cls, name) for cls in classes

@@ -14,6 +14,7 @@ from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.dlo import Rational, simplest_in_gap
 from copyposet.structures.rado import adjacent
+from copyposet.structures.treetz import meet_level
 
 fs = frozenset
 
@@ -212,7 +213,7 @@ def test_same_type_is_equivalence_relation(structure):
 
 def test_same_type_matches_extendable_reduction(structure):
     # some g in G<F> maps x to y iff id_F plus x->y extends; extendable is
-    # the orbit key, so this ties every hand-written same_type to the key
+    # the orbit key, so this ties every hand-written type_key to the key
     window = structure.prefix(7)
     for size in (0, 1, 2):
         for ftup in combinations(structure.prefix(6), size):
@@ -222,8 +223,29 @@ def test_same_type_matches_extendable_reduction(structure):
                 for y in pool:
                     pm = {a: a for a in sockel}
                     pm[x] = y
-                    assert structure.same_type(sockel, x, y) == \
-                        structure.extendable(pm), (ftup, x, y)
+                    want = structure.extendable(pm)
+                    assert structure.same_type(sockel, x, y) == want, \
+                        (ftup, x, y)
+                    assert (structure.type_key(ftup, x) ==
+                            structure.type_key(ftup, y)) == want, (ftup, x, y)
+
+
+def test_pinned_and_free_zetaeta_points_do_not_share_a_key():
+    # (1|1) sits in a pinned block; (0|0) is free, below both pinned
+    # blocks.  Without the pinned/free tags, the key (1|1) of the pinned
+    # point would equal the cut (True, True) of the free one, as
+    # Rational(1) == True.
+    ze = get_structure("zetaeta")
+    sockel = fs({ze.decode("(1|0)"), ze.decode("(2|0)")})
+    x, y = ze.decode("(1|1)"), ze.decode("(0|0)")
+    assert ze.same_type(sockel, x, y) is False
+    assert certify.brute_same_type(ze, sockel, x, y, 24) is False
+
+
+def test_treetz_meet_level_matches_the_reference():
+    pts = get_structure("treetz").prefix(300)
+    assert [meet_level(x, y) for x in pts for y in pts] == \
+        [certify._meet_level(x, y) for x in pts for y in pts]
 
 
 # -- extendable ----------------------------------------------------------------
