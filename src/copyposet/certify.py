@@ -23,14 +23,13 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Frozen
 from .errors import CopyPosetError, PreconditionError
 
 SCHEMA_VERSION = 1
 
-# json.dumps(obj, sort_keys=True) builds a new encoder on every call
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
 _WITNESSES_KEPT = 64
 
 
@@ -103,7 +102,9 @@ def _obligation(scan, ftup, x, key):
     ``ftup`` and x's type ``key`` over that listing: returns (witness,
     None), or (None, counterexample fields) when the typeset provably
     misses the copy, or (None, None) when unknown memberships leave it
-    open."""
+    open.  When the scan finds no member of an infinite typeset, the
+    handle's own proposal is taken once it is confirmed a member of the
+    typeset inside the copy."""
     handle, st = scan.handle, scan.handle.structure
     fset = frozenset(ftup)
     saw_unknown = False
@@ -117,12 +118,19 @@ def _obligation(scan, ftup, x, key):
     if fin.is_finite:
         # the whole typeset is known: consult it directly
         members = st.sort_points(fin.members)
-        for m in members:
-            if handle.membership(m).is_in:
-                return m, None
-        if all(handle.membership(m).is_out for m in members):
-            return None, {"typeset": [st.encode(m) for m in members]}
-        return None, None
+        member_unknown = False
+        for y in members:
+            m = handle.membership(y)
+            if m.is_in:
+                return y, None
+            member_unknown = member_unknown or m.is_unknown
+        if member_unknown:
+            return None, None
+        return None, {"typeset": [st.encode(y) for y in members]}
+    w = handle.witness(ftup, x)
+    if w is not None and w not in fset and st.type_key(ftup, w) == key \
+            and handle.membership(w).is_in:
+        return w, None
     if saw_unknown:
         return None, None
     # every scanned typeset member is decided out
@@ -142,12 +150,19 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     points decided out are dropped before any obligation sees them.  A
     witness depends only on the orbit of x under the stabilizer of F, so
     each typeset class is searched once per sockel: a later point of the
-    class reuses the outcome of the first."""
+    class reuses the outcome of the first.  When the scan misses an
+    infinite typeset, the handle's ``witness`` proposal is consulted and
+    taken only once confirmed.
+
+    Records are the canonical JSON of json.dumps(..., sort_keys=True),
+    assembled from fragments encoded once each: a window point's quoted
+    encoding per check, a sockel's list per sockel, and a witness per
+    typeset class."""
     if sockel_cap < 0 or budget < 1:
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
     window = st.prefix(depth)
-    enc = {p: st.encode(p) for p in window}
+    quoted = {p: _quote(st.encode(p)) for p in window}
     inside = [p for p in window if handle.membership(p).is_in]
     # a point inside the copy is its own witness (g = identity)
     rest = [p for p in window if p not in inside]
@@ -158,8 +173,8 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
               "copy": handle.describe()}
     for size in range(0, sockel_cap + 1):
         for ftup in combinations(inside, size):
-            fenc = [enc[p] for p in ftup]
-            searched = {}  # type key -> witness, per typeset class met
+            sockel = "[%s]" % ", ".join([quoted[p] for p in ftup])
+            searched = {}  # type key -> quoted witness, per class met
             for x in rest:
                 key = st.type_key(ftup, x)
                 if key in searched:
@@ -169,20 +184,25 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
                     if counterexample is not None:
                         return Certificate(
                             "copy-check", st.structure_id, params, "fail",
-                            counterexample={"sockel": fenc,
-                                            "point": enc[x],
-                                            **counterexample})
+                            counterexample={
+                                "sockel": [st.encode(p) for p in ftup],
+                                "point": st.encode(x),
+                                **counterexample})
+                    if found is not None:
+                        found = _quote(st.encode(found))
                     searched[key] = found
                 if found is None:
-                    unresolved.append({"sockel": fenc, "point": enc[x]})
+                    unresolved.append('{"point": %s, "sockel": %s}'
+                                      % (quoted[x], sockel))
                 elif len(witnesses) < _WITNESSES_KEPT:
-                    witnesses.append({"sockel": fenc, "point": enc[x],
-                                      "witness": st.encode(found)})
+                    witnesses.append(
+                        '{"point": %s, "sockel": %s, "witness": %s}'
+                        % (quoted[x], sockel, found))
     if unresolved:
         return Certificate("copy-check", st.structure_id, params, "unknown",
-                           unresolved=tuple(map(_encode_sorted, unresolved)))
+                           unresolved=tuple(unresolved))
     return Certificate("copy-check", st.structure_id, params, "pass",
-                       witnesses=tuple(map(_encode_sorted, witnesses)))
+                       witnesses=tuple(witnesses))
 
 
 # -- ground truth, structure by structure ------------------------------------

@@ -1,7 +1,9 @@
 """Command-line front end: constructions, closures, checks, certificates.
 
 Exit codes: 0 pass/success, 1 fail/counterexample, 2 unknown or budget
-exhausted, 3 unsupported or impossible construction.
+exhausted, 3 unsupported or impossible construction, 141 standard output
+closed by its reader (128 + SIGPIPE, as a shell reports a piped command cut
+short).
 
 Each command imports the library modules it calls when it runs, so a
 command pays the import of only those.
@@ -25,6 +27,7 @@ from .errors import (
 from .structures import BUILTIN_IDS, get_structure
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN, EXIT_UNSUPPORTED = 0, 1, 2, 3
+EXIT_CLOSED_PIPE = 141
 
 
 def split_points(text):
@@ -437,6 +440,30 @@ def _budget_record(args, e):
     return rec
 
 
+def _run(args, out):
+    try:
+        code = args.fn(args, out)
+    except (UnsupportedConstructionError, ImpossibleConstructionError) as e:
+        print("unsupported: %s" % e, file=sys.stderr)
+        out.record({"error": "unsupported", "message": str(e)})
+        code = EXIT_UNSUPPORTED
+    except SearchBudgetError as e:
+        print("budget exhausted: %s" % e, file=sys.stderr)
+        out.record(_budget_record(args, e))
+        code = EXIT_UNKNOWN
+    except (PreconditionError, UnknownStructureError, ValueError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        code = EXIT_UNSUPPORTED if isinstance(e, UnknownStructureError) \
+            else EXIT_FAIL
+        out.record({"error": "precondition", "message": str(e)})
+    except CopyPosetError as e:
+        print("error: %s" % e, file=sys.stderr)
+        out.record({"error": "library", "message": str(e)})
+        code = EXIT_FAIL
+    out.flush()
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -458,25 +485,13 @@ def main(argv=None):
         parser.error("certify meet needs --avoid")
     out = _Out(args)
     try:
-        code = args.fn(args, out)
-    except (UnsupportedConstructionError, ImpossibleConstructionError) as e:
-        print("unsupported: %s" % e, file=sys.stderr)
-        out.record({"error": "unsupported", "message": str(e)})
-        code = EXIT_UNSUPPORTED
-    except SearchBudgetError as e:
-        print("budget exhausted: %s" % e, file=sys.stderr)
-        out.record(_budget_record(args, e))
-        code = EXIT_UNKNOWN
-    except (PreconditionError, UnknownStructureError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        code = EXIT_UNSUPPORTED if isinstance(e, UnknownStructureError) \
-            else EXIT_FAIL
-        out.record({"error": "precondition", "message": str(e)})
-    except CopyPosetError as e:
-        print("error: %s" % e, file=sys.stderr)
-        out.record({"error": "library", "message": str(e)})
-        code = EXIT_FAIL
-    out.flush()
+        code = _run(args, out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`): send what is left,
+        # the interpreter's final flush included, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     return code
 
 

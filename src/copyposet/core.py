@@ -124,6 +124,12 @@ class CopyHandle:
         """Attempt to decide y; returns the possibly unknown membership."""
         return self.membership(y)
 
+    def witness(self, ftup, x):
+        """A proposed member of the copy in the typeset of x over the
+        sockel listed in ``ftup``, or None.  Callers confirm a proposal
+        before taking it; a proposal calls no oracle primitive."""
+        return None
+
     def advance(self, stages):
         if stages < 0:
             raise PreconditionError("stages must be >= 0")

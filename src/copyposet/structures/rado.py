@@ -186,6 +186,20 @@ class TaggedCopyRado(CopyHandle):
             return IN
         return OUT
 
+    def witness(self, ftup, x):
+        # above every sockel point a, adjacency to a is bit a: set the bits
+        # of the sockel points x is adjacent to, plus the one-tags
+        w = sum(1 << a for a in ftup if adjacent(x, a))
+        w |= sum(1 << p for p in self.ones)
+        bound = max((self.floor,) + tuple(ftup))
+        if w <= bound:
+            # a fresh high bit, off the sockel and the zero-tags
+            top = bound.bit_length()
+            while top in ftup or top in self.zeros:
+                top += 1
+            w |= 1 << top
+        return w
+
     def describe(self):
         return "rado tagged-class floor=%s ones=%s zeros=%s fix={%s}" % (
             _decimal(self.floor), list(self.ones), list(self.zeros),

@@ -476,3 +476,136 @@ def test_certificate_bytes_are_pinned():
         cert = certify.check_copy(h, 8, 2, 500)
         digest.update(cert.to_json().encode() + b"\n")
     assert digest.hexdigest() == PINNED_CERTIFICATES_SHA256
+
+
+# sha256 of the certificates of _nine_structure_checks(), one to_json() line
+# each, computed before check_copy assembled its records from fragments
+PINNED_NINE_STRUCTURE_SHA256 = (
+    "208c28ae16a7ef81db477b161a85fe15da30f23d98c2e11f5af73f4ae67ac4f0")
+
+
+def _nine_structure_checks():
+    """(handle, depth, sockel_cap, budget) for the identity copy of every
+    structure; the decided through-proper and avoiding copies at d = 8 and
+    12 and both sides of the disjoint pairs of every structure that has
+    them; the dlo max_avoiding_copy; and the planted non-copy.  Seven of
+    these stay unknown (the dlo copies and zetaeta at d = 12) and the
+    planted one fails."""
+    for sid in BUILTIN_IDS:
+        st = get_structure(sid)
+        yield engine.copy_identity(st), 8, 2, 500
+        if st.single_copy:
+            continue
+        avoid = next(x for x in st.prefix(8)
+                     if st.type_unranked(fs(), x) is True)
+        for d in (8, 12):
+            yield engine.decide_window(engine.copy_through(
+                st, fs(), engine.copy_identity(st), proper=True, seed=0),
+                d), d, 2, 500
+            yield engine.decide_window(engine.copy_avoiding(
+                st, fs(), {avoid}, seed=0), d), d, 2, 500
+        if not st.algebraically_finite:
+            continue
+        fixes = [fs()]
+        if sid == "pairs":
+            fixes.append(fs({fs((0, 1)), fs((2, 3))}))
+        for fix in fixes:
+            for side in engine.disjoint_pair(st, fix, seed=0):
+                yield engine.decide_window(side, 8, stages=8), 8, 2, 500
+    dlo = get_structure("dlo")
+    yield engine.max_avoiding_copy(dlo, [F(0)], 8), 8, 2, 500
+    yield PlantedNonCopy(dlo), 8, 1, 500
+
+
+def _nine_structure_certificates():
+    return [certify.check_copy(*case) for case in _nine_structure_checks()]
+
+
+def test_nine_structure_certificate_bytes_are_pinned():
+    certs = _nine_structure_certificates()
+    verdicts = Counter(c.verdict for c in certs)
+    assert verdicts["unknown"] == 7 and verdicts["fail"] == 1
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update(cert.to_json().encode() + b"\n")
+    assert digest.hexdigest() == PINNED_NINE_STRUCTURE_SHA256
+
+
+def test_certificate_records_are_canonical_json():
+    certs = _nine_structure_certificates()
+    strings = [s for c in certs for s in c.witnesses + c.unresolved]
+    assert any(c.witnesses for c in certs)
+    assert any(c.unresolved for c in certs)
+    for s in strings:
+        assert s == json.dumps(json.loads(s), sort_keys=True)
+
+
+# -- witness proposals ---------------------------------------------------------
+
+def test_rado_copy_avoiding_600_passes_with_proposed_witnesses():
+    rado = get_structure("rado")
+    h = engine.copy_avoiding(rado, set(), {600})
+    cert = certify.check_copy(h, 8, 2, 200)
+    assert cert.verdict == "pass"
+    assert {json.loads(w)["witness"] for w in cert.witnesses} == {"1024"}
+
+
+def test_rado_proposals_are_members_of_the_right_type():
+    from copyposet.structures.rado import TaggedCopyRado
+
+    rado = get_structure("rado")
+    copies = [engine.copy_avoiding(rado, fix, avoid) for fix, avoid in (
+        ((), {600}), ((), {0}), ((1, 2), {600}), ((3, 5, 40), {7}),
+        ((9,), {2 ** 70}))]
+    copies.append(engine.copy_through(rado, {2}, copies[2], proper=True))
+    assert all(isinstance(h, TaggedCopyRado) for h in copies)
+    for h in copies:
+        members = sorted(h.fix) + [y for y in range(4096) if y not in h.fix
+                                   and h.membership(y).is_in][:6]
+        for size in range(3):
+            for ftup in combinations(members, size):
+                for x in range(40):
+                    if x in ftup:
+                        continue
+                    w = h.witness(ftup, x)
+                    assert w not in ftup and h.membership(w).is_in
+                    assert rado.type_key(ftup, w) == rado.type_key(ftup, x)
+
+
+class _ProposingCopy(engine.CopyHandle):
+    """The rado tagged class over fix {1, 2} above 600, with a chosen
+    proposal rule; no member of a typeset over a nonempty sockel lies in
+    the first 200 points."""
+
+    def __init__(self, propose):
+        rado = get_structure("rado")
+        super().__init__(rado)
+        self.inner = engine.copy_avoiding(rado, {1, 2}, {600})
+        self.propose = propose
+
+    def membership(self, x):
+        return self.inner.membership(x)
+
+    def witness(self, ftup, x):
+        return self.propose(self.inner, ftup, x)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+@pytest.mark.parametrize("propose", [
+    lambda h, ftup, x: 600,  # at the floor: outside the copy
+    lambda h, ftup, x: h.witness(ftup, x) | 1 << h.zeros[0],  # outside
+    lambda h, ftup, x: h.witness(ftup, x) ^ (1 << ftup[0] if ftup else 0),
+    lambda h, ftup, x: ftup[0] if ftup else None,  # in the sockel
+], ids=["at-floor", "zero-tag-set", "wrong-type", "in-sockel"])
+def test_unconfirmed_proposals_keep_the_verdict(propose):
+    silent = certify.check_copy(_ProposingCopy(lambda h, f, x: None),
+                                8, 2, 200)
+    assert silent.verdict == "fail"
+    assert silent.counterexample["scanned"] == 200
+    lying = certify.check_copy(_ProposingCopy(propose), 8, 2, 200)
+    assert lying.to_json() == silent.to_json()
+    honest = certify.check_copy(_ProposingCopy(
+        lambda h, ftup, x: h.witness(ftup, x)), 8, 2, 200)
+    assert honest.verdict == "pass"

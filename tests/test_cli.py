@@ -223,6 +223,16 @@ def test_embed_powerset_certified(capsys):
     assert code == 0
 
 
+def test_rado_copy_avoiding_600_certifies(capsys):
+    code, out, _ = run(capsys, "copy", "--structure", "rado", "--kind",
+                       "avoiding", "--avoid", "600", "--certify",
+                       "--depth", "8", "--format", "jsonl")
+    assert code == 0
+    cert = json.loads(out.splitlines()[-1])
+    assert cert["verdict"] == "pass"
+    assert json.loads(cert["witnesses"][0])["witness"] == "1024"
+
+
 def test_disjoint_unsupported_exit_3(capsys):
     code, _, err = run(capsys, "disjoint", "--structure", "zorder",
                        "--depth", "8")
@@ -374,3 +384,21 @@ def test_typeset_command_loads_only_its_structure():
         " '--rep', '1'])")
     assert {m for m in loaded if m.startswith("copyposet.structures.")} \
         == {"copyposet.structures.base", "copyposet.structures.zorder"}
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early, as `| head -c 100` does, cuts
+    the command short: no traceback, and the closed-pipe exit code."""
+    src = os.path.dirname(os.path.dirname(copyposet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "copyposet.cli", "bernstein",
+             "--structure", "rado", "--depth", "22", "--format", "jsonl"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE
