@@ -84,6 +84,19 @@ def _verdict_exit(verdict):
             "unknown": EXIT_UNKNOWN}.get(verdict, EXIT_UNKNOWN)
 
 
+def _report(out, cert):
+    out.cert(cert)
+    out.human("%s: %s" % (cert.kind, cert.verdict))
+    return _verdict_exit(cert.verdict)
+
+
+def _certify_copy(args, out, handle):
+    from . import certify
+
+    return _report(out, certify.check_copy(
+        handle, min(args.depth, 8), args.sockel_cap, args.budget))
+
+
 def cmd_structures(args, out):
     for sid in BUILTIN_IDS:
         st = get_structure(sid)
@@ -180,12 +193,7 @@ def cmd_copy(args, out):
     out.record({"op": "copy", "structure": args.structure,
                 "copy": c.describe(), "membership": table})
     if args.certify:
-        from . import certify
-
-        cert = certify.check_copy(c, min(args.depth, 8), args.sockel_cap,
-                                  args.budget)
-        out.cert(cert)
-        return _verdict_exit(cert.verdict)
+        return _certify_copy(args, out, c)
     return EXIT_PASS
 
 
@@ -239,12 +247,7 @@ def cmd_embed_powerset(args, out):
                 "set": sorted(members), "cofinite": bool(args.cofinite),
                 "membership": table})
     if args.certify:
-        from . import certify
-
-        cert = certify.check_copy(handle, min(args.depth, 8),
-                                  args.sockel_cap, args.budget)
-        out.cert(cert)
-        return _verdict_exit(cert.verdict)
+        return _certify_copy(args, out, handle)
     return EXIT_PASS
 
 
@@ -269,10 +272,8 @@ def cmd_certify(args, out):
 
     st = get_structure(args.structure)
     if args.what == "copy":
-        c = _build_copy(args, st)
-        cert = certify.check_copy(c, min(args.depth, 8), args.sockel_cap,
-                                  args.budget)
-    elif args.what == "inclusion":
+        return _certify_copy(args, out, _build_copy(args, st))
+    if args.what == "inclusion":
         from .structures.dlo import powerset_embedding_dlo
 
         lower = powerset_embedding_dlo(
@@ -289,9 +290,7 @@ def cmd_certify(args, out):
             c, avoid[0], min(args.depth, 8), seed=args.seed)
     else:
         raise PreconditionError("unknown certify target %r" % args.what)
-    out.cert(cert)
-    out.human("%s: %s" % (cert.kind, cert.verdict))
-    return _verdict_exit(cert.verdict)
+    return _report(out, cert)
 
 
 def cmd_verify(args, out):

@@ -36,8 +36,6 @@ from .errors import (
     UnsupportedConstructionError,
 )
 
-DEFAULT_BUDGET_BASE = 100
-DEFAULT_BUDGET_SLOPE = 10
 _PAIR_WINDOW = 24  # window points the disjoint-pair coordinator settles
 
 
@@ -71,9 +69,10 @@ class UnionCopy(CopyHandle):
 class BackForthCopy(CopyHandle):
     """A copy built by staged back-and-forth under constraints."""
 
-    def __init__(self, structure, fix=(), avoid=(), parent=None, seed=0,
-                 budget_base=DEFAULT_BUDGET_BASE,
-                 budget_slope=DEFAULT_BUDGET_SLOPE):
+    budget_base = 100
+    budget_slope = 10
+
+    def __init__(self, structure, fix=(), avoid=(), parent=None, seed=0):
         super().__init__(structure)
         fixset = frozenset(fix)
         avoidset = frozenset(avoid)
@@ -83,8 +82,6 @@ class BackForthCopy(CopyHandle):
         self.fix = tuple(structure.sort_points(fixset))
         self.parent = parent
         self.seed = seed
-        self._budget_base = budget_base
-        self._budget_slope = budget_slope
         self._map = {a: a for a in self.fix}
         self._range = set(self.fix)
         self._outs = set(avoidset)
@@ -135,7 +132,7 @@ class BackForthCopy(CopyHandle):
     # -- construction -------------------------------------------------------
 
     def _budget(self):
-        return self._budget_base + self._budget_slope * self._stage
+        return self.budget_base + self.budget_slope * self._stage
 
     def _guards_pass(self, y):
         if self._avoid_constraints and not self._guard_trivial:
@@ -387,11 +384,13 @@ class _DisjointPairCopy(BackForthCopy):
     """One side of a coordinated disjoint pair; advancing either side runs
     the coordinator, which moves both."""
 
+    # the two sides compete for low-index witnesses, so scans go deeper
+    # than the single-handle default
+    budget_base = 600
+    budget_slope = 60
+
     def __init__(self, structure, fix, seed):
-        # the two sides compete for low-index witnesses, so scans go deeper
-        # than the single-handle default
-        super().__init__(structure, fix=fix, seed=seed,
-                         budget_base=600, budget_slope=60)
+        super().__init__(structure, fix=fix, seed=seed)
         self.coordinator = None
 
     def advance(self, stages):

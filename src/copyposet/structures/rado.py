@@ -1,9 +1,12 @@
 """The Rado graph on N presented by the BIT predicate.
 
-BIT adjacency positions are vertex values, so scan-budgeted witness search
-wedges on this presentation.  Copies therefore come as closed-form handles
-realizing the same objects: tagged bit-classes for avoiding copies and
-chains, and a residue split for the disjoint pair over nothing.
+BIT adjacency positions are vertex values, so the enum-least witness for
+an adjacency pattern sits far out in the enumeration.  Every copy the
+library builds from the whole graph or from one of its own copies is
+therefore a tagged bit-class (Rado 1964): the fixed set together with every
+vertex above a floor whose bits match chosen tag positions.  Avoiding
+copies, chains and disjoint pairs over any finite fixed set are all such
+classes; the pair over nothing is the residue split 2, 3 (mod 4).
 """
 
 from ..core import IN, OUT, CopyHandle, IdentityCopy
@@ -19,56 +22,6 @@ def adjacent(i, j):
     if i > j:
         i, j = j, i
     return (j >> i) & 1 == 1
-
-
-_LADDER_BASE = 300  # above every small-scan witness, so bit bands stay apart
-
-
-def _pattern_witnesses(pattern):
-    """Vertices realizing a BIT-adjacency pattern to the given vertices:
-    small ones by scanning, then "ladder" constructions.
-
-    The enum-least witness for a pattern over a vertex near 2^k sits near
-    2^(2^k), far past any scan budget, so beyond the small scan witnesses
-    are built at reserved bit positions: a ladder witness has its top bit at
-    a fresh position >= _LADDER_BASE, carries one ladder bit per required
-    big neighbour and one low bit per required small neighbour.  All the
-    adjacencies a construction will ever query are then decided by bits at
-    positions that grow by one per witness, keeping values polynomial in
-    length."""
-    for y in range(256):
-        if all(adjacent(y, t) == adj for t, adj in pattern):
-            yield y
-    bits = 0
-    top = _LADDER_BASE
-    big = []
-    for t, adj in pattern:
-        if t >= 256:
-            big.append(t)
-        if t >= (1 << _LADDER_BASE):
-            a = t.bit_length() - 1
-            top = max(top, a + 1)
-            if adj:
-                bits += 1 << a
-        elif adj:
-            bits += 1 << t
-    # from-below witnesses: set-bit positions of the big constrained
-    # vertices decide adjacency to them
-    seen = set(range(256))
-    for t in big:
-        pos = 0
-        v = t
-        while v:
-            if v & 1 and pos not in seen:
-                seen.add(pos)
-                if all(adjacent(pos, u) == adj for u, adj in pattern):
-                    yield pos
-            v >>= 1
-            pos += 1
-    anchor = top
-    while True:
-        yield bits + (1 << anchor)
-        anchor += 1
 
 
 class RadoGraph(Structure):
@@ -140,10 +93,6 @@ class RadoGraph(Structure):
                 yield y
             y = (((y | mask) + 1) & ~mask) | pattern
 
-    def target_candidates(self, items, source):
-        pattern = [(t, adjacent(source, s)) for s, t in items]
-        yield from _pattern_witnesses(pattern)
-
     def closed_form_avoiding(self, fix, avoid, parent):
         if isinstance(parent, TaggedCopyRado):
             return _rado_avoiding(self, fix, avoid, parent.ones,
@@ -153,11 +102,16 @@ class RadoGraph(Structure):
         return None
 
     def closed_form_disjoint_pair(self, fix):
-        # the interleaved greedy forces iterated-exponential witnesses, so
-        # the pair over nothing is an explicit split
-        if fix:
-            return None
-        return ResidueCopyRado(self, 2), ResidueCopyRado(self, 3)
+        # over nothing, the residue classes 2 and 3 (mod 4); over a nonempty
+        # F, the tagged class avoiding nothing (one-tag p1, zero-tag p2, both
+        # off F) and its twin with the tags swapped.  Neither tag vertex is
+        # in either class, so both are copies; off F they disagree on both
+        # tag bits, so they meet exactly in F, which is ac(F)
+        if not fix:
+            return ResidueCopyRado(self, 2), ResidueCopyRado(self, 3)
+        left = _rado_avoiding(self, fix, frozenset())
+        return left, TaggedCopyRado(self, fix, left.floor, left.zeros,
+                                    left.ones)
 
 
 class TaggedCopyRado(CopyHandle):
@@ -224,21 +178,17 @@ def _rado_avoiding(structure, fixset, avoidset, ones=(), zeros=(), floor=-1):
                           ones=all_ones, zeros=tuple(zeros) + (p2,))
 
 
-class ResidueCopyRado(CopyHandle):
-    """The BIT graph induced on {n : n = residue (mod 4)}, residue in {2,3}.
-
-    The congruence pins bits 0 and 1, neither of which is a class member,
-    so witnesses for any adjacency pattern within the class exist and the
-    class induces the extension property.  Total membership."""
+class ResidueCopyRado(TaggedCopyRado):
+    """The BIT graph induced on {n : n = residue (mod 4)}, residue in {2,3}:
+    the tagged class with bit 1 set and bit 0 set for 3, clear for 2.
+    Neither tag vertex is a class member."""
 
     def __init__(self, structure, residue):
-        super().__init__(structure)
         if residue not in (2, 3):
             raise PreconditionError("residue must be 2 or 3")
+        super().__init__(structure, ones=(0, 1) if residue == 3 else (1,),
+                         zeros=() if residue == 3 else (0,))
         self.residue = residue
-
-    def membership(self, x):
-        return IN if x % 4 == self.residue else OUT
 
     def describe(self):
         return "rado residue-class %d (mod 4)" % self.residue

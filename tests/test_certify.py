@@ -558,6 +558,10 @@ def test_rado_proposals_are_members_of_the_right_type():
         ((), {600}), ((), {0}), ((1, 2), {600}), ((3, 5, 40), {7}),
         ((9,), {2 ** 70}))]
     copies.append(engine.copy_through(rado, {2}, copies[2], proper=True))
+    for fix in ((), (0, 5), (3,)):
+        copies.extend(engine.disjoint_pair(rado, fix))
+    residue_2 = engine.disjoint_pair(rado, ())[0]
+    copies.append(engine.copy_through(rado, {2}, residue_2, proper=True))
     assert all(isinstance(h, TaggedCopyRado) for h in copies)
     for h in copies:
         members = sorted(h.fix) + [y for y in range(4096) if y not in h.fix

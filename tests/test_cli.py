@@ -221,6 +221,7 @@ def test_embed_powerset_certified(capsys):
     code, out, _ = run(capsys, "embed-powerset", "--structure", "dlo",
                        "--set", "0,2", "--depth", "10", "--certify")
     assert code == 0
+    assert out.splitlines()[-1] == "copy-check: pass"
 
 
 def test_rado_copy_avoiding_600_certifies(capsys):
@@ -231,6 +232,14 @@ def test_rado_copy_avoiding_600_certifies(capsys):
     cert = json.loads(out.splitlines()[-1])
     assert cert["verdict"] == "pass"
     assert json.loads(cert["witnesses"][0])["witness"] == "1024"
+
+
+def test_copy_certify_prints_the_verdict(capsys):
+    code, out, _ = run(capsys, "copy", "--structure", "rado", "--kind",
+                       "avoiding", "--avoid", "600", "--certify",
+                       "--depth", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "copy-check: pass"
 
 
 def test_disjoint_unsupported_exit_3(capsys):

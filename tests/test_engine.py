@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,8 @@ def test_descending_chain_strictness(dlo):
     ("pureset", fs()),
     ("equiv", fs()),
     ("pairs", fs({fs((0, 1)), fs((2, 3))})),
+    ("rado", fs({0, 5})),
+    ("rado", fs({3})),
 ])
 def test_disjoint_pair_meets_in_closure(sid, fix):
     st = get_structure(sid)
@@ -267,6 +270,18 @@ def test_disjoint_pair_meets_in_closure(sid, fix):
         else:
             assert not (ml.is_in and mr.is_in)
             assert ml.is_out or mr.is_out
+
+
+def test_rado_disjoint_pairs_over_small_fixed_sets_certify():
+    rado = get_structure("rado")
+    fixed_sets = [fs({k}) for k in range(8)] + [
+        fs(pair) for pair in combinations(range(6), 2)]
+    for fix in fixed_sets:
+        left, right = engine.disjoint_pair(rado, fix)
+        verdicts = [certify.check_disjointness(left, right, 12, fix).verdict]
+        verdicts += [certify.check_copy(side, depth).verdict
+                     for side in (left, right) for depth in (8, 12)]
+        assert verdicts == ["pass"] * 5, sorted(fix)
 
 
 def test_disjoint_pair_unsupported():
