@@ -4,8 +4,9 @@ check_copy drives the membership characterization at a finite window: every
 small sockel inside the copy, paired with every window point, must have an
 orbit witness landing in the copy.  Verdicts are three-valued; unknown
 carries the unresolved obligations instead of silently passing.  One check
-reads its enumeration scan once, and searches each typeset class once per
-sockel.
+reads its enumeration scan once, and each sockel walks that scan once,
+keying each point at most once; every typeset class of the sockel is
+answered from the walk.
 
 brute_same_type and brute_extendable re-derive orbit equality from each
 structure's raw data (order comparisons, adjacency bits, class labels,
@@ -71,7 +72,8 @@ class Certificate(Frozen):
 class _Scan:
     """The first ``budget`` enumeration points that the copy does not
     decide out, each with its membership.  Points are read lazily and at
-    most once, and every obligation of one check iterates the same list."""
+    most once, and every sockel's walk of one check iterates the same
+    list."""
 
     def __init__(self, handle, budget):
         self.handle = handle
@@ -97,23 +99,65 @@ class _Scan:
         return False
 
 
-def _obligation(scan, ftup, x, key):
-    """Settle <F |> x> against the copy, for the sockel F listed in
-    ``ftup`` and x's type ``key`` over that listing: returns (witness,
-    None), or (None, counterexample fields) when the typeset provably
-    misses the copy, or (None, None) when unknown memberships leave it
-    open.  When the scan finds no member of an infinite typeset, the
-    handle's own proposal is taken once it is confirmed a member of the
-    typeset inside the copy."""
-    handle, st = scan.handle, scan.handle.structure
-    fset = frozenset(ftup)
-    saw_unknown = False
-    for y, m in scan:
-        if y in fset or st.type_key(ftup, y) != key:
-            continue
-        if m.is_in:
-            return y, None
-        saw_unknown = True
+class _Walk:
+    """One sockel's lazy pass over the shared scan.  Per type key over the
+    sockel it remembers the first member inside the copy and whether a
+    member of unknown membership was passed.  Each point is keyed at most
+    once: a member inside the copy as the walk passes it, a point of
+    unknown membership (a scanned member or a window point) through
+    ``key``."""
+
+    def __init__(self, scan, ftup):
+        self.scan = scan
+        self.ftup = ftup
+        self.fset = frozenset(ftup)
+        self.first_in = {}  # type key -> first scanned member in the copy
+        self.unknown = set()  # type keys with a scanned member undecided
+        self._keys = {}  # point -> type key, for undecided points
+        self._type_key = scan.handle.structure.type_key
+        self._points = iter(scan)
+
+    def key(self, p):
+        """The type key over the sockel of p, a point of unknown
+        membership, computed once per walk."""
+        k = self._keys.get(p)
+        if k is None:
+            k = self._keys[p] = self._type_key(self.ftup, p)
+        return k
+
+    def find(self, key):
+        """The first scanned member of class ``key`` inside the copy, or
+        None when the whole scan holds none."""
+        y = self.first_in.get(key)
+        if y is not None:
+            return y
+        ftup, fset, first_in = self.ftup, self.fset, self.first_in
+        type_key = self._type_key
+        for y, m in self._points:
+            if y in fset:
+                continue
+            if not m.is_in:
+                self.unknown.add(self.key(y))
+                continue
+            k = type_key(ftup, y)
+            first_in.setdefault(k, y)
+            if k == key:
+                return y
+        return None
+
+
+def _obligation(walk, x, key):
+    """Settle <F |> x> against the copy, for the sockel F of ``walk`` and
+    x's type ``key`` over it: returns (witness, None), or (None,
+    counterexample fields) when the typeset provably misses the copy, or
+    (None, None) when unknown memberships leave it open.  When the scan
+    finds no member of an infinite typeset, the handle's own proposal is
+    taken once it is confirmed a member of the typeset inside the copy."""
+    y = walk.find(key)
+    if y is not None:
+        return y, None
+    handle = walk.scan.handle
+    st, ftup, fset = handle.structure, walk.ftup, walk.fset
     fin = st.typeset_finite(fset, x)
     if fin.is_finite:
         # the whole typeset is known: consult it directly
@@ -131,10 +175,17 @@ def _obligation(scan, ftup, x, key):
     if w is not None and w not in fset and st.type_key(ftup, w) == key \
             and handle.membership(w).is_in:
         return w, None
-    if saw_unknown:
+    if key in walk.unknown:
         return None, None
     # every scanned typeset member is decided out
-    return None, {"scanned": scan.budget}
+    return None, {"scanned": walk.scan.budget}
+
+
+@lru_cache(maxsize=32)
+def _window(structure, depth):
+    """The first ``depth`` points and each one's quoted encoding."""
+    window = tuple(structure.prefix(depth))
+    return window, {p: _quote(structure.encode(p)) for p in window}
 
 
 def check_copy(handle, depth, sockel_cap=2, budget=500):
@@ -147,25 +198,34 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     blocked by unknown memberships make the verdict unknown.
 
     The first ``budget`` enumeration points are read once per call, and
-    points decided out are dropped before any obligation sees them.  A
-    witness depends only on the orbit of x under the stabilizer of F, so
-    each typeset class is searched once per sockel: a later point of the
-    class reuses the outcome of the first.  When the scan misses an
-    infinite typeset, the handle's ``witness`` proposal is consulted and
-    taken only once confirmed.
+    points decided out are dropped before any obligation sees them.  Each
+    sockel walks that scan once, lazily, and keys each point at most
+    once: the walk stops at the first member of the class asked for, and
+    on its way notes the first member inside the copy of every class it
+    passes.  A witness depends only on the orbit of x under the
+    stabilizer of F, so each typeset class is settled once per sockel: a
+    later point of the class reuses the outcome of the first.  When the
+    scan misses an infinite typeset, the handle's ``witness`` proposal is
+    consulted and taken only once confirmed.
 
     Records are the canonical JSON of json.dumps(..., sort_keys=True),
     assembled from fragments encoded once each: a window point's quoted
-    encoding per check, a sockel's list per sockel, and a witness per
-    typeset class."""
+    encoding per structure and depth, a sockel's list per sockel, and a
+    witness per typeset class."""
     if sockel_cap < 0 or budget < 1:
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
-    window = st.prefix(depth)
-    quoted = {p: _quote(st.encode(p)) for p in window}
-    inside = [p for p in window if handle.membership(p).is_in]
-    # a point inside the copy is its own witness (g = identity)
-    rest = [p for p in window if p not in inside]
+    window, quoted = _window(st, depth)
+    type_key = st.type_key
+    inside, rest = [], []
+    for p in window:
+        m = handle.membership(p)
+        if m.is_in:
+            inside.append(p)
+        else:
+            # a point inside the copy is its own witness (g = identity); an
+            # undecided one is also a scan point, keyed through the walk
+            rest.append((p, quoted[p], m.is_unknown))
     scan = _Scan(handle, budget)
     unresolved = []
     witnesses = []  # only the first _WITNESSES_KEPT are emitted
@@ -174,13 +234,14 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     for size in range(0, sockel_cap + 1):
         for ftup in combinations(inside, size):
             sockel = "[%s]" % ", ".join([quoted[p] for p in ftup])
+            walk = _Walk(scan, ftup)
             searched = {}  # type key -> quoted witness, per class met
-            for x in rest:
-                key = st.type_key(ftup, x)
+            for x, qx, undecided in rest:
+                key = walk.key(x) if undecided else type_key(ftup, x)
                 if key in searched:
                     found = searched[key]
                 else:
-                    found, counterexample = _obligation(scan, ftup, x, key)
+                    found, counterexample = _obligation(walk, x, key)
                     if counterexample is not None:
                         return Certificate(
                             "copy-check", st.structure_id, params, "fail",
@@ -193,11 +254,11 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
                     searched[key] = found
                 if found is None:
                     unresolved.append('{"point": %s, "sockel": %s}'
-                                      % (quoted[x], sockel))
+                                      % (qx, sockel))
                 elif len(witnesses) < _WITNESSES_KEPT:
                     witnesses.append(
                         '{"point": %s, "sockel": %s, "witness": %s}'
-                        % (quoted[x], sockel, found))
+                        % (qx, sockel, found))
     if unresolved:
         return Certificate("copy-check", st.structure_id, params, "unknown",
                            unresolved=tuple(unresolved))

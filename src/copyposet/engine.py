@@ -152,13 +152,20 @@ class BackForthCopy(CopyHandle):
     def _search(self, items, point, skip, budget, admit=None):
         """(c, scanned) for the first of ``budget`` candidate images c of
         ``point`` over the pairs ``items`` that is not skipped, extends the
-        map and is admitted; (None, scanned) when none is."""
+        map and is admitted; (None, scanned) when none is.
+
+        The map plus point -> c extends to some g iff the targets followed
+        by c share the orbit key of the sources followed by point (the
+        ``extendable`` test), so the source side is keyed once per search
+        and each candidate costs one key."""
+        st = self.structure
+        orbit_key = st.orbit_key
+        want = orbit_key(tuple([s for s, _ in items]) + (point,))
+        targets = tuple([t for _, t in items])
         scanned = 0
-        for c in islice(self.structure.target_candidates(items, point),
-                        budget):
+        for c in islice(st.target_candidates(items, point), budget):
             scanned += 1
-            if skip(c) or not self.structure.extendable(
-                    dict(items + [(point, c)])):
+            if skip(c) or orbit_key(targets + (c,)) != want:
                 continue
             if admit is None or admit(c):
                 return c, scanned

@@ -292,7 +292,10 @@ class IntervalCopyDLO(CopyHandle):
         return s in self.finite_part
 
     def membership(self, x):
-        n, d = x.numerator, x.denominator
+        if type(x) is Rational:  # the slots, as in Rational.__lt__
+            n, d = x._numerator, x._denominator
+        else:
+            n, d = x.numerator, x.denominator
         if -d < n < 0:
             return IN
         if d == 1:

@@ -33,8 +33,10 @@ class EquivInf(Structure):
         return "%d.%d" % p
 
     def decode(self, s):
-        c, i = s.split(".")
-        c, i = int(c), int(i)
+        parts = s.split(".")
+        if len(parts) != 2:
+            raise ValueError("expected class.index, got %r" % s)
+        c, i = int(parts[0]), int(parts[1])
         if c < 0 or i < 0:
             raise ValueError("class and index are naturals")
         return (c, i)

@@ -116,6 +116,38 @@ def test_check_copy_asks_each_scanned_point_once(dlo):
     assert not repeated
 
 
+def _key_counting(sid):
+    """A fresh instance of the structure ``sid`` that counts its type keys
+    per (listed sockel, point)."""
+    class KeyCounting(type(get_structure(sid))):
+        def __init__(self):
+            super().__init__()
+            self.keyed = Counter()
+
+        def type_key(self, ftup, x):
+            self.keyed[ftup, x] += 1
+            return super().type_key(ftup, x)
+    return KeyCounting()
+
+
+def test_check_copy_keys_each_scanned_point_once_per_sockel():
+    dlo, ze = _key_counting("dlo"), _key_counting("zetaeta")
+    handles = [engine.powerset_embedding_dlo(dlo, members=m)
+               for m in ((), (0,), (1, 3), (0, 2, 5))]
+    handles.append(engine.decide_window(engine.copy_through(
+        ze, fs(), engine.copy_identity(ze), proper=True, seed=0), 8))
+    for h in handles:
+        st = h.structure
+        st.keyed.clear()
+        assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
+        scanned = {y for y in map(st.point_at, range(500))
+                   if not h.membership(y).is_out}
+        twice = {k: n for k, n in st.keyed.items()
+                 if k[1] in scanned and n > 1}
+        assert not twice, h.describe()
+        assert any(k[1] in scanned for k in st.keyed)
+
+
 class RuleCopy(engine.CopyHandle):
     """Membership given by a rule on points."""
 

@@ -355,6 +355,16 @@ def test_zero_denominator_is_a_precondition_error(capsys, structure, rep):
     assert err.startswith("error: zero denominator")
 
 
+@pytest.mark.parametrize("rep", ["3", "1.2.3"])
+def test_equiv_point_needs_class_dot_index(capsys, rep):
+    code, out, err = run(capsys, "typeset", "--structure", "equiv",
+                         "--sockel", "0.0", "--rep", rep, "--format", "jsonl")
+    assert code == 1
+    message = "expected class.index, got '%s'" % rep
+    assert json.loads(out) == {"error": "precondition", "message": message}
+    assert err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("argv", [
     ["embed-powerset", "--structure", "dlo", "--set=-1"],
     ["embed-powerset", "--structure", "dlo", "--set=2,-1", "--cofinite"],

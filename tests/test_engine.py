@@ -1,6 +1,8 @@
 """Copy construction: constraints, membership, determinism, error modes."""
 
 import ast
+import hashlib
+import json
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -476,6 +478,57 @@ def test_golden_trace_through_proper_with_back_moves(sid):
     keys = ["round", "move", "source", "target", "scanned", "checks"]
     assert [list(m) for m in c.trace] == [keys] * len(c.trace)
     assert [tuple(m.values()) for m in c.trace] == GOLDEN_THROUGH_TRACES[sid]
+
+
+# sha256 of the traces of _back_forth_handles(), one JSON line of
+# [source, target, move, scanned] per move per handle, computed before the
+# back-and-forth search keyed its source side once per search: a changed
+# acceptance test shows up as a different ``scanned``
+PINNED_BACK_FORTH_TRACES_SHA256 = (
+    "c0cbd999c47db6277e85d88ed17605f2f027ae92da4d10ad90a6b6e5fc0b8716")
+
+
+def _back_forth_handles():
+    """The through-proper and avoiding copies over nothing, decided at
+    d = 8 and 12, of every structure that builds them by back-and-forth;
+    both sides of those structures' disjoint pairs; and the descending
+    chain of pairs over its first point, each link decided at d = 8."""
+    for sid in BUILTIN_IDS:
+        st = get_structure(sid)
+        if st.single_copy:
+            continue
+        avoid = next(x for x in st.prefix(8)
+                     if st.type_unranked(fs(), x) is True)
+        for d in (8, 12):
+            for h in (engine.copy_through(st, fs(), engine.copy_identity(st),
+                                          proper=True, seed=0),
+                      engine.copy_avoiding(st, fs(), {avoid}, seed=0)):
+                if isinstance(h, engine.BackForthCopy):
+                    yield engine.decide_window(h, d)
+        if not st.algebraically_finite:
+            continue
+        fixes = [fs()]
+        if sid == "pairs":
+            fixes.append(fs({fs((0, 1)), fs((2, 3))}))
+        for fix in fixes:
+            for side in engine.disjoint_pair(st, fix, seed=0):
+                if isinstance(side, engine.BackForthCopy):
+                    yield engine.decide_window(side, 8, stages=8)
+    pairs = get_structure("pairs")
+    chain = engine.descending_chain(pairs, fs(pairs.prefix(1)),
+                                    engine.copy_identity(pairs), 2, seed=0)
+    for link in chain[1:]:
+        engine.decide_window(link, 8)
+    yield from chain[1:]
+
+
+def test_back_forth_traces_are_pinned():
+    digest = hashlib.sha256()
+    for h in _back_forth_handles():
+        moves = [[m["source"], m["target"], m["move"], m["scanned"]]
+                 for m in h.trace]
+        digest.update(json.dumps(moves).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_BACK_FORTH_TRACES_SHA256
 
 
 def test_engine_names_no_structure():
