@@ -183,9 +183,11 @@ def _obligation(walk, x, key):
 
 @lru_cache(maxsize=32)
 def _window(structure, depth):
-    """The first ``depth`` points and each one's quoted encoding."""
-    window = tuple(structure.prefix(depth))
-    return window, {p: _quote(structure.encode(p)) for p in window}
+    """The first ``depth`` points, each paired with its quoted encoding.
+    Read by position: a dict keyed by dlo points would pay for the hash
+    that Rational(-1) and Rational(-2) share on every lookup of -2."""
+    return tuple([(p, _quote(structure.encode(p)))
+                  for p in structure.prefix(depth)])
 
 
 def check_copy(handle, depth, sockel_cap=2, budget=500):
@@ -215,25 +217,25 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     if sockel_cap < 0 or budget < 1:
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
-    window, quoted = _window(st, depth)
     type_key = st.type_key
     inside, rest = [], []
-    for p in window:
+    for p, qp in _window(st, depth):
         m = handle.membership(p)
         if m.is_in:
-            inside.append(p)
+            inside.append((p, qp))
         else:
             # a point inside the copy is its own witness (g = identity); an
             # undecided one is also a scan point, keyed through the walk
-            rest.append((p, quoted[p], m.is_unknown))
+            rest.append((p, qp, m.is_unknown))
     scan = _Scan(handle, budget)
     unresolved = []
     witnesses = []  # only the first _WITNESSES_KEPT are emitted
     params = {"depth": depth, "sockel_cap": sockel_cap, "budget": budget,
               "copy": handle.describe()}
     for size in range(0, sockel_cap + 1):
-        for ftup in combinations(inside, size):
-            sockel = "[%s]" % ", ".join([quoted[p] for p in ftup])
+        for fpairs in combinations(inside, size):
+            ftup = tuple([p for p, _ in fpairs])
+            sockel = "[%s]" % ", ".join([qp for _, qp in fpairs])
             walk = _Walk(scan, ftup)
             searched = {}  # type key -> quoted witness, per class met
             for x, qx, undecided in rest:

@@ -151,23 +151,17 @@ class BackForthCopy(CopyHandle):
 
     def _search(self, items, point, skip, budget, admit=None):
         """(c, scanned) for the first of ``budget`` candidate images c of
-        ``point`` over the pairs ``items`` that is not skipped, extends the
-        map and is admitted; (None, scanned) when none is.
+        ``point`` over the pairs ``items`` that is not skipped and is
+        admitted; (None, scanned) when none is.
 
-        The map plus point -> c extends to some g iff the targets followed
-        by c share the orbit key of the sources followed by point (the
-        ``extendable`` test), so the source side is keyed once per search
-        and each candidate costs one key."""
-        st = self.structure
-        orbit_key = st.orbit_key
-        want = orbit_key(tuple([s for s, _ in items]) + (point,))
-        targets = tuple([t for _, t in items])
+        The candidate stream is exact: each image it yields is a target of
+        ``items`` already, which ``skip`` drops, or extends the map plus
+        point -> c to some g.  So the search tests no orbit."""
         scanned = 0
-        for c in islice(st.target_candidates(items, point), budget):
+        for c in islice(self.structure.target_candidates(items, point),
+                        budget):
             scanned += 1
-            if skip(c) or orbit_key(targets + (c,)) != want:
-                continue
-            if admit is None or admit(c):
+            if not skip(c) and (admit is None or admit(c)):
                 return c, scanned
         return None, scanned
 

@@ -266,16 +266,23 @@ class Structure:
 
     def target_candidates(self, items, source):
         """Candidate images for a fresh ``source`` given the mapped pairs
-        ``items``, most preferred first; may be infinite (the engine caps
-        the scan).  Default: enumeration order.  Structures whose witnesses
-        sit deep in the enumeration override this with constructed
+        ``items`` of an extendable map, most preferred first; may be
+        infinite (the engine caps the scan).  The stream is exact: each
+        image c it yields is a target of ``items`` already or extends the
+        map plus source -> c to some g, so its consumer tests no orbit.
+
+        Default: the enumeration points whose orbit key over the targets
+        matches the sources', up to the enumeration scan cap.  Structures
+        whose images follow from the map override this with constructed
         candidates.  It is the only candidate generator a structure
         writes: back steps read it over the inverse map."""
-        del items, source
-        i = 0
-        while True:
-            yield self.point_at(i)
-            i += 1
+        orbit_key = self.orbit_key
+        want = orbit_key(tuple([s for s, _ in items]) + (source,))
+        targets = tuple([t for _, t in items])
+        for i in range(_SCAN_CAP + 1):
+            c = self.point_at(i)
+            if orbit_key(targets + (c,)) == want:
+                yield c
 
     def source_candidates(self, items, target):
         """Candidate fresh sources for claiming ``target`` into an image:

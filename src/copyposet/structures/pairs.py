@@ -2,8 +2,10 @@
 
 Points are unordered pairs {i, j}; a permutation of N acts by taking images
 elementwise.  The orbit of a tuple is given by its Venn regions: which of
-its pairs each support element lies in.  Candidate images extend an
-injective assignment of the supports involved.
+its pairs each support element lies in.  Candidate images are exact: the
+first enumeration points whose elements sit in the Venn regions of the
+targets that the source's elements occupy among the sources, then images
+induced by an injective assignment of the supports involved.
 """
 
 from itertools import combinations
@@ -107,10 +109,28 @@ class PairsAction(Structure):
         return not x <= support(sockel)
 
     def target_candidates(self, items, source):
+        # c = {x, y} extends the map plus source -> c exactly when x and y
+        # lie in the same Venn regions of the targets as the source's
+        # elements do in those of the sources: adding c or source sets the
+        # new bit on just those two regions of the orbit key
+        regions, held = {}, {}
+        for i, (s, t) in enumerate(items):
+            bit = 1 << i
+            for e in s:
+                held[e] = held.get(e, 0) | bit
+            for e in t:
+                regions[e] = regions.get(e, 0) | bit
+        a, b = source
+        ra, rb = held.get(a, 0), held.get(b, 0)
         for i in range(300):
-            yield self.point_at(i)
+            c = self.point_at(i)
+            x, y = c
+            rx, ry = regions.get(x, 0), regions.get(y, 0)
+            if (rx == ra and ry == rb) or (rx == rb and ry == ra):
+                yield c
         # extend a witness assignment of the current map over the source's
-        # support, sending unconstrained elements to fresh naturals
+        # support, sending unconstrained elements to fresh naturals: the
+        # images are induced by an injection, so every one extends
         pm = dict(items)
         asn = _find_assignment(pm)
         if asn is None:

@@ -1,5 +1,7 @@
 """The pure countable set: U = N with the full symmetric group."""
 
+from itertools import count
+
 from .base import Structure, _decimal, _from_decimal, equality_pattern
 
 
@@ -35,3 +37,8 @@ class PureSet(Structure):
 
     def orbit_key(self, tup):
         return equality_pattern(tup)
+
+    def target_candidates(self, items, source):
+        # every finite injection extends: all points, in enumeration order
+        del items, source
+        return count()

@@ -323,6 +323,59 @@ def test_extensions_precondition():
         list(dlo.extensions({F(0): F(1), F(1): F(0)}, F(2), 5))
 
 
+# -- candidate streams ----------------------------------------------------------
+
+def _seeded_maps(structure, seed, n=12):
+    """n extendable maps of up to 5 pairs with sources in U_10, each with
+    a fresh source in U_12; a target is the first point of a shuffled U_30
+    that the raw oracle accepts (a source with none there is left out)."""
+    rng = random.Random(seed)
+    pts = structure.prefix(30)
+    for _ in range(n):
+        pm = {}
+        for a in rng.sample(pts[:10], rng.randint(0, 5)):
+            y = next((y for y in rng.sample(pts, len(pts))
+                      if certify.brute_extendable(structure, {**pm, a: y},
+                                                  30)), None)
+            if y is not None:
+                pm[a] = y
+        source = rng.choice([x for x in pts[:12] if x not in pm])
+        yield list(pm.items()), source
+
+
+@pytest.mark.parametrize("sid", ["dlo", "zetaeta", "equiv", "pureset",
+                                 "pairs", "zorder"])
+def test_candidate_streams_are_exact(sid, monkeypatch):
+    # every candidate is a target already (the search skips it) or extends
+    # the map; zorder reads the keyed enumeration scan of the base class,
+    # capped here because a pinned translation leaves one image
+    from copyposet.structures import base
+
+    monkeypatch.setattr(base, "_SCAN_CAP", 2000)
+    structure = get_structure(sid)
+    drawn = 0
+    for items, source in _seeded_maps(structure, 5):
+        targets = {t for _, t in items}
+        pm = dict(items)
+        for c in islice(structure.target_candidates(items, source), 50):
+            assert c in targets or structure.extendable({**pm, source: c}), \
+                (items, source, c)
+            drawn += 1
+    assert drawn
+
+
+def test_pairs_stream_filters_the_enumeration_head(pairs):
+    # the first 300 enumeration points that extend, in enumeration order,
+    # then the witness-assignment tail
+    for items, source in _seeded_maps(pairs, 9):
+        pm = dict(items)
+        head = [p for p in pairs.prefix(300)
+                if pairs.extendable({**pm, source: p})]
+        stream = pairs.target_candidates(items, source)
+        assert list(islice(stream, len(head))) == head, (items, source)
+        assert pairs.extendable({**pm, source: next(stream)})
+
+
 # -- typeset finiteness ---------------------------------------------------------
 
 def test_typeset_finite_examples(pairs):
