@@ -48,11 +48,9 @@ def _constructed_copies(st, depth, seed):
             engine.decide_window(c, depth)
             out.append(("avoiding", c))
     if st.algebraically_finite:
-        left, right = engine.disjoint_pair(st, frozenset(), seed=seed)
-        engine.decide_window(left, depth, stages=depth)
-        engine.decide_window(right, depth, stages=depth)
-        out.append(("disjoint-left", left))
-        out.append(("disjoint-right", right))
+        # closed forms: total membership, nothing to decide
+        out.extend(zip(("disjoint-left", "disjoint-right"),
+                       engine.disjoint_pair(st, frozenset(), seed=seed)))
     if st.structure_id == "dlo":
         out.append(("interval-copy", engine.powerset_embedding_dlo(
             st, members=(0, 2))))

@@ -54,7 +54,7 @@ def algebraic_closure(structure, base, depth):
                             structure.sort_points(fin.members)],
             })
     exact = structure.ac_is_exact(base)
-    if exact and structure.algebraically_finite:
+    if exact:
         full = structure.ac_members_exact(base) | base
         exact = full <= members
         members.update(full)

@@ -173,3 +173,22 @@ class IdentityCopy(CopyHandle):
 
     def describe(self):
         return "identity"
+
+
+class RuleCopy(CopyHandle):
+    """A closed-form copy: the fixed set together with every point a
+    membership rule admits; total membership."""
+
+    def __init__(self, structure, fix, rule, label):
+        super().__init__(structure)
+        self.fix = frozenset(fix)
+        self.rule = rule
+        self.label = label
+
+    def membership(self, x):
+        return IN if x in self.fix or self.rule(x) else OUT
+
+    def describe(self):
+        st = self.structure
+        return "%s fix={%s}" % (self.label, ",".join(
+            st.encode(a) for a in st.sort_points(self.fix)))

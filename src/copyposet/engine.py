@@ -10,15 +10,9 @@ three-valued: points enter `in` when claimed into the image, `out` by an
 avoidance constraint or the parent's exclusions, and stay `unknown`
 otherwise.
 
-The disjoint-pair builder interleaves two such constructions, each new
-witness chosen outside the other side's current algebraic closure, with the
-closures recomputed every round; every window point off the common core is
-then settled out of at least one side, forced points by the other side's
-avoidance constraint, free points alternately, so the decided intersection
-at the window is exactly the algebraic closure of the fixed set.
-
 Constructors take the structure's closed form when it has one
-(``closed_form_avoiding``, ``closed_form_disjoint_pair``).
+(``closed_form_avoiding``); disjoint pairs are closed form only
+(``closed_form_disjoint_pair``).
 """
 
 from __future__ import annotations
@@ -35,8 +29,6 @@ from .errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
-
-_PAIR_WINDOW = 24  # window points the disjoint-pair coordinator settles
 
 
 class UnionCopy(CopyHandle):
@@ -89,7 +81,6 @@ class BackForthCopy(CopyHandle):
         # ac(F) = F when every stabilizer orbit off F is infinite, and then
         # the avoidance guard is vacuous
         self._guard_trivial = structure.stabilizer_orbits_all_infinite
-        self._extra_guards = []
         self._cursor = 0
         self._claims = deque()
         self._claims_seen = set()
@@ -113,34 +104,20 @@ class BackForthCopy(CopyHandle):
             return OUT
         return UNKNOWN
 
-    def add_avoid_constraint(self, x):
-        """Promote a point to a guarded avoidance constraint: it is decided
-        out and every future image extension must keep its type unranked."""
-        if x in self._range:
-            raise InclusionContractError("cannot avoid an image point")
-        status = self.structure.type_unranked(frozenset(self._range), x)
-        if status is not True:
-            raise ImpossibleConstructionError(
-                "cannot avoid %s: its type over the current image is not "
-                "certified unranked" % self.structure.encode(x))
-        self._outs.add(x)
-        if x not in self._avoid_constraints:
-            self._avoid_constraints = tuple(
-                list(self._avoid_constraints) + [x])
-        return True
-
     # -- construction -------------------------------------------------------
 
     def _budget(self):
         return self.budget_base + self.budget_slope * self._stage
 
     def _guards_pass(self, y):
+        """Whether every avoided point keeps a certified-unranked type over
+        the image with y added."""
         if self._avoid_constraints and not self._guard_trivial:
             sockel = frozenset(self._range | {y})
             for e in self._avoid_constraints:
                 if self.structure.type_unranked(sockel, e) is not True:
                     return False
-        return all(g(y) for g in self._extra_guards)
+        return True
 
     def _next_source(self):
         while True:
@@ -188,7 +165,7 @@ class BackForthCopy(CopyHandle):
             "source": self.structure.encode(src),
             "target": self.structure.encode(tgt),
             "scanned": scanned,
-            "checks": len(self._avoid_constraints) + len(self._extra_guards),
+            "checks": len(self._avoid_constraints),
         })
 
     def schedule_claims(self, points):
@@ -212,7 +189,10 @@ class BackForthCopy(CopyHandle):
         if self.parent is not None and not self.parent.try_decide(y).is_in:
             return self.membership(y)
         if not self._guards_pass(y):
-            return self.membership(y)
+            # the image only grows, and the ranked closure grows with the
+            # set it is taken over: y can never enter
+            self._outs.add(y)
+            return OUT
         # a back step is a forth step of the inverse map
         s, scanned = self._search([(t, u) for u, t in self._map.items()], y,
                                   self._map.__contains__, budget)
@@ -381,145 +361,20 @@ def chain_intersection(structure, chain, depth):
     return [x for x in structure.prefix(depth) if x not in out]
 
 
-class _DisjointPairCopy(BackForthCopy):
-    """One side of a coordinated disjoint pair; advancing either side runs
-    the coordinator, which moves both."""
-
-    # the two sides compete for low-index witnesses, so scans go deeper
-    # than the single-handle default
-    budget_base = 600
-    budget_slope = 60
-
-    def __init__(self, structure, fix, seed):
-        super().__init__(structure, fix=fix, seed=seed)
-        self.coordinator = None
-
-    def advance(self, stages):
-        if stages < 0:
-            raise PreconditionError("stages must be >= 0")
-        self.coordinator.run_rounds(stages)
-        return self
-
-    def describe(self):
-        return "disjoint-pair side " + super().describe()
-
-
-class _DisjointCoordinator:
-    """Alternates extension of two copies over the same source prefix, each
-    new image chosen outside the other side's current algebraic closure
-    (closures recomputed per candidate), then settles every window point:
-    points forced in by one side's closure are avoidance-constrained on the
-    other, the rest are shared out alternately.  Every window point outside
-    the common core ends up decided out of at least one side."""
-
-    def __init__(self, structure, core, seed):
-        self.structure = structure
-        self.core = frozenset(core)  # exact algebraic closure of the fix
-        self.seed = seed
-        self.left = _DisjointPairCopy(structure, core, seed)
-        self.right = _DisjointPairCopy(structure, core, seed + 1)
-        self.left.coordinator = self
-        self.right.coordinator = self
-        for side, other in ((self.left, self.right), (self.right, self.left)):
-            side._extra_guards.append(self._guard_for(side, other))
-        self._wcursor = 0
-        self._mark_count = seed % 2
-        self._ac_trivial = structure.stabilizer_orbits_all_infinite
-
-    def _ac(self, points):
-        pts = frozenset(points)
-        if self._ac_trivial:
-            return pts
-        return self.structure.ac_members_exact(pts) | pts
-
-    def _guard_for(self, side, other):
-        def guard(y):
-            if y in other._range:
-                return False
-            if not self._ac_trivial:
-                # the two closures must stay disjoint off the core, not
-                # merely the closures from the ranges: a point inside both
-                # closures would be forced into both copies
-                grown = self._ac(side._range | {y})
-                if (grown & self._ac(other._range)) - self.core:
-                    return False
-            return True
-        return guard
-
-    def _forth(self, side):
-        # forth depth: enough map to certify copies at the window
-        while side._cursor < _PAIR_WINDOW:
-            u = self.structure.point_at(side._cursor)
-            if u in side._map:
-                side._cursor += 1
-                continue
-            side._forth(u, side._budget())
-            side._stage += 1
-            return
-        side._stage += 1
-
-    def _sync_outs(self):
-        self.left._outs |= (self.right._range - set(self.core))
-        self.right._outs |= (self.left._range - set(self.core))
-
-    def _settle_window_point(self):
-        core = set(self.core)
-        while self._wcursor < _PAIR_WINDOW:
-            x = self.structure.point_at(self._wcursor)
-            if x in core:
-                self._wcursor += 1
-                continue
-            if self.left.membership(x).is_out or \
-                    self.right.membership(x).is_out:
-                self._wcursor += 1
-                continue
-            acl = self._ac(self.left._range)
-            acr = self._ac(self.right._range)
-            if x in acl:
-                self.right.add_avoid_constraint(x)
-            elif x in acr:
-                self.left.add_avoid_constraint(x)
-            else:
-                first, second = (self.left, self.right) \
-                    if self._mark_count % 2 == 0 else (self.right, self.left)
-                if self.structure.type_unranked(
-                        frozenset(first._range), x) is True:
-                    first.add_avoid_constraint(x)
-                else:
-                    second.add_avoid_constraint(x)
-                self._mark_count += 1
-            self._wcursor += 1
-            return
-
-    def run_rounds(self, n):
-        for _ in range(n):
-            self._forth(self.left)
-            self._forth(self.right)
-            self._sync_outs()
-            self._settle_window_point()
-            self._sync_outs()
-            # externally scheduled claims (window decisions for checking)
-            self.left._process_one_claim(self.left._budget())
-            self.right._process_one_claim(self.right._budget())
-            self._sync_outs()
-
-
 def disjoint_pair(structure, fix, seed=0):
-    """Two copies whose intersection at the window is exactly the algebraic
-    closure of ``fix``; available on algebraically finite structures."""
+    """The structure's closed-form pair of copies meeting exactly in the
+    algebraic closure of ``fix``; available on algebraically finite
+    structures.  ``seed`` is accepted for call compatibility and unused:
+    the closed forms are deterministic."""
     if not structure.algebraically_finite:
         raise UnsupportedConstructionError(
             "%s is not certified algebraically finite"
             % structure.structure_id)
-    fixset = frozenset(fix)
-    closed = structure.closed_form_disjoint_pair(fixset)
-    if closed is not None:
-        return closed
-    core = frozenset(structure.ac_members_exact(fixset)) | fixset
-    coord = _DisjointCoordinator(
-        structure, tuple(structure.sort_points(core)), seed)
-    coord.run_rounds(3 * _PAIR_WINDOW)
-    return coord.left, coord.right
+    pair = structure.closed_form_disjoint_pair(frozenset(fix))
+    if pair is None:
+        raise UnsupportedConstructionError(
+            "%s has no closed-form disjoint pair" % structure.structure_id)
+    return pair
 
 
 def union_chain(handles):

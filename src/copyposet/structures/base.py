@@ -143,8 +143,7 @@ class Structure:
         that is, iff x and y share a type key over the sockel.
 
         Pre: x and y are not in sockel."""
-        if x in sockel or y in sockel:
-            raise PreconditionError("representative lies in the sockel")
+        self.check_same_type_pre(sockel, x, y)
         if x == y:
             return True
         f = tuple(sockel)
@@ -313,7 +312,9 @@ class Structure:
         return None
 
     def closed_form_disjoint_pair(self, fix):
-        """Two closed-form copies meeting exactly in ac(``fix``), or None."""
+        """Two closed-form copies meeting exactly in ac(``fix``), or None.
+        Every algebraically finite built-in writes one; it is the only
+        disjoint-pair construction."""
         return None
 
     # -- algebraic-closure helpers ----------------------------------------

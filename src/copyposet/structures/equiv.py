@@ -5,6 +5,7 @@ so the only invariant of a point over a sockel is its class-membership
 pattern.
 """
 
+from ..core import RuleCopy
 from .base import Structure, equality_pattern
 
 
@@ -66,3 +67,10 @@ class EquivInf(Structure):
                 for i in range(3):
                     yield (c, i)
             c += 1
+
+    def closed_form_disjoint_pair(self, fix):
+        # a set meeting infinitely many classes, each in infinitely many
+        # points, is a copy: F with the points off F of one index parity,
+        # for each parity; the two sides meet in F = ac(F)
+        return tuple(RuleCopy(self, fix, lambda x, r=r: x[1] % 2 == r,
+                              "equiv index-parity-%d" % r) for r in (0, 1))

@@ -10,7 +10,7 @@ induced by an injective assignment of the supports involved.
 
 from itertools import combinations
 
-from ..core import finite_answer, infinite_answer
+from ..core import RuleCopy, finite_answer, infinite_answer
 from .base import Structure
 
 
@@ -154,3 +154,12 @@ class PairsAction(Structure):
     def ac_members_exact(self, sockel):
         supp = sorted(support(sockel))
         return frozenset(frozenset(c) for c in combinations(supp, 2))
+
+    def closed_form_disjoint_pair(self, fix):
+        # [A]^2 is a copy for every infinite A: with S = supp F, the side
+        # of parity r is [S + {n off S : n = r (mod 2)}]^2, which holds F;
+        # the two sides meet in [S]^2 = ac(F)
+        supp = support(fix)
+        return tuple(RuleCopy(
+            self, fix, lambda x, r=r: all(e in supp or e % 2 == r for e in x),
+            "pairs element-parity-%d" % r) for r in (0, 1))

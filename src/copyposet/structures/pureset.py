@@ -2,6 +2,7 @@
 
 from itertools import count
 
+from ..core import RuleCopy
 from .base import Structure, _decimal, _from_decimal, equality_pattern
 
 
@@ -42,3 +43,9 @@ class PureSet(Structure):
         # every finite injection extends: all points, in enumeration order
         del items, source
         return count()
+
+    def closed_form_disjoint_pair(self, fix):
+        # any infinite subset of N is a copy: F with the points off F of
+        # one parity, for each parity; the two sides meet in F = ac(F)
+        return tuple(RuleCopy(self, fix, lambda x, r=r: x % 2 == r,
+                              "pureset parity-%d" % r) for r in (0, 1))

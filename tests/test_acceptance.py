@@ -56,11 +56,9 @@ def constructed_copies(st, seed=0, depth=10):
     for i, link in enumerate(chain[1:], 1):
         engine.decide_window(link, depth)
         out.append(("chain-%d" % i, link))
-    left, right = engine.disjoint_pair(st, frozenset(), seed=seed)
-    engine.decide_window(left, depth, stages=depth)
-    engine.decide_window(right, depth, stages=depth)
-    out.append(("disjoint-left", left))
-    out.append(("disjoint-right", right))
+    # closed forms: total membership, nothing to decide
+    out.extend(zip(("disjoint-left", "disjoint-right"),
+                   engine.disjoint_pair(st, frozenset(), seed=seed)))
     if st.structure_id == "dlo":
         out.append(("interval", engine.powerset_embedding_dlo(
             st, members=(0, 2))))

@@ -259,6 +259,9 @@ def test_descending_chain_strictness(dlo):
     ("pairs", fs({fs((0, 1)), fs((2, 3))})),
     ("rado", fs({0, 5})),
     ("rado", fs({3})),
+    ("pairs", fs()),
+    ("pureset", fs({3, 4})),
+    ("equiv", fs({(0, 1), (2, 2)})),
 ])
 def test_disjoint_pair_meets_in_closure(sid, fix):
     st = get_structure(sid)
@@ -274,16 +277,21 @@ def test_disjoint_pair_meets_in_closure(sid, fix):
             assert ml.is_out or mr.is_out
 
 
-def test_rado_disjoint_pairs_over_small_fixed_sets_certify():
-    rado = get_structure("rado")
-    fixed_sets = [fs({k}) for k in range(8)] + [
-        fs(pair) for pair in combinations(range(6), 2)]
+@pytest.mark.parametrize("sid", ["pureset", "dlo", "rado", "equiv",
+                                 "pairs"])
+def test_disjoint_pairs_over_small_fixed_sets_certify(sid):
+    st = get_structure(sid)
+    assert st.algebraically_finite
+    window = st.prefix(8)
+    fixed_sets = [fs({x}) for x in window] + [
+        fs(pair) for pair in combinations(window[:6], 2)]
     for fix in fixed_sets:
-        left, right = engine.disjoint_pair(rado, fix)
-        verdicts = [certify.check_disjointness(left, right, 12, fix).verdict]
+        left, right = engine.disjoint_pair(st, fix)
+        core = st.ac_members_exact(fix) | fix
+        verdicts = [certify.check_disjointness(left, right, 12, core).verdict]
         verdicts += [certify.check_copy(side, depth).verdict
                      for side in (left, right) for depth in (8, 12)]
-        assert verdicts == ["pass"] * 5, sorted(fix)
+        assert verdicts == ["pass"] * 5, [st.encode(x) for x in fix]
 
 
 def test_disjoint_pair_unsupported():
@@ -483,17 +491,17 @@ def test_golden_trace_through_proper_with_back_moves(sid):
 # sha256 of the traces of _back_forth_handles(), one JSON line of
 # [source, target, move, scanned] per move per handle: a candidate stream
 # that yields a different set of images shows up as a different
-# ``scanned``.  Re-pinned when the pairs stream dropped the candidates that
-# cannot extend the map; every other handle's trace kept its bytes
+# ``scanned``.  Re-pinned when the disjoint pairs became closed forms and
+# their sides left the list; every remaining handle kept its bytes
 PINNED_BACK_FORTH_TRACES_SHA256 = (
-    "0bf5217bfeab058e9562abc882d3d2393138e63e2b7ef9691a9121559aea2d67")
+    "ffafc9fac9b8cb1d5d90c459d33317895e2ed86a0ecf3e965cbf8b80087fb111")
 
 
 def _back_forth_handles():
     """The through-proper and avoiding copies over nothing, decided at
-    d = 8 and 12, of every structure that builds them by back-and-forth;
-    both sides of those structures' disjoint pairs; and the descending
-    chain of pairs over its first point, each link decided at d = 8."""
+    d = 8 and 12, of every structure that builds them by back-and-forth,
+    and the descending chain of pairs over its first point, each link
+    decided at d = 8."""
     for sid in BUILTIN_IDS:
         st = get_structure(sid)
         if st.single_copy:
@@ -506,15 +514,6 @@ def _back_forth_handles():
                       engine.copy_avoiding(st, fs(), {avoid}, seed=0)):
                 if isinstance(h, engine.BackForthCopy):
                     yield engine.decide_window(h, d)
-        if not st.algebraically_finite:
-            continue
-        fixes = [fs()]
-        if sid == "pairs":
-            fixes.append(fs({fs((0, 1)), fs((2, 3))}))
-        for fix in fixes:
-            for side in engine.disjoint_pair(st, fix, seed=0):
-                if isinstance(side, engine.BackForthCopy):
-                    yield engine.decide_window(side, 8, stages=8)
     pairs = get_structure("pairs")
     chain = engine.descending_chain(pairs, fs(pairs.prefix(1)),
                                     engine.copy_identity(pairs), 2, seed=0)
@@ -555,7 +554,7 @@ def test_back_forth_maps_extend():
                                       proper=True, seed=0),
                   engine.copy_avoiding(st, fix, {avoid}, seed=0)):
             handles.append(engine.decide_window(h, 8))
-    assert len(handles) == 48
+    assert len(handles) == 40
     for h in handles:
         st = h.structure
         ground = 1 + max(st.index_of(p) for p in (*h._map, *h._range))
@@ -585,6 +584,14 @@ def test_structures_write_one_candidate_generator():
                 if cls.stabilizer_orbits_all_infinite
                 for name in ("typeset_finite", "type_unranked",
                              "ac_members_exact") if name in vars(cls)]
+
+
+def test_algebraically_finite_structures_write_a_disjoint_pair():
+    # engine.disjoint_pair has no fallback: the closed form is the pair
+    classes = [type(get_structure(sid)) for sid in BUILTIN_IDS]
+    assert len([cls for cls in classes if cls.algebraically_finite]) == 5
+    assert not [cls for cls in classes if cls.algebraically_finite
+                and "closed_form_disjoint_pair" not in vars(cls)]
 
 
 class _EmptyCopy(engine.CopyHandle):
