@@ -3,10 +3,10 @@
 check_copy drives the membership characterization at a finite window: every
 small sockel inside the copy, paired with every window point, must have an
 orbit witness landing in the copy.  Verdicts are three-valued; unknown
-carries the unresolved obligations instead of silently passing.  One check
-reads its enumeration scan once, and each sockel walks that scan once,
-keying each point at most once; every typeset class of the sockel is
-answered from the walk.
+carries the unresolved obligations instead of silently passing.  A
+typeset depends on the structure, the sockel and the point, never on the
+copy, so each sockel's type classes are a table that every check on the
+structure shares; an obligation asks only the members of its class.
 
 brute_same_type and brute_extendable re-derive orbit equality from each
 structure's raw data (order comparisons, adjacency bits, class labels,
@@ -22,6 +22,7 @@ target; such an injection extends to a permutation of the whole support.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -69,116 +70,134 @@ class Certificate(Frozen):
                           separators=(",", ":"))
 
 
-class _Scan:
-    """The first ``budget`` enumeration points that the copy does not
-    decide out, each with its membership.  Points are read lazily and at
-    most once, and every sockel's walk of one check iterates the same
-    list."""
+class _Classes:
+    """The type classes over one listed sockel ``ftup``, shared by every
+    check on the structure: ``ids[i]`` is the class of enumeration index
+    i, or -1 for a point of the sockel.  Classes are numbered in the order
+    the enumeration meets them, so no id depends on hashing.  The table
+    grows one type key per index, and only as far as a check reads it."""
 
-    def __init__(self, handle, budget):
-        self.handle = handle
-        self.budget = budget
-        self.kept = []  # (y, membership) in enumeration order
-        self._read = 0
+    __slots__ = ("structure", "ftup", "ids", "keys")
 
-    def __iter__(self):
-        i = 0
-        while i < len(self.kept) or self._keep_next():
-            yield self.kept[i]
-            i += 1
-
-    def _keep_next(self):
-        st = self.handle.structure
-        while self._read < self.budget:
-            y = st.point_at(self._read)
-            self._read += 1
-            m = self.handle.membership(y)
-            if not m.is_out:
-                self.kept.append((y, m))
-                return True
-        return False
-
-
-class _Walk:
-    """One sockel's lazy pass over the shared scan.  Per type key over the
-    sockel it remembers the first member inside the copy and whether a
-    member of unknown membership was passed.  Each point is keyed at most
-    once: a member inside the copy as the walk passes it, a point of
-    unknown membership (a scanned member or a window point) through
-    ``key``."""
-
-    def __init__(self, scan, ftup):
-        self.scan = scan
+    def __init__(self, structure, ftup):
+        self.structure = structure
         self.ftup = ftup
-        self.fset = frozenset(ftup)
-        self.first_in = {}  # type key -> first scanned member in the copy
-        self.unknown = set()  # type keys with a scanned member undecided
-        self._keys = {}  # point -> type key, for undecided points
-        self._type_key = scan.handle.structure.type_key
-        self._points = iter(scan)
+        self.ids = array("i")
+        self.keys = {}  # type key -> class id
 
-    def key(self, p):
-        """The type key over the sockel of p, a point of unknown
-        membership, computed once per walk."""
-        k = self._keys.get(p)
-        if k is None:
-            k = self._keys[p] = self._type_key(self.ftup, p)
-        return k
+    def grow(self, point):
+        """Class the next index; ``point`` reads a point by its index."""
+        y = point(len(self.ids))
+        if y in self.ftup:
+            c = -1
+        else:
+            keys = self.keys
+            c = keys.setdefault(self.structure.type_key(self.ftup, y),
+                                len(keys))
+        self.ids.append(c)
+        return c
 
-    def find(self, key):
-        """The first scanned member of class ``key`` inside the copy, or
-        None when the whole scan holds none."""
-        y = self.first_in.get(key)
-        if y is not None:
-            return y
-        ftup, fset, first_in = self.ftup, self.fset, self.first_in
-        type_key = self._type_key
-        for y, m in self._points:
-            if y in fset:
-                continue
-            if not m.is_in:
-                self.unknown.add(self.key(y))
-                continue
-            k = type_key(ftup, y)
-            first_in.setdefault(k, y)
-            if k == key:
-                return y
+    def grow_to(self, c, budget, point):
+        """Grow the table to its next index of class c below ``budget``;
+        returns that index, or None when the table reaches ``budget``
+        first."""
+        ids = self.ids
+        while len(ids) < budget:
+            if self.grow(point) == c:
+                return len(ids) - 1
         return None
 
 
-def _obligation(walk, x, key):
-    """Settle <F |> x> against the copy, for the sockel F of ``walk`` and
-    x's type ``key`` over it: returns (witness, None), or (None,
-    counterexample fields) when the typeset provably misses the copy, or
-    (None, None) when unknown memberships leave it open.  When the scan
-    finds no member of an infinite typeset, the handle's own proposal is
-    taken once it is confirmed a member of the typeset inside the copy."""
-    y = walk.find(key)
-    if y is not None:
-        return y, None
-    handle = walk.scan.handle
-    st, ftup, fset = handle.structure, walk.ftup, walk.fset
-    fin = st.typeset_finite(fset, x)
-    if fin.is_finite:
-        # the whole typeset is known: consult it directly
-        members = st.sort_points(fin.members)
-        member_unknown = False
-        for y in members:
-            m = handle.membership(y)
-            if m.is_in:
-                return y, None
-            member_unknown = member_unknown or m.is_unknown
-        if member_unknown:
+# one copy-certify round of the benchmark touches 370 tables
+_classes = lru_cache(maxsize=512)(_Classes)
+
+_IN, _OUT, _UNKNOWN = 1, 2, 3  # a membership asked; 0 for not yet asked
+
+
+class _Check:
+    """What one check_copy call reads: each enumeration index's point at
+    most once, and each point's membership at most once."""
+
+    __slots__ = ("handle", "budget", "window", "points", "kinds")
+
+    def __init__(self, handle, budget, window):
+        self.handle = handle
+        self.budget = budget
+        self.window = window  # (point, quoted encoding) by index
+        n = max(budget, len(window))
+        self.points = [p for p, _ in window] + [None] * (n - len(window))
+        self.kinds = bytearray(n)
+
+    def point(self, i):
+        p = self.points[i]
+        if p is None:
+            p = self.points[i] = self.handle.structure.point_at(i)
+        return p
+
+    def kind(self, i):
+        k = self.kinds[i]
+        if not k:
+            m = self.handle.membership(self.point(i))
+            k = self.kinds[i] = _IN if m.is_in else (
+                _OUT if m.is_out else _UNKNOWN)
+        return k
+
+    def quoted(self, y):
+        return _quote(self.handle.structure.encode(y))
+
+    def settle(self, table, c, x):
+        """Settle <F |> x> against the copy, for the sockel F of ``table``
+        and x's class ``c`` over it: returns (quoted witness, None), or
+        (None, counterexample fields) when the typeset provably misses the
+        copy, or (None, None) when unknown memberships leave it open.  The
+        members of the class among the first ``budget`` points are asked
+        in enumeration order.  When none is inside the copy and the
+        typeset is infinite, the handle's own proposal is taken once it
+        is confirmed a member of the typeset inside the copy."""
+        budget, kinds, ids = self.budget, self.kinds, table.ids
+        unknown = False
+        j = 0
+        while True:
+            try:
+                j = ids.index(c, j, budget)
+            except ValueError:
+                # no member in [j, len(ids)): read on
+                j = table.grow_to(c, budget, self.point)
+                if j is None:
+                    break
+            k = kinds[j] or self.kind(j)
+            if k == _IN:
+                window = self.window
+                return (window[j][1] if j < len(window)
+                        else self.quoted(self.point(j))), None
+            unknown = unknown or k == _UNKNOWN
+            j += 1
+        handle = self.handle
+        st, ftup = handle.structure, table.ftup
+        fin = st.typeset_finite(frozenset(ftup), x)
+        if fin.is_finite:
+            # the whole typeset is known: consult it directly
+            members = st.sort_points(fin.members)
+            member_unknown = False
+            for y in members:
+                m = handle.membership(y)
+                if m.is_in:
+                    return self.quoted(y), None
+                member_unknown = member_unknown or m.is_unknown
+            if member_unknown:
+                return None, None
+            return None, {"typeset": [st.encode(y) for y in members]}
+        w = handle.witness(ftup, x)
+        # x's key is in the table as class c, so w is of x's type exactly
+        # when its key maps to c
+        if w is not None and w not in ftup \
+                and table.keys.get(st.type_key(ftup, w)) == c \
+                and handle.membership(w).is_in:
+            return self.quoted(w), None
+        if unknown:
             return None, None
-        return None, {"typeset": [st.encode(y) for y in members]}
-    w = handle.witness(ftup, x)
-    if w is not None and w not in fset and st.type_key(ftup, w) == key \
-            and handle.membership(w).is_in:
-        return w, None
-    if key in walk.unknown:
-        return None, None
-    # every scanned typeset member is decided out
-    return None, {"scanned": walk.scan.budget}
+        # every scanned typeset member is decided out
+        return None, {"scanned": budget}
 
 
 @lru_cache(maxsize=32)
@@ -194,21 +213,23 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     """Certificate for the copy characterization on a window.
 
     For every sockel F inside the decided part of the copy (|F| bounded)
-    and every window point x, searches the typeset of <F |> x> in
-    enumeration order for a member decided inside the copy.  fail carries
-    the first (F, x) whose typeset provably misses the copy; obligations
-    blocked by unknown memberships make the verdict unknown.
+    and every window point x, searches the typeset of <F |> x> among the
+    first ``budget`` enumeration points, in enumeration order, for a
+    member decided inside the copy.  fail carries the first (F, x) whose
+    typeset provably misses the copy; obligations blocked by unknown
+    memberships make the verdict unknown.
 
-    The first ``budget`` enumeration points are read once per call, and
-    points decided out are dropped before any obligation sees them.  Each
-    sockel walks that scan once, lazily, and keys each point at most
-    once: the walk stops at the first member of the class asked for, and
-    on its way notes the first member inside the copy of every class it
-    passes.  A witness depends only on the orbit of x under the
-    stabilizer of F, so each typeset class is settled once per sockel: a
-    later point of the class reuses the outcome of the first.  When the
-    scan misses an infinite typeset, the handle's ``witness`` proposal is
-    consulted and taken only once confirmed.
+    The typeset of x over F is x's orbit under the stabilizer of F, so it
+    depends on the structure, F and x, never on the copy.  Each sockel's
+    type classes are a table kept across calls (``_classes``): the class
+    of each enumeration index, computed with one type key per index the
+    first time any check reads that far.  An obligation asks only the
+    members of x's class, and each class is settled once per sockel: a
+    later point of the class reuses the outcome of the first.  Within one
+    call each index's point is read at most once and each point's
+    membership is asked at most once (``_Check``).  When no scanned
+    member of an infinite typeset is inside the copy, the handle's
+    ``witness`` proposal is consulted and taken only once confirmed.
 
     Records are the canonical JSON of json.dumps(..., sort_keys=True),
     assembled from fragments encoded once each: a window point's quoted
@@ -217,17 +238,15 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     if sockel_cap < 0 or budget < 1:
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
-    type_key = st.type_key
+    window = _window(st, depth)
+    check = _Check(handle, budget, window)
     inside, rest = [], []
-    for p, qp in _window(st, depth):
-        m = handle.membership(p)
-        if m.is_in:
+    for i, (p, qp) in enumerate(window):
+        if check.kind(i) == _IN:
             inside.append((p, qp))
         else:
-            # a point inside the copy is its own witness (g = identity); an
-            # undecided one is also a scan point, keyed through the walk
-            rest.append((p, qp, m.is_unknown))
-    scan = _Scan(handle, budget)
+            # a point inside the copy is its own witness (g = identity)
+            rest.append((i, p, qp))
     unresolved = []
     witnesses = []  # only the first _WITNESSES_KEPT are emitted
     params = {"depth": depth, "sockel_cap": sockel_cap, "budget": budget,
@@ -236,14 +255,17 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
         for fpairs in combinations(inside, size):
             ftup = tuple([p for p, _ in fpairs])
             sockel = "[%s]" % ", ".join([qp for _, qp in fpairs])
-            walk = _Walk(scan, ftup)
-            searched = {}  # type key -> quoted witness, per class met
-            for x, qx, undecided in rest:
-                key = walk.key(x) if undecided else type_key(ftup, x)
-                if key in searched:
-                    found = searched[key]
+            table = _classes(st, ftup)
+            ids = table.ids
+            searched = {}  # class id -> quoted witness, per class met
+            for i, x, qx in rest:
+                while len(ids) <= i:
+                    table.grow(check.point)
+                c = ids[i]
+                if c in searched:
+                    found = searched[c]
                 else:
-                    found, counterexample = _obligation(walk, x, key)
+                    found, counterexample = check.settle(table, c, x)
                     if counterexample is not None:
                         return Certificate(
                             "copy-check", st.structure_id, params, "fail",
@@ -251,9 +273,7 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
                                 "sockel": [st.encode(p) for p in ftup],
                                 "point": st.encode(x),
                                 **counterexample})
-                    if found is not None:
-                        found = _quote(st.encode(found))
-                    searched[key] = found
+                    searched[c] = found
                 if found is None:
                     unresolved.append('{"point": %s, "sockel": %s}'
                                       % (qx, sockel))

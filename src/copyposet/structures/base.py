@@ -92,9 +92,7 @@ class Structure:
         if not hasattr(self, "_gen"):
             self._gen = self._generate()
         while len(self._enum_cache) < n:
-            p = next(self._gen)
-            self._index_cache[p] = len(self._enum_cache)
-            self._enum_cache.append(p)
+            self._enum_cache.append(next(self._gen))
 
     def point_at(self, i):
         if i < 0:
@@ -114,16 +112,21 @@ class Structure:
 
         This scan of the enumeration is the reference.  A structure may
         override it with a closed form, which must equal the enumeration
-        on every point."""
-        while p not in self._index_cache:
-            n = len(self._enum_cache)
+        on every point.  The point -> index map is built here, on first
+        use, so a structure with a closed form never pays for it."""
+        index, points = self._index_cache, self._enum_cache
+        while True:
+            for i in range(len(index), len(points)):
+                index[points[i]] = i
+            if p in index:
+                return index[p]
+            n = len(points)
             if n > _SCAN_CAP:
                 raise SearchBudgetError(
                     "point %r not found within enumeration scan cap" % (p,),
                     blocking=({}, p), scanned=n)
             # stop just past the cap: a miss reads the same points always
             self._grow(min(n + 64, _SCAN_CAP + 1))
-        return self._index_cache[p]
 
     def sort_points(self, pts):
         return sorted(pts, key=self.index_of)

@@ -139,6 +139,7 @@ def test_check_copy_keys_each_scanned_point_once_per_sockel():
     for h in handles:
         st = h.structure
         st.keyed.clear()
+        certify._classes.cache_clear()
         assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
         scanned = {y for y in map(st.point_at, range(500))
                    if not h.membership(y).is_out}
@@ -146,6 +147,28 @@ def test_check_copy_keys_each_scanned_point_once_per_sockel():
                  if k[1] in scanned and n > 1}
         assert not twice, h.describe()
         assert any(k[1] in scanned for k in st.keyed)
+        st.keyed.clear()
+        assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
+        assert not st.keyed, h.describe()
+
+
+def test_cold_check_reads_each_index_once():
+    class PointCounting(type(get_structure("dlo"))):
+        def __init__(self):
+            super().__init__()
+            self.read = Counter()
+
+        def point_at(self, i):
+            self.read[i] += 1
+            return super().point_at(i)
+
+    dlo = PointCounting()
+    certify._classes.cache_clear()
+    for members in ((), (0,), (1, 3), (0, 2, 5)):
+        h = engine.powerset_embedding_dlo(dlo, members=members)
+        dlo.read.clear()
+        assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
+        assert dlo.read and max(dlo.read.values()) == 1, members
 
 
 class RuleCopy(engine.CopyHandle):
@@ -572,6 +595,34 @@ def test_certificate_records_are_canonical_json():
     assert any(c.unresolved for c in certs)
     for s in strings:
         assert s == json.dumps(json.loads(s), sort_keys=True)
+
+
+def _interval_and_nine_structure_checks():
+    dlo = get_structure("dlo")
+    cases = [(engine.powerset_embedding_dlo(dlo, members=c), 8, 2, 500)
+             for k in range(11) for c in combinations(range(10), k)]
+    return cases + list(_nine_structure_checks())
+
+
+def test_certificates_do_not_depend_on_the_class_tables_kept():
+    certify._classes.cache_clear()
+    cold = [certify.check_copy(*case).to_json()
+            for case in _interval_and_nine_structure_checks()]
+    warm = [certify.check_copy(*case).to_json()
+            for case in _interval_and_nine_structure_checks()]
+    backwards = [certify.check_copy(*case).to_json()
+                 for case in _interval_and_nine_structure_checks()[::-1]]
+    assert cold == warm == backwards[::-1]
+
+
+def test_more_sockels_than_tables_kept_leave_certificates_unchanged(
+        monkeypatch):
+    want = _nine_structure_certificates()
+    monkeypatch.setattr(certify, "_classes",
+                        lru_cache(maxsize=2)(certify._Classes))
+    got = _nine_structure_certificates()
+    assert certify._classes.cache_info().misses > 2
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
 
 
 # -- witness proposals ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Action-oracle behaviour: enumerations, orbit calculus, finiteness."""
 
+import operator
 import pickle
 import random
 from decimal import Context
@@ -79,6 +80,9 @@ def test_closed_form_index_past_the_scan_cap():
 def test_index_of_is_closed_form_except_on_treetz(structure):
     overridden = type(structure).index_of is not Structure.index_of
     assert overridden == (structure.structure_id != "treetz")
+    assert structure.index_of(structure.point_at(40)) == 40
+    # only the reference scan keeps a point -> index map
+    assert bool(structure._index_cache) == (not overridden)
 
 
 def test_encoding_round_trip(structure):
@@ -148,6 +152,22 @@ def test_dlo_point_order_matches_fraction():
         k = rng.randint(-4, 4)
         assert (p < k) == (fp < k) and (k < p) == (k < fp)
         assert (p >= k) == (fp >= k) and (k >= p) == (k >= fp)
+
+
+def test_dlo_point_comparisons_agree_with_fraction():
+    ops = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt,
+           operator.ge)
+    values = [F(n, d) for n in range(-7, 8) for d in (1, 2, 3, 5)]
+    points = [Rational(v) for v in values]
+    others = points + values + list(range(-4, 5))
+    for p in points:
+        fp = F(p)
+        for q in others:
+            fq = F(q)
+            for op in ops:
+                want = op(fp, fq)
+                assert op(p, q) is want, (op, p, q)
+                assert op(q, p) is op(fq, fp), (op, q, p)
 
 
 def test_dlo_point_repr_and_pickle():
