@@ -31,14 +31,15 @@ EXIT_CLOSED_PIPE = 141
 
 
 def split_points(text):
-    """Split a comma-separated point list, respecting {} and () nesting."""
+    """Split a comma-separated point list, respecting {}, () and []
+    nesting."""
     if text is None or text.strip() == "":
         return []
     items, buf, depth = [], [], 0
     for ch in text:
-        if ch in "{(":
+        if ch in "{([":
             depth += 1
-        elif ch in ")}":
+        elif ch in ")}]":
             depth -= 1
         if ch == "," and depth == 0:
             items.append("".join(buf).strip())

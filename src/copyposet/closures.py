@@ -112,7 +112,7 @@ def intersection_closure_upper(structure, base, samples, depth, seed=0):
     Sampling strategy: the identity copy, one copy avoiding every window
     point whose type over base is certified unranked, and seed-varied
     proper copies through the identity while the sample budget lasts."""
-    from . import engine  # local import; engine depends on closures
+    from . import engine  # local, so that closure ac and rc never load it
 
     base = frozenset(base)
     if samples < 1:

@@ -84,7 +84,6 @@ class BackForthCopy(CopyHandle):
         self._cursor = 0
         self._claims = deque()
         self._claims_seen = set()
-        self.unresolved_claims = []
         self.trace = []
         if parent is not None:
             for a in self.fix:
@@ -202,18 +201,11 @@ class BackForthCopy(CopyHandle):
         return IN
 
     def _process_one_claim(self, budget):
-        attempts = 0
-        while self._claims and attempts < 4:
-            c = self._claims[0]
-            if not self.membership(c).is_unknown:
-                self._claims.popleft()
-                continue
-            self._claims.popleft()
-            attempts += 1
-            got = self.try_decide(c, budget)
-            if got.is_unknown:
-                self.unresolved_claims.append(c)
-            return
+        while self._claims:
+            c = self._claims.popleft()
+            if self.membership(c).is_unknown:
+                self.try_decide(c, budget)
+                return
 
     def _round(self):
         budget = self._budget()

@@ -3,15 +3,14 @@
 Points are unordered pairs {i, j}; a permutation of N acts by taking images
 elementwise.  The orbit of a tuple is given by its Venn regions: which of
 its pairs each support element lies in.  Candidate images are exact: the
-first enumeration points whose elements sit in the Venn regions of the
-targets that the source's elements occupy among the sources, then images
-induced by an injective assignment of the supports involved.
+enumeration points whose elements sit in the Venn regions of the targets
+that the source's elements occupy among the sources.
 """
 
 from itertools import combinations
 
 from ..core import RuleCopy, finite_answer, infinite_answer
-from .base import Structure
+from .base import _SCAN_CAP, Structure
 
 
 def support(pairs):
@@ -19,39 +18,6 @@ def support(pairs):
     for p in pairs:
         s |= p
     return s
-
-
-def _find_assignment(pairs_map):
-    """An injective support assignment inducing the given map on pairs, or
-    None.  Each support element of the domain side must go into every image
-    of a pair containing it; backtracking handles global injectivity."""
-    cand = {}
-    for u, v in pairs_map.items():
-        for e in u:
-            cur = cand.get(e)
-            cand[e] = set(v) if cur is None else cur & v
-    if any(not c for c in cand.values()):
-        return None
-    elems = sorted(cand, key=lambda e: (len(cand[e]), e))
-    used = set()
-    chosen = {}
-
-    def assign(k):
-        if k == len(elems):
-            return True
-        e = elems[k]
-        for t in sorted(cand[e]):
-            if t in used:
-                continue
-            used.add(t)
-            chosen[e] = t
-            if assign(k + 1):
-                return True
-            used.discard(t)
-            del chosen[e]
-        return False
-
-    return chosen if assign(0) else None
 
 
 class PairsAction(Structure):
@@ -122,34 +88,19 @@ class PairsAction(Structure):
                 regions[e] = regions.get(e, 0) | bit
         a, b = source
         ra, rb = held.get(a, 0), held.get(b, 0)
-        for i in range(300):
+        stop = _SCAN_CAP + 1
+        if ra and rb:
+            # both source elements lie among the sources, so both image
+            # elements lie in the targets' support [0..top], and the last
+            # pair of [0..top]^2, {top-1, top}, has index top(top+1)/2 - 1
+            top = max(regions)
+            stop = min(stop, top * (top + 1) // 2)
+        for i in range(stop):
             c = self.point_at(i)
             x, y = c
             rx, ry = regions.get(x, 0), regions.get(y, 0)
             if (rx == ra and ry == rb) or (rx == rb and ry == ra):
                 yield c
-        # extend a witness assignment of the current map over the source's
-        # support, sending unconstrained elements to fresh naturals: the
-        # images are induced by an injection, so every one extends
-        pm = dict(items)
-        asn = _find_assignment(pm)
-        if asn is None:
-            return
-        used = set(asn.values()) | support(pm.values())
-        base = max(used | source | {0}) + 1
-        k = 0
-        while True:
-            img = []
-            fresh = base + 2 * k
-            for e in sorted(source):
-                if e in asn:
-                    img.append(asn[e])
-                else:
-                    img.append(fresh)
-                    fresh += 1
-            if len(set(img)) == 2:
-                yield frozenset(img)
-            k += 1
 
     def ac_members_exact(self, sockel):
         supp = sorted(support(sockel))

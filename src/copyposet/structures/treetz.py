@@ -100,6 +100,8 @@ class TreeTZ(Structure):
         choices.sort()
         if any(e < 1 or i > lvl for (i, e) in choices):
             raise ValueError("invalid choice entries")
+        if len({i for (i, _) in choices}) < len(choices):
+            raise ValueError("repeated level in choice entries")
         return (lvl, tuple(choices))
 
     def type_key(self, ftup, x):

@@ -7,7 +7,7 @@ the block line with an independent translation inside each block.
 
 from ..core import infinite_answer
 from .base import Structure, equality_pattern
-from .dlo import DLO, order_pattern
+from .dlo import DLO, order_pattern, simplest_in_gap
 from .zorder import zigzag, zigzag_index
 
 _dlo = DLO()
@@ -73,7 +73,6 @@ class ZetaEta(Structure):
         return x[0] not in blocks
 
     def target_candidates(self, items, source):
-        from .dlo import simplest_in_gap
         lo = hi = None
         for (sq, sn), (tq, tn) in items:
             if sq == source[0]:

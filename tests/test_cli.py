@@ -24,6 +24,8 @@ def test_split_points_respects_nesting():
     assert cli.split_points("0,1") == ["0", "1"]
     assert cli.split_points("{0,1},{2,3}") == ["{0,1}", "{2,3}"]
     assert cli.split_points("(0|1),(1/2|-3)") == ["(0|1)", "(1/2|-3)"]
+    assert cli.split_points("L2:[1:1,2:1],L0:[]") == ["L2:[1:1,2:1]",
+                                                      "L0:[]"]
     assert cli.split_points("") == []
     assert cli.split_points(None) == []
 
@@ -363,6 +365,34 @@ def test_equiv_point_needs_class_dot_index(capsys, rep):
     message = "expected class.index, got '%s'" % rep
     assert json.loads(out) == {"error": "precondition", "message": message}
     assert err == "error: %s\n" % message
+
+
+def test_treetz_points_with_commas_in_point_lists(capsys):
+    # a treetz point holds commas inside its [...] choice list
+    code, out, _ = run(capsys, "typeset", "--structure", "treetz",
+                       "--sockel", "L2:[1:1,2:1]", "--rep", "L0:[]",
+                       "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["sockel"] == ["L2:[1:1,2:1]"]
+    assert rec["members"] == ["L0:[]"]
+    code, out, _ = run(capsys, "closure", "ac", "--structure", "treetz",
+                       "--base", "L2:[1:1,2:1],L0:[]", "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["base"] == ["L0:[]", "L2:[1:1,2:1]"]
+    assert "L1:[1:1]" in rec["members"]
+
+
+@pytest.mark.parametrize("rep", ["L3:[1:1,1:2]", "L3:[2:1,1:1,2:3]"])
+def test_treetz_repeated_level_is_a_precondition_error(capsys, rep):
+    # a node has one choice entry per level
+    code, out, err = run(capsys, "typeset", "--structure", "treetz",
+                         "--sockel", "L3:[1:1]", "--rep", rep,
+                         "--format", "jsonl")
+    assert code == 1
+    assert json.loads(out)["error"] == "precondition"
+    assert err.startswith("error: repeated level")
 
 
 @pytest.mark.parametrize("argv", [

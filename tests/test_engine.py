@@ -531,6 +531,53 @@ def test_back_forth_traces_are_pinned():
     assert digest.hexdigest() == PINNED_BACK_FORTH_TRACES_SHA256
 
 
+# sha256 of the traces of long pairs constructions, in the format above,
+# each taken when its handle's own stages end: deep into a run the maps
+# have hundreds of pairs and the candidate streams read far past the
+# enumeration head.  Frozen from a reference run whose stream went on past
+# 300 points with images induced by a witness assignment of the supports
+PINNED_LONG_PAIRS_TRACES_SHA256 = (
+    "d7e186fcd7d1e10699f43348b0b4a0d28c4ced41c7064fddbd352579b4a6fa46")
+
+
+def test_long_pairs_traces_are_pinned():
+    # through-proper and avoiding copies decided at d = 40 and advanced 600
+    # stages, then the two links of the descending chain over {0,1}
+    # advanced to stage 600
+    pairs = get_structure("pairs")
+    avoid = next(x for x in pairs.prefix(8)
+                 if pairs.type_unranked(fs(), x) is True)
+    digest = hashlib.sha256()
+
+    def pin(h):
+        moves = [[m["source"], m["target"], m["move"], m["scanned"]]
+                 for m in h.trace]
+        digest.update(json.dumps(moves).encode() + b"\n")
+
+    for h in (engine.copy_through(pairs, fs(), engine.copy_identity(pairs),
+                                  proper=True, seed=0),
+              engine.copy_avoiding(pairs, fs(), {avoid}, seed=0)):
+        pin(engine.decide_window(h, 40).advance(600))
+        assert h.stage == 720
+    chain = engine.descending_chain(pairs, fs(pairs.prefix(1)),
+                                    engine.copy_identity(pairs), 2, seed=0)
+    top, low = chain[1:]
+    pin(top.advance(600 - top.stage))
+    settled = len(top.trace)
+    pin(low.advance(600 - low.stage))
+    assert digest.hexdigest() == PINNED_LONG_PAIRS_TRACES_SHA256
+    # the lower link's search then claims 29 pairs into the upper one.  The
+    # last six need an element outside the upper map's domain, and the
+    # stream yields the first in enumeration order, 36
+    assert [(m["source"], m["target"], m["move"]) for m in
+            top.trace[settled:]] == [
+        ("{%d,35}" % k, "{%d,38}" % (k + 3), "back") for k in range(12, 35)
+    ] + [("{%d,36}" % k, "{%d,39}" % t, "back")
+         for k, t in ((0, 0), (1, 1), (3, 6), (4, 7), (5, 8), (6, 9))]
+    for h in (top, low):
+        assert pairs.extendable(dict(h._map))
+
+
 def test_back_forth_maps_extend():
     # the search tests no orbit, so an inexact candidate stream would show
     # here: every decided map must pass the raw oracle.  To the pinned

@@ -14,6 +14,7 @@ from copyposet import PreconditionError, certify
 from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.dlo import Rational, simplest_in_gap
+from copyposet.structures.pairs import support
 from copyposet.structures.rado import adjacent
 from copyposet.structures.treetz import meet_level
 
@@ -385,15 +386,30 @@ def test_candidate_streams_are_exact(sid, monkeypatch):
 
 
 def test_pairs_stream_filters_the_enumeration_head(pairs):
-    # the first 300 enumeration points that extend, in enumeration order,
-    # then the witness-assignment tail
+    # the stream is the enumeration points that extend, in enumeration
+    # order; when both source elements are mapped, every image lies in the
+    # targets' support [0..top] and the stream ends at index top(top+1)/2
+    ended = 0
     for items, source in _seeded_maps(pairs, 9):
         pm = dict(items)
-        head = [p for p in pairs.prefix(300)
+        head = [p for p in pairs.prefix(1200)
                 if pairs.extendable({**pm, source: p})]
         stream = pairs.target_candidates(items, source)
-        assert list(islice(stream, len(head))) == head, (items, source)
-        assert pairs.extendable({**pm, source: next(stream)})
+        if source <= support(pm):
+            top = max(support(pm.values()))
+            stop = top * (top + 1) // 2
+            assert stop <= 1200
+            assert list(stream) == [p for p in head
+                                    if pairs.index_of(p) < stop], \
+                (items, source)
+            ended += 1
+        else:
+            assert list(islice(stream, len(head))) == head, (items, source)
+    assert ended
+    # a map that fixes the image: {0,2} must go to {5,30}, and the stream
+    # ends at {29,30}, index 464
+    items = [(fs((0, 1)), fs((5, 9))), (fs((1, 2)), fs((9, 30)))]
+    assert list(pairs.target_candidates(items, fs((0, 2)))) == [fs((5, 30))]
 
 
 # -- typeset finiteness ---------------------------------------------------------
