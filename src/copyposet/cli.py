@@ -174,6 +174,8 @@ def _build_copy(args, st):
         c = engine.copy_through(st, fix, engine.copy_identity(st),
                                 proper=args.proper, seed=args.seed)
     elif args.kind == "avoiding":
+        if not avoid:
+            raise PreconditionError("an avoiding copy needs --avoid")
         c = engine.copy_avoiding(st, fix, avoid, seed=args.seed)
     else:
         raise PreconditionError("unknown copy kind %r" % args.kind)

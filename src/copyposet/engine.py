@@ -407,11 +407,17 @@ def bernstein_base(structure, depth, sockel_cap=2):
     assigned = {}
     served, unserved = [], []
     scan_cap = 64 * (depth + 1)
+    type_key = structure.type_key
     for size in range(0, sockel_cap + 1):
+        # the window is in enumeration order, so each sockel listing is
+        # too, and the first window point keyed into a class is its rep
         for ftup in combinations(window, size):
             fset = frozenset(ftup)
-            pool = [x for x in window if x not in fset]
-            for rep, _ in structure.orbit_reps(fset, pool):
+            reps = {}
+            for x in window:
+                if x not in fset:
+                    reps.setdefault(type_key(ftup, x), x)
+            for rep in reps.values():
                 # fresh members may come from past the window: the orbits
                 # are infinite, only the returned prefix is windowed
                 have = set()
@@ -431,11 +437,10 @@ def bernstein_base(structure, depth, sockel_cap=2):
                         break
                     assigned[fresh.pop(0)] = side
                     have.add(side)
-                entry = (tuple(structure.sort_points(fset)), rep)
                 if {"A", "B"} <= have:
-                    served.append(entry)
+                    served.append((ftup, rep))
                 else:
-                    unserved.append(entry)
+                    unserved.append((ftup, rep))
     flip = False
     for x in window:
         if x not in assigned:

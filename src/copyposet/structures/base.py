@@ -293,12 +293,14 @@ class Structure:
         return self.target_candidates([(t, s) for s, t in items], target)
 
     def orbit_reps(self, sockel, pool):
-        """Partition ``pool`` (points outside sockel) into typeset classes.
+        """Partition ``pool`` into typeset classes.
 
-        Returns [(rep, members)] with enum-least reps, in rep order."""
+        Pre: ``pool`` lists points outside sockel in enumeration order; it
+        is not sorted here.  Returns [(rep, members)] with enum-least reps,
+        in rep order."""
         f = tuple(sockel)
         classes = {}
-        for p in self.sort_points(pool):
+        for p in pool:
             classes.setdefault(self.type_key(f, p), (p, []))[1].append(p)
         return list(classes.values())
 

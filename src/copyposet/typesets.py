@@ -10,7 +10,8 @@ never from search failure.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations
+from math import comb, factorial
 
 from .core import Frozen
 from .errors import PreconditionError
@@ -90,43 +91,58 @@ def continuation_partition(structure, t, ext_sockel, depth):
                                    structure.prefix(depth))
     pool = [q for q in members if q not in ext]
     return [make_type(structure, ext, rep)
-            for rep in _class_reps(structure, ext, pool)]
+            for _, rep in _class_reps(structure, tuple(ext), pool)]
 
 
-def _class_reps(structure, sockel, pool):
-    """Stream the enum-least representative of each typeset class over
-    ``sockel`` met in ``pool``, a list of points outside the sockel in
-    enumeration order; stopping early skips the rest of the pool."""
-    f = tuple(sockel)
+def _class_reps(structure, ftup, pool):
+    """Stream (type key, enum-least representative) for each typeset class
+    over the sockel listed in ``ftup`` met in ``pool``, a list of points
+    outside the sockel in enumeration order; stopping early skips the rest
+    of the pool."""
     seen = set()
     for p in pool:
-        key = structure.type_key(f, p)
+        key = structure.type_key(ftup, p)
         if key not in seen:
             seen.add(key)
-            yield p
+            yield key, p
 
 
 class _RankSearch:
+    """Sockels travel as tuples in enumeration order, and a class is named
+    by its type key over that listing, so every rep of a class shares one
+    memo entry."""
+
     def __init__(self, structure, window):
         self.structure = structure
         self.window = window
         self.probe = max(2 * window, window + 8)
         self._memo = {}
+        self._index = {}
 
-    def _class_key(self, sockel, rep):
-        # the type key over the sockel in enumeration order names the
-        # class, so every rep of a class shares one memo entry
-        st = self.structure
-        return (sockel, st.type_key(tuple(st.sort_points(sockel)), rep))
+    def _index_of(self, p):
+        i = self._index.get(p)
+        if i is None:
+            i = self._index[p] = self.structure.index_of(p)
+        return i
+
+    def _listed(self, pts):
+        return tuple(sorted(pts, key=self._index_of))
 
     def bound(self, sockel, rep, k):
-        key = (self._class_key(frozenset(sockel), rep), k)
-        if key not in self._memo:
-            self._memo[key] = self._bound(frozenset(sockel), rep, k)
-        return self._memo[key]
+        ftup = self._listed(frozenset(sockel))
+        return self._class_bound(ftup, self.structure.type_key(ftup, rep),
+                                 rep, k)
 
-    def _bound(self, sockel, rep, k):
+    def _class_bound(self, ftup, key, rep, k):
+        memo_key = (ftup, key, k)
+        answer = self._memo.get(memo_key)
+        if answer is None:
+            answer = self._memo[memo_key] = self._bound(ftup, rep, k)
+        return answer
+
+    def _bound(self, ftup, rep, k):
         st = self.structure
+        sockel = frozenset(ftup)
         fin = st.typeset_finite(sockel, rep)
         if fin.is_finite:
             return RankAnswer(
@@ -142,20 +158,33 @@ class _RankSearch:
         # window).  The rep-pinning extension goes first: it is the move the
         # recursion bottoms out on and it keeps the reported bounds tight.
         cand = set(st.prefix(self.window)) | {rep}
-        window_pts = [p for p in st.sort_points(cand) if p not in sockel]
+        window_pts = [p for p in self._listed(cand) if p not in sockel]
         candidates = chain([(rep,)], (
             added for size in range(1, DEFAULT_SOCKEL_EXTENSION_CAP + 1)
             for added in combinations(window_pts, size) if added != (rep,)))
         # the probe-window typeset is filtered once per call; each candidate
         # streams its continuation classes only up to the first failing one
         members = list(st.typeset_in(sockel, rep, st.prefix(self.probe)))
+        # Refute first at k = 1: a continuation has rank 0 exactly when its
+        # typeset is finite, a property of its class.  The point that
+        # refuted the last candidate is a member here; if it lies off the
+        # next extension with an infinite typeset over it, its class fails
+        # the full scan below as well, so one finiteness test rejects the
+        # candidate with the same outcome.  Skipped scans leave k = 0 memo
+        # entries for later, and those carry no rep-dependent witness.
+        killer = None
         for added in candidates:
             ext = sockel.union(added)
-            reps = _class_reps(st, ext, [q for q in members if q not in ext])
+            if k == 1 and killer is not None and killer not in ext \
+                    and not st.typeset_finite(ext, killer).is_finite:
+                continue
+            etup = self._listed(ftup + added)
+            reps = _class_reps(st, etup, [q for q in members if q not in ext])
             subs = []
-            for crep in reps:
-                sub = self.bound(ext, crep, k - 1)
+            for key, crep in reps:
+                sub = self._class_bound(etup, key, crep, k - 1)
                 if not sub.is_at_most:
+                    killer = crep
                     subs = None
                     break
                 subs.append((crep, sub))
@@ -163,7 +192,7 @@ class _RankSearch:
                 continue
             bound = 1 + max((s.bound for _, s in subs), default=0)
             witness = {
-                "extension": [st.encode(p) for p in st.sort_points(ext)],
+                "extension": [st.encode(p) for p in etup],
                 "continuations": [
                     {"rep": st.encode(r), "answer": s.witness,
                      "bound": s.bound}
@@ -187,8 +216,22 @@ def rank_search(structure, window):
     return _RankSearch(structure, window)
 
 
+def _stirling2(n, m):
+    """The number of partitions of n labelled positions into m blocks."""
+    return sum((-1) ** j * comb(m, j) * (m - j) ** n
+               for j in range(m + 1)) // factorial(m)
+
+
 def oligomorphic_profile(structure, n, window):
     """Number of orbit classes of n-tuples with entries in U_window.
+
+    An n-tuple is its equality pattern, a partition of its n positions
+    into m blocks, plus the injective m-tuple of its distinct entries in
+    order of first occurrence; every g keeps the pattern and moves the
+    m-tuple.  So two n-tuples share an orbit iff they share the pattern
+    and their m-tuples share an orbit, and the count is the sum over m of
+    S(n, m), the Stirling number of the second kind, times the number of
+    orbit classes of injective m-tuples.  Only those are keyed.
 
     Stabilizes as the window grows exactly for the oligomorphic built-ins."""
     if not 1 <= n <= 4:
@@ -196,4 +239,7 @@ def oligomorphic_profile(structure, n, window):
     if window < n:
         raise PreconditionError("window must be >= n")
     pts = structure.prefix(window)
-    return len({structure.orbit_key(t) for t in product(pts, repeat=n)})
+    orbit_key = structure.orbit_key
+    return sum(_stirling2(n, m) * len({orbit_key(t)
+                                       for t in permutations(pts, m)})
+               for m in range(1, n + 1))

@@ -568,7 +568,7 @@ def _nine_structure_checks():
             fixes.append(fs({fs((0, 1)), fs((2, 3))}))
         for fix in fixes:
             for side in engine.disjoint_pair(st, fix, seed=0):
-                yield engine.decide_window(side, 8, stages=8), 8, 2, 500
+                yield side, 8, 2, 500
     dlo = get_structure("dlo")
     yield engine.max_avoiding_copy(dlo, [F(0)], 8), 8, 2, 500
     yield PlantedNonCopy(dlo), 8, 1, 500

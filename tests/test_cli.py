@@ -367,6 +367,18 @@ def test_equiv_point_needs_class_dot_index(capsys, rep):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("command", ["copy", "certify"])
+def test_avoiding_copy_without_avoid_is_a_precondition_error(capsys,
+                                                             command):
+    argv = [command] + (["copy"] if command == "certify" else [])
+    code, out, err = run(capsys, *argv, "--structure", "pairs", "--kind",
+                         "avoiding", "--format", "jsonl")
+    assert code == 1
+    message = "an avoiding copy needs --avoid"
+    assert json.loads(out) == {"error": "precondition", "message": message}
+    assert err == "error: %s\n" % message
+
+
 def test_treetz_points_with_commas_in_point_lists(capsys):
     # a treetz point holds commas inside its [...] choice list
     code, out, _ = run(capsys, "typeset", "--structure", "treetz",

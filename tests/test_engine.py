@@ -325,6 +325,31 @@ def test_bernstein_pureset_balanced():
     assert set(res.side_a) | set(res.side_b) == set(range(6))
 
 
+# sha256 over one JSON line per (structure, depth, sockel_cap) below
+PINNED_BERNSTEIN_SHA256 = \
+    "391d8888509e104ab50a04199f98c91e1f5bdc4c70e43d3fe4a3306c8f3a4092"
+
+
+def test_bernstein_bases_are_pinned():
+    # sides, served and unserved classes, with each class's sockel and rep
+    digest = hashlib.sha256()
+    for sid in ("pureset", "dlo", "rado", "equiv"):
+        st = get_structure(sid)
+        enc = st.encode
+        for depth in (6, 10, 12, 14):
+            for cap in (1, 2):
+                res = engine.bernstein_base(st, depth, sockel_cap=cap)
+                rec = {"structure": sid, "depth": depth, "sockel_cap": cap,
+                       "a": [enc(x) for x in res.side_a],
+                       "b": [enc(x) for x in res.side_b]}
+                for name in ("served", "unserved"):
+                    rec[name] = [[[enc(p) for p in f], enc(r)]
+                                 for f, r in getattr(res, name)]
+                digest.update(json.dumps(rec, sort_keys=True).encode()
+                              + b"\n")
+    assert digest.hexdigest() == PINNED_BERNSTEIN_SHA256
+
+
 # -- the no-isolated-point proxy ---------------------------------------------------------------
 
 def test_second_copy_in_every_neighbourhood(dlo):

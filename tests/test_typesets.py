@@ -3,7 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -217,11 +217,27 @@ def _count_calls(monkeypatch, cls, name):
     return calls
 
 
+@pytest.mark.parametrize("sid", BUILTIN_IDS)
+def test_profile_counts_every_tuple(sid):
+    # the profile keys injective tuples only; it must count all of them
+    st = get_structure(sid)
+    for n in range(1, 5):
+        for window in sorted({n, 5, 6, 8}):
+            pts = st.prefix(window)
+            brute = len({st.orbit_key(t) for t in product(pts, repeat=n)})
+            assert ts.oligomorphic_profile(st, n, window) == brute
+
+
 def test_orbit_work_bounds(monkeypatch):
+    # class reps come from one keyed pass over the enumeration-ordered
+    # window, with no sort (1,928 index_of calls when every sockel and
+    # pool was sorted)
     rado = get_structure("rado")
-    same_type = _count_calls(monkeypatch, type(rado), "same_type")
+    index_of = _count_calls(monkeypatch, type(rado), "index_of")
+    type_key = _count_calls(monkeypatch, type(rado), "type_key")
     engine.bernstein_base(rado, 14)
-    assert len(same_type) <= 10_000
+    assert index_of == []
+    assert len(type_key) <= 3_000
     for sid, n, window in (("dlo", 3, 8), ("rado", 3, 8), ("pairs", 2, 6)):
         st = get_structure(sid)
         extendable = _count_calls(monkeypatch, type(st), "extendable")
@@ -230,14 +246,19 @@ def test_orbit_work_bounds(monkeypatch):
 
 
 def test_rank_search_work_bound(monkeypatch):
-    # the probe-window typeset is filtered once per search node, and each
-    # candidate extension stops comparing continuation classes at the
-    # first one that fails (15,814 same_type calls when neither held)
+    # the search sorts each point once, keys each continuation class once,
+    # and at k = 1 retries the last refuting point before any class scan
+    # (933 typeset_finite, 3,720 index_of and 1,882 type_key calls when
+    # every candidate scanned its classes and every continuation re-sorted
+    # its sockel)
     z2 = get_structure("zeta2")
-    same_type = _count_calls(monkeypatch, type(z2), "same_type")
+    counts = {name: _count_calls(monkeypatch, type(z2), name)
+              for name in ("typeset_finite", "index_of", "type_key")}
     a = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 0)), 1, 8)
     assert a.kind == ts.NOT_WITHIN
-    assert len(same_type) <= 3_000
+    assert len(counts["typeset_finite"]) <= 400
+    assert len(counts["index_of"]) <= 20
+    assert len(counts["type_key"]) <= 200
 
 
 def test_profile_stabilizes_for_oligomorphic():
