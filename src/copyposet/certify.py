@@ -517,8 +517,9 @@ def check_meet_irreducible_candidate(handle, x, depth, samples=6, seed=0):
     """Heuristic refutation search for maximality among copies avoiding x.
 
     Tries to build a copy strictly containing the decided window part of
-    the handle and still excluding x; pass means "not refuted", never a
-    proof."""
+    the handle and still excluding x; pass means "not refuted".  On the
+    ``CofiniteCopy`` U minus {x} a pass is a proof: no copy avoiding x
+    strictly contains it."""
     from . import engine
 
     st = handle.structure

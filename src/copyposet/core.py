@@ -127,7 +127,7 @@ class CopyHandle:
     def witness(self, ftup, x):
         """A proposed member of the copy in the typeset of x over the
         sockel listed in ``ftup``, or None.  Callers confirm a proposal
-        before taking it; a proposal calls no oracle primitive."""
+        before taking it; a proposal may read a typeset stream."""
         return None
 
     def advance(self, stages):
@@ -192,3 +192,25 @@ class RuleCopy(CopyHandle):
         st = self.structure
         return "%s fix={%s}" % (self.label, ",".join(
             st.encode(a) for a in st.sort_points(self.fix)))
+
+
+class CofiniteCopy(CopyHandle):
+    """U minus a finite ``avoid``; total membership.  Without algebraicity
+    it keeps the extension property: the maximum copy avoiding ``avoid``."""
+
+    def __init__(self, structure, avoid):
+        super().__init__(structure)
+        self.avoid = frozenset(avoid)
+
+    def membership(self, x):
+        return OUT if x in self.avoid else IN
+
+    def witness(self, ftup, x):
+        for y in self.structure.typeset_iter(frozenset(ftup), x):
+            if y not in self.avoid:
+                return y
+
+    def describe(self):
+        st = self.structure
+        return "cofinite avoid={%s}" % ",".join(
+            st.encode(a) for a in st.sort_points(self.avoid))

@@ -12,7 +12,8 @@ otherwise.
 
 Constructors take the structure's closed form when it has one
 (``closed_form_avoiding``); disjoint pairs are closed form only
-(``closed_form_disjoint_pair``).
+(``closed_form_disjoint_pair``).  Without algebraicity the closed form
+is the cofinite copy U minus the avoided set (``CofiniteCopy``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from collections import deque
 from itertools import combinations, islice
 
 # CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
-from .core import IN, OUT, UNKNOWN, CopyHandle, Frozen, IdentityCopy
+from .core import (IN, OUT, UNKNOWN, CofiniteCopy, CopyHandle, Frozen,
+                   IdentityCopy)
 from .errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -61,9 +63,6 @@ class UnionCopy(CopyHandle):
 class BackForthCopy(CopyHandle):
     """A copy built by staged back-and-forth under constraints."""
 
-    budget_base = 100
-    budget_slope = 10
-
     def __init__(self, structure, fix=(), avoid=(), parent=None, seed=0):
         super().__init__(structure)
         fixset = frozenset(fix)
@@ -78,9 +77,6 @@ class BackForthCopy(CopyHandle):
         self._range = set(self.fix)
         self._outs = set(avoidset)
         self._avoid_constraints = tuple(structure.sort_points(avoidset))
-        # ac(F) = F when every stabilizer orbit off F is infinite, and then
-        # the avoidance guard is vacuous
-        self._guard_trivial = structure.stabilizer_orbits_all_infinite
         self._cursor = 0
         self._claims = deque()
         self._claims_seen = set()
@@ -106,12 +102,12 @@ class BackForthCopy(CopyHandle):
     # -- construction -------------------------------------------------------
 
     def _budget(self):
-        return self.budget_base + self.budget_slope * self._stage
+        return 100 + 10 * self._stage
 
     def _guards_pass(self, y):
         """Whether every avoided point keeps a certified-unranked type over
         the image with y added."""
-        if self._avoid_constraints and not self._guard_trivial:
+        if self._avoid_constraints:
             sockel = frozenset(self._range | {y})
             for e in self._avoid_constraints:
                 if self.structure.type_unranked(sockel, e) is not True:
@@ -308,8 +304,11 @@ def copy_avoiding(structure, fix, avoid, seed=0):
 
 
 def max_avoiding_copy(structure, avoid, depth, seed=0):
-    """A copy avoiding ``avoid`` that greedily claims every other window
-    point, approximating a maximal copy in its neighbourhood."""
+    """The maximum copy U minus ``avoid`` where every stabilizer orbit off
+    a finite set is infinite; elsewhere a copy avoiding ``avoid`` decided
+    on the window at ``depth``."""
+    if structure.stabilizer_orbits_all_infinite:
+        return CofiniteCopy(structure, avoid)
     return decide_window(copy_avoiding(structure, (), avoid, seed=seed), depth)
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from itertools import islice
 
-from ..core import finite_answer, infinite_answer
+from ..core import (CofiniteCopy, IdentityCopy, finite_answer,
+                    infinite_answer)
 from ..errors import PreconditionError, SearchBudgetError
 
 # Safety cap for searches that are mathematically guaranteed to terminate on
@@ -313,7 +314,16 @@ class Structure:
     def closed_form_avoiding(self, fix, avoid, parent):
         """A closed-form copy containing ``fix``, avoiding ``avoid``, inside
         ``parent``; None unless ``parent`` is ``IdentityCopy`` or one of the
-        structure's own handles."""
+        structure's own handles.  Default, with the flag set: U minus the
+        avoided points; when ``avoid`` cuts nothing from a cofinite parent,
+        ``parent.unranked_member(fix)`` is cut, so chains stay strict."""
+        if self.stabilizer_orbits_all_infinite:
+            if isinstance(parent, IdentityCopy):
+                return CofiniteCopy(self, avoid)
+            if isinstance(parent, CofiniteCopy):
+                if parent.avoid and avoid <= parent.avoid:
+                    avoid = avoid | {parent.unranked_member(fix)}
+                return CofiniteCopy(self, parent.avoid | avoid)
         return None
 
     def closed_form_disjoint_pair(self, fix):

@@ -244,15 +244,6 @@ class DLO(Structure):
     def orbit_key(self, tup):
         return order_pattern(tup)
 
-    def target_candidates(self, items, source):
-        lo = hi = None
-        for s, t in items:
-            if s < source:
-                lo = t if lo is None or t > lo else lo
-            else:
-                hi = t if hi is None or t < hi else hi
-        yield from simplest_in_gap(lo, hi)
-
     def closed_form_disjoint_pair(self, fix):
         # interval systems pinching the fixed points from opposite sides;
         # total membership keeps every window obligation checkable

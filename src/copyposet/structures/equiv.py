@@ -49,25 +49,6 @@ class EquivInf(Structure):
     def orbit_key(self, tup):
         return equality_pattern(tup), equality_pattern([c for c, _ in tup])
 
-    def target_candidates(self, items, source):
-        forced = None
-        used = set()
-        for s, t in items:
-            used.add(t[0])
-            if s[0] == source[0]:
-                forced = t[0]
-        if forced is not None:
-            i = 0
-            while True:
-                yield (forced, i)
-                i += 1
-        c = 0
-        while True:
-            if c not in used:
-                for i in range(3):
-                    yield (c, i)
-            c += 1
-
     def closed_form_disjoint_pair(self, fix):
         # a set meeting infinitely many classes, each in infinitely many
         # points, is a copy: F with the points off F of one index parity,

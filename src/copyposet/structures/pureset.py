@@ -1,7 +1,5 @@
 """The pure countable set: U = N with the full symmetric group."""
 
-from itertools import count
-
 from ..core import RuleCopy
 from .base import Structure, _decimal, _from_decimal, equality_pattern
 
@@ -38,11 +36,6 @@ class PureSet(Structure):
 
     def orbit_key(self, tup):
         return equality_pattern(tup)
-
-    def target_candidates(self, items, source):
-        # every finite injection extends: all points, in enumeration order
-        del items, source
-        return count()
 
     def closed_form_disjoint_pair(self, fix):
         # any infinite subset of N is a copy: F with the points off F of

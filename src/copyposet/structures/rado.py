@@ -2,11 +2,12 @@
 
 BIT adjacency positions are vertex values, so the enum-least witness for
 an adjacency pattern sits far out in the enumeration.  Every copy the
-library builds from the whole graph or from one of its own copies is
-therefore a tagged bit-class (Rado 1964): the fixed set together with every
-vertex above a floor whose bits match chosen tag positions.  Avoiding
-copies, chains and disjoint pairs over any finite fixed set are all such
-classes; the pair over nothing is the residue split 2, 3 (mod 4).
+library builds from the whole graph or from a tagged copy is therefore a
+tagged bit-class (Rado 1964): the fixed set together with every vertex
+above a floor whose bits match chosen tag positions.  Avoiding copies,
+chains and disjoint pairs over any finite fixed set are all such classes;
+the pair over nothing is the residue split 2, 3 (mod 4).  The maximum copy
+avoiding a set, and every copy inside it, is the base class's cofinite one.
 """
 
 from ..core import IN, OUT, CopyHandle, IdentityCopy
@@ -99,7 +100,7 @@ class RadoGraph(Structure):
                                   parent.zeros, parent.floor)
         if isinstance(parent, IdentityCopy):
             return _rado_avoiding(self, fix, avoid)
-        return None
+        return super().closed_form_avoiding(fix, avoid, parent)
 
     def closed_form_disjoint_pair(self, fix):
         # over nothing, the residue classes 2 and 3 (mod 4); over a nonempty

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet.core import IN, OUT, UNKNOWN
+from copyposet.core import IN, OUT, UNKNOWN, CofiniteCopy
 from copyposet.errors import PreconditionError
 from copyposet import certify, engine
 from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
@@ -55,8 +55,9 @@ def test_check_copy_pass_monotone_in_budget(dlo):
     assert low.verdict == "pass" and high.verdict == "pass"
 
 
-def test_check_copy_unknown_on_fresh_backforth(dlo):
-    c = engine.copy_avoiding(dlo, set(), {F(0)})
+def test_check_copy_unknown_on_fresh_backforth():
+    ze = get_structure("zetaeta")
+    c = engine.copy_avoiding(ze, set(), {ze.decode("(0|0)")})
     cert = certify.check_copy(c, 8, 1, 50)
     assert cert.verdict == "unknown"
     assert cert.unresolved
@@ -434,12 +435,12 @@ def test_inclusion_examples(dlo):
     assert certify.check_inclusion(s0, s0, 10).verdict == "pass"
 
 
-def test_inclusion_unknown_against_partial(dlo):
-    s0 = engine.powerset_embedding_dlo(dlo, members=(0,))
-    partial = engine.copy_avoiding(dlo, set(), {F(5)})
+def test_inclusion_unknown_against_partial():
+    ze = get_structure("zetaeta")
+    partial = engine.copy_avoiding(ze, set(), {ze.decode("(5|0)")})
     partial.advance(2)
-    cert = certify.check_inclusion(s0, partial, 8)
-    assert cert.verdict in ("unknown", "fail")
+    cert = certify.check_inclusion(engine.copy_identity(ze), partial, 8)
+    assert cert.verdict == "unknown"
 
 
 # -- disjointness -----------------------------------------------------------------
@@ -500,9 +501,11 @@ def test_certificate_jsonl_round_trip(dlo, tmp_path):
 
 
 # sha256 of the check_copy(h, 8, 2, 500) certificates of _pinned_copies(),
-# one to_json() line each: the bytes must not move with the point type
+# one to_json() line each: the bytes must not move with the point type.
+# Re-pinned when the dlo copies became cofinite: their four certificates
+# changed, every other certificate kept its bytes
 PINNED_CERTIFICATES_SHA256 = (
-    "c0dffa998bf3a406f3f8bc3f56f455c9fe56e684077e3110597bea2da797d324")
+    "cf57be5f2dbda03a1c4f198cb8a4f7a1efbc3ca103aea9bd44b6fdb30bb7e981")
 
 
 def _pinned_copies():
@@ -536,18 +539,19 @@ def test_certificate_bytes_are_pinned():
 # sha256 of the certificates of _nine_structure_checks(), one to_json() line
 # each.  Re-pinned when the pureset, equiv and pairs disjoint pairs became
 # closed forms: their eight side certificates changed, every other
-# certificate kept its bytes
+# certificate kept its bytes.  Re-pinned when the pureset, dlo and equiv
+# copies became cofinite: their thirteen certificates changed, the five dlo
+# ones from unknown to pass, and every other certificate kept its bytes
 PINNED_NINE_STRUCTURE_SHA256 = (
-    "78ef2c36cbaf5277eb01945385466d2e7b34dde6630e53e48e52f7792348f850")
+    "a019f926998fa8be2b6ff7d413269a103bebaf5590958fb3319089e442920870")
 
 
 def _nine_structure_checks():
     """(handle, depth, sockel_cap, budget) for the identity copy of every
     structure; the decided through-proper and avoiding copies at d = 8 and
     12 and both sides of the disjoint pairs of every structure that has
-    them; the dlo max_avoiding_copy; and the planted non-copy.  Seven of
-    these stay unknown (the dlo copies and zetaeta at d = 12) and the
-    planted one fails."""
+    them; the dlo max_avoiding_copy; and the planted non-copy.  Two of
+    these stay unknown (zetaeta at d = 12) and the planted one fails."""
     for sid in BUILTIN_IDS:
         st = get_structure(sid)
         yield engine.copy_identity(st), 8, 2, 500
@@ -581,7 +585,7 @@ def _nine_structure_certificates():
 def test_nine_structure_certificate_bytes_are_pinned():
     certs = _nine_structure_certificates()
     verdicts = Counter(c.verdict for c in certs)
-    assert verdicts["unknown"] == 7 and verdicts["fail"] == 1
+    assert verdicts["unknown"] == 2 and verdicts["fail"] == 1
     digest = hashlib.sha256()
     for cert in certs:
         digest.update(cert.to_json().encode() + b"\n")
@@ -623,6 +627,55 @@ def test_more_sockels_than_tables_kept_leave_certificates_unchanged(
     got = _nine_structure_certificates()
     assert certify._classes.cache_info().misses > 2
     assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+# -- cofinite copies ------------------------------------------------------------
+
+@pytest.mark.parametrize("sid", ["pureset", "dlo", "equiv"])
+def test_cofinite_copies_pass_after_decide_window(sid):
+    # through-proper copies, and copies avoiding the first or the second
+    # unranked window point, at seeds 0-5 and depths 6-12
+    st = get_structure(sid)
+    for seed in range(6):
+        for d in (6, 8, 10, 12):
+            free = [x for x in st.prefix(d)
+                    if st.type_unranked(fs(), x) is True]
+            handles = [engine.copy_through(st, fs(), engine.copy_identity(st),
+                                           proper=True, seed=seed)]
+            handles += [engine.copy_avoiding(st, fs(), {a}, seed=seed)
+                        for a in free[:2]]
+            for h in handles:
+                assert isinstance(h, CofiniteCopy)
+                engine.decide_window(h, d)
+                cert = certify.check_copy(h, d)
+                assert cert.verdict == "pass", (seed, d, h.describe())
+
+
+@pytest.mark.parametrize("sid", ["pureset", "dlo", "rado", "equiv"])
+def test_max_avoiding_copy_is_the_cofinite_copy(sid):
+    st = get_structure(sid)
+    for d in (8, 12):
+        for seed in range(6):
+            for k in (1, 3):
+                avoid = random.Random(seed).sample(st.prefix(d), k)
+                h = engine.max_avoiding_copy(st, avoid, d)
+                assert isinstance(h, CofiniteCopy)
+                assert [x for x in st.prefix(d) if h.membership(x).is_out] \
+                    == st.sort_points(avoid)
+                cert = certify.check_copy(h, d)
+                assert cert.verdict == "pass", (seed, d, h.describe())
+
+
+def test_rado_cofinite_copy_passes_through_its_witness():
+    # over the sockel {3, 9}, the type of 0 (adjacent to both) has no
+    # member among the 500 points scanned but 0, which is avoided: every
+    # other member has bits 3 and 9 set.  The copy proposes 520
+    rado = get_structure("rado")
+    h = engine.max_avoiding_copy(rado, [0], 12)
+    cert = certify.check_copy(h, 12, 2, 500)
+    assert cert.verdict == "pass"
+    records = [json.loads(w) for w in cert.witnesses]
+    assert {"point": "0", "sockel": ["3", "9"], "witness": "520"} in records
 
 
 # -- witness proposals ---------------------------------------------------------

@@ -264,8 +264,8 @@ def test_certify_inclusion_fail_exit_1(capsys):
 
 
 def test_certify_copy_unknown_exit_2(capsys):
-    code, out, _ = run(capsys, "certify", "copy", "--structure", "dlo",
-                       "--kind", "avoiding", "--avoid", "0",
+    code, out, _ = run(capsys, "certify", "copy", "--structure", "zetaeta",
+                       "--kind", "avoiding", "--avoid", "(0|0)",
                        "--stages", "1", "--budget", "40")
     assert code == 2
 
@@ -307,6 +307,18 @@ def test_certify_meet_not_refuted(capsys):
                        "--avoid", "0", "--depth", "8")
     assert code == 0
     assert "meet-irreducible: pass" in out
+
+
+@pytest.mark.parametrize("sid, avoid", [
+    ("pureset", "0"), ("dlo", "0"), ("rado", "0"), ("equiv", "0.0")])
+def test_certify_meet_passes_on_the_maximum_avoiding_copy(capsys, sid, avoid):
+    # U minus {u_0}: no copy avoiding u_0 strictly contains it
+    code, out, _ = run(capsys, "certify", "meet", "--structure", sid,
+                       "--avoid", avoid, "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["verdict"] == "pass"
+    assert rec["params"]["copy"] == "cofinite avoid={%s}" % avoid
 
 
 def test_chain_command(capsys):

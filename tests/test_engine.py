@@ -18,7 +18,8 @@ from copyposet.errors import (
     UnsupportedConstructionError,
 )
 from copyposet import certify, closures, engine, typesets
-from copyposet.core import IN, OUT, UNKNOWN, FinitenessAnswer, Membership
+from copyposet.core import (IN, OUT, UNKNOWN, CofiniteCopy, FinitenessAnswer,
+                            Membership)
 from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
 
 fs = frozenset
@@ -124,9 +125,15 @@ def test_membership_decisions_permanent(dlo):
     assert snapshot_out <= set(c.decided_out(10))
 
 
-def test_advance_determinism(dlo):
-    a = engine.copy_avoiding(dlo, {F(0)}, {F(1)})
-    b = engine.copy_avoiding(dlo, {F(0)}, {F(1)})
+def _zetaeta_avoiding(fix, avoid):
+    ze = get_structure("zetaeta")
+    return engine.copy_avoiding(ze, {ze.decode(p) for p in fix},
+                                {ze.decode(p) for p in avoid}, seed=0)
+
+
+def test_advance_determinism():
+    a = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
+    b = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
     a.advance(4).advance(4)
     b.advance(8)
     assert a._map == b._map
@@ -134,8 +141,8 @@ def test_advance_determinism(dlo):
     assert a.trace == b.trace
 
 
-def test_advance_zero_is_noop(dlo):
-    c = engine.copy_avoiding(dlo, set(), {F(0)})
+def test_advance_zero_is_noop():
+    c = _zetaeta_avoiding([], ["(0|0)"])
     c.advance(4)
     before = dict(c._map)
     c.advance(0)
@@ -247,6 +254,37 @@ def test_descending_chain_strictness(dlo):
             upper.membership(x).is_in and lower.membership(x).is_out
             for x in dlo.prefix(20))
         assert strict
+
+
+def test_cofinite_chain_longer_than_its_window_stays_strict(dlo):
+    # 12 levels share out 6 unranked window points: each later level cuts
+    # the enum-least point its parent holds
+    chain = engine.descending_chain(dlo, set(), engine.copy_identity(dlo),
+                                    12, depth=6)
+    assert all(isinstance(c, CofiniteCopy) for c in chain[1:])
+    window = dlo.prefix(32)
+    for lower, upper in zip(chain[1:], chain):
+        assert any(upper.membership(x).is_in and lower.membership(x).is_out
+                   for x in window)
+        assert certify.check_inclusion(lower, upper, 32).verdict == "pass"
+
+
+def test_cofinite_copies_on_the_flagged_structures():
+    for sid in ("pureset", "dlo", "equiv"):
+        st = get_structure(sid)
+        ident = engine.copy_identity(st)
+        u0, u1 = st.prefix(2)
+        assert isinstance(engine.copy_avoiding(st, {u0}, {u1}), CofiniteCopy)
+        assert isinstance(engine.copy_through(st, {u0}, ident, proper=True),
+                          CofiniteCopy)
+        whole = engine.copy_through(st, {u0}, ident, proper=False)
+        assert all(whole.membership(x).is_in for x in st.prefix(32))
+    # inside the maximum copy avoiding 0, a rado copy is cofinite too
+    rado = get_structure("rado")
+    top = engine.max_avoiding_copy(rado, [0], 8)
+    c = engine.copy_through(rado, {2}, top, proper=True)
+    assert c.describe() == "cofinite avoid={0,1}"
+    assert certify.check_copy(c, 8).verdict == "pass"
 
 
 # -- disjoint pairs ---------------------------------------------------------------------
@@ -386,8 +424,8 @@ def test_supported_constructors_certify_on_non_amalgamation(sid):
     assert certify.check_copy(a, 8, 2, 500).verdict == "pass"
 
 
-def test_trace_records_moves(dlo):
-    c = engine.copy_avoiding(dlo, {F(0)}, {F(1)})
+def test_trace_records_moves():
+    c = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
     c.advance(4)
     assert len(c.trace) == 4
     rec = c.trace[0]
@@ -396,19 +434,19 @@ def test_trace_records_moves(dlo):
     assert rec["move"] == "forth"
 
 
-def test_golden_trace_dlo_avoiding(dlo):
+def test_golden_trace_zetaeta_avoiding():
     # frozen from a reference run; guards reproducibility of the scheduler
-    c = engine.copy_avoiding(dlo, {F(0)}, {F(1)}, seed=0)
+    c = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
     c.advance(4)
     assert c.trace == [
-        {"round": 0, "move": "forth", "source": "1", "target": "1/2",
-         "scanned": 2, "checks": 1},
-        {"round": 1, "move": "forth", "source": "-1", "target": "-1",
+        {"round": 0, "move": "forth", "source": "(0|1)", "target": "(0|1)",
          "scanned": 1, "checks": 1},
-        {"round": 2, "move": "forth", "source": "1/2", "target": "1/3",
-         "scanned": 1, "checks": 1},
-        {"round": 3, "move": "forth", "source": "-1/2", "target": "-1/2",
-         "scanned": 1, "checks": 1},
+        {"round": 1, "move": "forth", "source": "(1|0)",
+         "target": "(1/2|0)", "scanned": 2, "checks": 1},
+        {"round": 2, "move": "forth", "source": "(0|-1)",
+         "target": "(0|-1)", "scanned": 1, "checks": 1},
+        {"round": 3, "move": "forth", "source": "(1|1)",
+         "target": "(1/2|1)", "scanned": 1, "checks": 1},
     ]
 
 
@@ -416,36 +454,6 @@ def test_golden_trace_dlo_avoiding(dlo):
 # through-proper copy over nothing with its window decided at depth 8,
 # frozen from a reference run: back steps as well as forth steps
 GOLDEN_THROUGH_TRACES = {
-    "pureset": [
-        (0, "back", "0", "1", 1, 1), (0, "forth", "1", "2", 3, 1),
-        (1, "forth", "2", "3", 4, 1), (1, "back", "3", "4", 4, 1),
-        (2, "forth", "4", "5", 6, 1), (2, "back", "5", "6", 6, 1),
-        (3, "back", "6", "7", 7, 1), (3, "forth", "7", "8", 9, 1),
-        (4, "forth", "8", "9", 10, 1), (5, "forth", "9", "10", 11, 1),
-        (6, "forth", "10", "11", 12, 1), (7, "forth", "11", "12", 13, 1),
-        (8, "forth", "12", "13", 14, 1), (9, "forth", "13", "14", 15, 1),
-        (10, "forth", "14", "15", 16, 1), (11, "forth", "15", "16", 17, 1),
-        (12, "forth", "16", "17", 18, 1), (13, "forth", "17", "18", 19, 1),
-        (14, "forth", "18", "19", 20, 1), (15, "forth", "19", "20", 21, 1),
-        (16, "forth", "20", "21", 22, 1), (17, "forth", "21", "22", 23, 1),
-        (18, "forth", "22", "23", 24, 1), (19, "forth", "23", "24", 25, 1),
-        (20, "forth", "24", "25", 26, 1), (21, "forth", "25", "26", 27, 1),
-        (22, "forth", "26", "27", 28, 1), (23, "forth", "27", "28", 29, 1)],
-    "equiv": [
-        (0, "back", "0.0", "0.1", 1, 1), (0, "forth", "0.1", "0.2", 3, 1),
-        (1, "forth", "1.0", "1.0", 1, 1), (1, "back", "1.1", "1.1", 2, 1),
-        (2, "forth", "0.2", "0.3", 4, 1), (2, "back", "2.0", "2.0", 1, 1),
-        (3, "back", "1.2", "1.2", 3, 1), (3, "forth", "0.3", "0.4", 5, 1),
-        (4, "forth", "2.1", "2.1", 2, 1), (5, "forth", "3.0", "3.0", 1, 1),
-        (6, "forth", "0.4", "0.5", 6, 1), (7, "forth", "1.3", "1.3", 4, 1),
-        (8, "forth", "2.2", "2.2", 3, 1), (9, "forth", "3.1", "3.1", 2, 1),
-        (10, "forth", "4.0", "4.0", 1, 1), (11, "forth", "0.5", "0.6", 7, 1),
-        (12, "forth", "1.4", "1.4", 5, 1), (13, "forth", "2.3", "2.3", 4, 1),
-        (14, "forth", "3.2", "3.2", 3, 1), (15, "forth", "4.1", "4.1", 2, 1),
-        (16, "forth", "5.0", "5.0", 1, 1), (17, "forth", "0.6", "0.7", 8, 1),
-        (18, "forth", "1.5", "1.5", 6, 1), (19, "forth", "2.4", "2.4", 5, 1),
-        (20, "forth", "3.3", "3.3", 4, 1), (21, "forth", "4.2", "4.2", 3, 1),
-        (22, "forth", "5.1", "5.1", 2, 1), (23, "forth", "6.0", "6.0", 1, 1)],
     "zetaeta": [
         (0, "forth", "(0|0)", "(-1|0)", 2, 1),
         (1, "forth", "(0|1)", "(-1|1)", 1, 1),
@@ -517,9 +525,10 @@ def test_golden_trace_through_proper_with_back_moves(sid):
 # [source, target, move, scanned] per move per handle: a candidate stream
 # that yields a different set of images shows up as a different
 # ``scanned``.  Re-pinned when the disjoint pairs became closed forms and
-# their sides left the list; every remaining handle kept its bytes
+# their sides left the list, and again when the pureset, dlo and equiv
+# copies became cofinite; every remaining handle kept its bytes
 PINNED_BACK_FORTH_TRACES_SHA256 = (
-    "ffafc9fac9b8cb1d5d90c459d33317895e2ed86a0ecf3e965cbf8b80087fb111")
+    "7398da32956621ea25bf1b39286f84d39d4363a34654225cb898337b2a39c8ac")
 
 
 def _back_forth_handles():
@@ -609,24 +618,31 @@ def test_back_forth_maps_extend():
     # handles this adds the descending chains of the other structures, and
     # through-proper and avoiding copies over {u_1}, as the closure
     # sandwiches build them: on pairs an unfiltered stream happens to stay
-    # extendable over {0,1}, but not over {0,2}
+    # extendable over {0,1}, but not over {0,2}.  The constructors build
+    # cofinite copies on pureset, dlo and equiv, so these handles are built
+    # directly there: they read the base-class stream
     handles = list(_back_forth_handles())
     for sid in ("pureset", "dlo", "equiv", "zetaeta", "pairs"):
         st = get_structure(sid)
+        ident = engine.copy_identity(st)
         if sid != "pairs":
-            chain = engine.descending_chain(
-                st, fs(st.prefix(1)), engine.copy_identity(st), 2, seed=0)
-            for link in chain[1:]:
-                engine.decide_window(link, 8)
-            handles += chain[1:]
+            # the two links of a chain over {u_0}, as descending_chain
+            # builds them by back-and-forth
+            fix = fs(st.prefix(1))
+            free = [x for x in st.prefix(10) if x not in fix
+                    and st.type_unranked(fix, x) is True]
+            parent = ident
+            for i, batch in enumerate((free[0::2], free[1::2])):
+                parent = engine.BackForthCopy(st, fix=fix, avoid=batch,
+                                              parent=parent, seed=i)
+                handles.append(engine.decide_window(parent.advance(20), 8))
         fix = fs(st.prefix(2)[1:])
         avoid = next(x for x in st.prefix(8)
                      if x not in fix and st.type_unranked(fix, x) is True)
-        for h in (engine.copy_through(st, fix, engine.copy_identity(st),
-                                      proper=True, seed=0),
-                  engine.copy_avoiding(st, fix, {avoid}, seed=0)):
-            handles.append(engine.decide_window(h, 8))
-    assert len(handles) == 40
+        for cut in (ident.unranked_member(fix), avoid):
+            handles.append(engine.decide_window(
+                engine.BackForthCopy(st, fix=fix, avoid={cut}, seed=0), 8))
+    assert len(handles) == 28
     for h in handles:
         st = h.structure
         ground = 1 + max(st.index_of(p) for p in (*h._map, *h._range))
@@ -651,11 +667,13 @@ def test_structures_write_one_candidate_generator():
     # orbit equality over a sockel compares type keys in the base class
     assert not [cls for cls in classes if "same_type" in vars(cls)]
     # with every stabilizer orbit infinite, the finiteness, rank and
-    # algebraic-closure answers follow from the flag in the base class
+    # algebraic-closure answers follow from the flag in the base class,
+    # and the copies built from the whole structure are cofinite
     assert not [(cls, name) for cls in classes
                 if cls.stabilizer_orbits_all_infinite
                 for name in ("typeset_finite", "type_unranked",
-                             "ac_members_exact") if name in vars(cls)]
+                             "ac_members_exact", "target_candidates")
+                if name in vars(cls)]
 
 
 def test_algebraically_finite_structures_write_a_disjoint_pair():

@@ -109,7 +109,8 @@ def test_enumerate_rejects_negative(structure):
 
 def _dlo_points():
     """Rational points from every source that makes them: the dlo and
-    zetaeta enumerations, decode, simplest_in_gap and target_candidates."""
+    zetaeta enumerations, decode, simplest_in_gap and the zetaeta
+    target_candidates."""
     dlo, ze = get_structure("dlo"), get_structure("zetaeta")
     pts = dlo.prefix(3000)
     pts += [q for q, _ in ze.prefix(300)]
@@ -118,8 +119,8 @@ def _dlo_points():
     pts += [ze.decode(s)[0] for s in ("(-5/2|3)", "(0.75|0)")]
     pts += list(islice(simplest_in_gap(None, None), 60))
     pts += list(islice(simplest_in_gap(F(1, 3), F(1, 2)), 60))
-    pts += list(islice(dlo.target_candidates([(F(0), F(1))], F(1, 2)), 60))
-    pts += list(islice(dlo.target_candidates([(F(0), F(-2))], F(-1)), 60))
+    pts += list(islice(simplest_in_gap(F(1), None), 60))
+    pts += list(islice(simplest_in_gap(None, F(-2)), 60))
     pts += [q for q, _ in islice(ze.target_candidates(
         [((F(0), 0), (F(1), 4))], (F(5), 2)), 60)]
     return pts
@@ -184,9 +185,7 @@ def test_fraction_slot_layout():
     assert F.__slots__ == ("_numerator", "_denominator")
 
 
-def test_empty_gap_is_a_precondition_error_on_dlo(dlo):
-    with pytest.raises(PreconditionError):
-        next(dlo.target_candidates([(F(0), F(1)), (F(1), F(0))], F(1, 2)))
+def test_empty_gap_is_a_precondition_error_on_dlo():
     with pytest.raises(PreconditionError):
         next(simplest_in_gap(F(1), F(1)))
 
