@@ -5,8 +5,9 @@ small sockel inside the copy, paired with every window point, must have an
 orbit witness landing in the copy.  Verdicts are three-valued; unknown
 carries the unresolved obligations instead of silently passing.  A
 typeset depends on the structure, the sockel and the point, never on the
-copy, so each sockel's type classes are a table that every check on the
-structure shares; an obligation asks only the members of its class.
+copy, so each sockel's type classes are a table (``core.type_classes``)
+that every check on the structure shares, and that ``bernstein_base``
+reads too; an obligation asks only the members of its class.
 
 brute_same_type and brute_extendable re-derive orbit equality from each
 structure's raw data (order comparisons, adjacency bits, class labels,
@@ -22,11 +23,11 @@ target; such an injection extends to a permutation of the whole support.
 from __future__ import annotations
 
 import json
-from array import array
 from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import core
 from .core import Frozen
 from .errors import CopyPosetError, PreconditionError
 
@@ -69,47 +70,6 @@ class Certificate(Frozen):
         return json.dumps(self.to_record(), sort_keys=True,
                           separators=(",", ":"))
 
-
-class _Classes:
-    """The type classes over one listed sockel ``ftup``, shared by every
-    check on the structure: ``ids[i]`` is the class of enumeration index
-    i, or -1 for a point of the sockel.  Classes are numbered in the order
-    the enumeration meets them, so no id depends on hashing.  The table
-    grows one type key per index, and only as far as a check reads it."""
-
-    __slots__ = ("structure", "ftup", "ids", "keys")
-
-    def __init__(self, structure, ftup):
-        self.structure = structure
-        self.ftup = ftup
-        self.ids = array("i")
-        self.keys = {}  # type key -> class id
-
-    def grow(self, point):
-        """Class the next index; ``point`` reads a point by its index."""
-        y = point(len(self.ids))
-        if y in self.ftup:
-            c = -1
-        else:
-            keys = self.keys
-            c = keys.setdefault(self.structure.type_key(self.ftup, y),
-                                len(keys))
-        self.ids.append(c)
-        return c
-
-    def grow_to(self, c, budget, point):
-        """Grow the table to its next index of class c below ``budget``;
-        returns that index, or None when the table reaches ``budget``
-        first."""
-        ids = self.ids
-        while len(ids) < budget:
-            if self.grow(point) == c:
-                return len(ids) - 1
-        return None
-
-
-# one copy-certify round of the benchmark touches 370 tables
-_classes = lru_cache(maxsize=512)(_Classes)
 
 _IN, _OUT, _UNKNOWN = 1, 2, 3  # a membership asked; 0 for not yet asked
 
@@ -221,15 +181,16 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
 
     The typeset of x over F is x's orbit under the stabilizer of F, so it
     depends on the structure, F and x, never on the copy.  Each sockel's
-    type classes are a table kept across calls (``_classes``): the class
-    of each enumeration index, computed with one type key per index the
-    first time any check reads that far.  An obligation asks only the
-    members of x's class, and each class is settled once per sockel: a
-    later point of the class reuses the outcome of the first.  Within one
-    call each index's point is read at most once and each point's
-    membership is asked at most once (``_Check``).  When no scanned
-    member of an infinite typeset is inside the copy, the handle's
-    ``witness`` proposal is consulted and taken only once confirmed.
+    type classes are a table kept across calls (``core.type_classes``,
+    shared with ``engine.bernstein_base``): the class of each enumeration
+    index, computed with one type key per index the first time any caller
+    reads that far.  An obligation asks only the members of x's class,
+    and each class is settled once per sockel: a later point of the class
+    reuses the outcome of the first.  Within one call each index's point
+    is read at most once and each point's membership is asked at most
+    once (``_Check``).  When no scanned member of an infinite typeset is
+    inside the copy, the handle's ``witness`` proposal is consulted and
+    taken only once confirmed.
 
     Records are the canonical JSON of json.dumps(..., sort_keys=True),
     assembled from fragments encoded once each: a window point's quoted
@@ -255,7 +216,7 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
         for fpairs in combinations(inside, size):
             ftup = tuple([p for p, _ in fpairs])
             sockel = "[%s]" % ", ".join([qp for _, qp in fpairs])
-            table = _classes(st, ftup)
+            table = core.type_classes(st, ftup)
             ids = table.ids
             searched = {}  # class id -> quoted witness, per class met
             for i, x, qx in rest:

@@ -14,12 +14,18 @@ Constructors take the structure's closed form when it has one
 (``closed_form_avoiding``); disjoint pairs are closed form only
 (``closed_form_disjoint_pair``).  Without algebraicity the closed form
 is the cofinite copy U minus the avoided set (``CofiniteCopy``).
+
+Bernstein bases (``bernstein_base``) read each sockel's type classes, and
+the typeset members drawn for them, from the tables ``check_copy`` keeps
+(``core.type_classes``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, islice
+from itertools import combinations
+
+from . import core
 
 # CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
 from .core import (IN, OUT, UNKNOWN, CofiniteCopy, CopyHandle, Frozen,
@@ -124,14 +130,20 @@ class BackForthCopy(CopyHandle):
     def _search(self, items, point, skip, budget, admit=None):
         """(c, scanned) for the first of ``budget`` candidate images c of
         ``point`` over the pairs ``items`` that is not skipped and is
-        admitted; (None, scanned) when none is.
+        admitted; (None, scanned) when none is.  ``scanned`` counts the
+        candidates read, or, when the stream ends and returns the number
+        of enumeration points it read, those points.
 
         The candidate stream is exact: each image it yields is a target of
         ``items`` already, which ``skip`` drops, or extends the map plus
         point -> c to some g.  So the search tests no orbit."""
+        stream = self.structure.target_candidates(items, point)
         scanned = 0
-        for c in islice(self.structure.target_candidates(items, point),
-                        budget):
+        while scanned < budget:
+            try:
+                c = next(stream)
+            except StopIteration as end:
+                return None, max(scanned, end.value or 0)
             scanned += 1
             if not skip(c) and (admit is None or admit(c)):
                 return c, scanned
@@ -397,7 +409,12 @@ class BernsteinResult(Frozen):
 def bernstein_base(structure, depth, sockel_cap=2):
     """A two-colouring prefix of U_depth in which every enumerated typeset
     with a small sockel meets both sides; the base of the everything-above-
-    it-is-a-copy construction.  Needs all stabilizer orbits infinite."""
+    it-is-a-copy construction.  Needs all stabilizer orbits infinite.
+
+    Each sockel's window classes and their typeset members are read from
+    the type-class tables that ``check_copy`` shares
+    (``core.type_classes``), so a later base on the structure keys no
+    point and reopens no typeset stream it has already read."""
     if not structure.stabilizer_orbits_all_infinite:
         raise UnsupportedConstructionError(
             "%s has finite stabilizer orbits off some finite set"
@@ -406,22 +423,26 @@ def bernstein_base(structure, depth, sockel_cap=2):
     assigned = {}
     served, unserved = [], []
     scan_cap = 64 * (depth + 1)
-    type_key = structure.type_key
     for size in range(0, sockel_cap + 1):
         # the window is in enumeration order, so each sockel listing is
-        # too, and the first window point keyed into a class is its rep
+        # too, as check_copy lists its sockels
         for ftup in combinations(window, size):
-            fset = frozenset(ftup)
-            reps = {}
-            for x in window:
-                if x not in fset:
-                    reps.setdefault(type_key(ftup, x), x)
-            for rep in reps.values():
+            table = core.type_classes(structure, ftup)
+            ids = table.ids
+            while len(ids) < depth:
+                table.grow(window.__getitem__)
+            # classes are numbered in enumeration order: the window's are
+            # 0, 1, ..., each first met at its rep
+            reps = []
+            for x, c in zip(window, ids):
+                if c == len(reps):
+                    reps.append(x)
+            for c, rep in enumerate(reps):
                 # fresh members may come from past the window: the orbits
                 # are infinite, only the returned prefix is windowed
                 have = set()
                 fresh = []
-                for i, m in enumerate(structure.typeset_iter(fset, rep)):
+                for i, m in enumerate(table.members(c, rep)):
                     if i > scan_cap:
                         break
                     side = assigned.get(m)

@@ -278,7 +278,9 @@ class Structure:
         matches the sources', up to the enumeration scan cap.  Structures
         whose images follow from the map override this with constructed
         candidates.  It is the only candidate generator a structure
-        writes: back steps read it over the inverse map."""
+        writes: back steps read it over the inverse map.  This scan
+        returns the number of points it read when it ends, so a search
+        that finds no image reports them."""
         orbit_key = self.orbit_key
         want = orbit_key(tuple([s for s, _ in items]) + (source,))
         targets = tuple([t for _, t in items])
@@ -286,6 +288,7 @@ class Structure:
             c = self.point_at(i)
             if orbit_key(targets + (c,)) == want:
                 yield c
+        return _SCAN_CAP + 1
 
     def source_candidates(self, items, target):
         """Candidate fresh sources for claiming ``target`` into an image:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from copyposet.core import IN, OUT, UNKNOWN, CofiniteCopy
 from copyposet.errors import PreconditionError
-from copyposet import certify, engine
+from copyposet import certify, core, engine
 from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
 
 fs = frozenset
@@ -140,7 +140,7 @@ def test_check_copy_keys_each_scanned_point_once_per_sockel():
     for h in handles:
         st = h.structure
         st.keyed.clear()
-        certify._classes.cache_clear()
+        core.type_classes.cache_clear()
         assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
         scanned = {y for y in map(st.point_at, range(500))
                    if not h.membership(y).is_out}
@@ -164,7 +164,7 @@ def test_cold_check_reads_each_index_once():
             return super().point_at(i)
 
     dlo = PointCounting()
-    certify._classes.cache_clear()
+    core.type_classes.cache_clear()
     for members in ((), (0,), (1, 3), (0, 2, 5)):
         h = engine.powerset_embedding_dlo(dlo, members=members)
         dlo.read.clear()
@@ -609,7 +609,7 @@ def _interval_and_nine_structure_checks():
 
 
 def test_certificates_do_not_depend_on_the_class_tables_kept():
-    certify._classes.cache_clear()
+    core.type_classes.cache_clear()
     cold = [certify.check_copy(*case).to_json()
             for case in _interval_and_nine_structure_checks()]
     warm = [certify.check_copy(*case).to_json()
@@ -622,10 +622,10 @@ def test_certificates_do_not_depend_on_the_class_tables_kept():
 def test_more_sockels_than_tables_kept_leave_certificates_unchanged(
         monkeypatch):
     want = _nine_structure_certificates()
-    monkeypatch.setattr(certify, "_classes",
-                        lru_cache(maxsize=2)(certify._Classes))
+    monkeypatch.setattr(core, "type_classes",
+                        lru_cache(maxsize=2)(core.TypeClasses))
     got = _nine_structure_certificates()
-    assert certify._classes.cache_info().misses > 2
+    assert core.type_classes.cache_info().misses > 2
     assert [c.to_json() for c in got] == [c.to_json() for c in want]
 
 

@@ -459,6 +459,18 @@ def test_typeset_command_loads_only_its_structure():
         == {"copyposet.structures.base", "copyposet.structures.zorder"}
 
 
+def test_bernstein_command_loads_no_certificate_module():
+    # the base reads the type-class tables from core, which it loads anyway
+    loaded = _fresh_modules(
+        "from copyposet import cli\n"
+        "cli.main(['bernstein', '--structure', 'rado', '--depth', '10'])")
+    assert "copyposet.certify" not in loaded
+    assert loaded == {"copyposet", "copyposet.cli", "copyposet.core",
+                      "copyposet.engine", "copyposet.errors",
+                      "copyposet.structures", "copyposet.structures.base",
+                      "copyposet.structures.rado"}
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that closes the pipe early, as `| head -c 100` does, cuts
     the command short: no traceback, and the closed-pipe exit code."""

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from copyposet.errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
-from copyposet import certify, closures, engine, typesets
+from copyposet import certify, closures, core, engine, typesets
 from copyposet.core import (IN, OUT, UNKNOWN, CofiniteCopy, FinitenessAnswer,
                             Membership)
 from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
@@ -388,6 +389,73 @@ def test_bernstein_bases_are_pinned():
     assert digest.hexdigest() == PINNED_BERNSTEIN_SHA256
 
 
+def _bernstein_record(st, depth, cap):
+    res = engine.bernstein_base(st, depth, sockel_cap=cap)
+    enc = st.encode
+    return ([enc(x) for x in res.side_a], [enc(x) for x in res.side_b],
+            [([enc(p) for p in f], enc(r)) for f, r in res.served],
+            [([enc(p) for p in f], enc(r)) for f, r in res.unserved])
+
+
+BERNSTEIN_CASES = ((6, 0), (6, 2), (14, 0), (14, 2))
+BERNSTEIN_IDS = ("pureset", "dlo", "rado", "equiv")
+
+
+def test_bernstein_bases_do_not_depend_on_the_tables_kept():
+    # cold tables, warm tables, and a mixed order: d = 14 before d = 6,
+    # cap 2 before cap 0, and a check_copy on the structure in between
+    # that reads the tables of its own sockels
+    for sid in BERNSTEIN_IDS:
+        st = get_structure(sid)
+        cold = {}
+        for case in BERNSTEIN_CASES:
+            core.type_classes.cache_clear()
+            cold[case] = _bernstein_record(st, *case)
+        warm = {case: _bernstein_record(st, *case)
+                for case in BERNSTEIN_CASES}
+        core.type_classes.cache_clear()
+        mixed = {}
+        for case in BERNSTEIN_CASES[::-1]:
+            mixed[case] = _bernstein_record(st, *case)
+            if case == (14, 0):
+                copy = CofiniteCopy(st, st.prefix(8)[1::2])
+                assert certify.check_copy(copy, 8, 2, 500).verdict == "pass"
+        assert cold == warm == mixed, sid
+
+
+def test_bernstein_bases_with_fewer_tables_kept(monkeypatch):
+    want = [_bernstein_record(get_structure(sid), *case)
+            for sid in BERNSTEIN_IDS for case in BERNSTEIN_CASES]
+    monkeypatch.setattr(core, "type_classes",
+                        lru_cache(maxsize=2)(core.TypeClasses))
+    got = [_bernstein_record(get_structure(sid), *case)
+           for sid in BERNSTEIN_IDS for case in BERNSTEIN_CASES]
+    assert core.type_classes.cache_info().misses > 2
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_bernstein_raises_a_stream_error_again(k):
+    # a typeset stream that raises after k members: every later base reads
+    # the k kept members, reopens the stream past them and meets the same
+    # error; the table keeps only the members the stream yielded
+    class Breaking(PureSet):
+        def typeset_iter(self, sockel, x):
+            for i, y in enumerate(super().typeset_iter(sockel, x)):
+                if i == k:
+                    raise SearchBudgetError("stream broke", scanned=i)
+                yield y
+
+    st = Breaking()
+    for _ in range(2):
+        with pytest.raises(SearchBudgetError, match="^stream broke$"):
+            engine.bernstein_base(st, 6)
+    # over nothing the first class stops after reading 0 and 1; over {0}
+    # the class of 1 reads 1, 2 and 3
+    ftup = (0,) if k == 2 else ()
+    assert core.type_classes(st, ftup).drawn == {0: [[], [0], [1, 2]][k]}
+
+
 # -- the no-isolated-point proxy ---------------------------------------------------------------
 
 def test_second_copy_in_every_neighbourhood(dlo):
@@ -693,6 +761,23 @@ def test_properness_witness_scan_is_capped(dlo):
     with pytest.raises(SearchBudgetError) as err:
         _EmptyCopy(dlo).unranked_member(fs())
     assert err.value.scanned == 5000
+
+
+def test_rado_forth_budget_error_counts_the_points_read(monkeypatch):
+    # rado writes no candidate stream: the base class's keyed scan reads
+    # the enumeration to its cap, yields no image for 8, and returns the
+    # number of points it read
+    from copyposet.structures import base
+
+    monkeypatch.setattr(base, "_SCAN_CAP", 300)
+    rado = get_structure("rado")
+    c = engine.BackForthCopy(rado, fix=[2], avoid=[1])
+    with pytest.raises(SearchBudgetError) as err:
+        c.advance(10)
+    assert str(err.value) == "no admissible image for 8 within 301 candidates"
+    assert err.value.scanned == 301
+    assert err.value.blocking == (c._map, 8)
+    assert c._map[2] == 2 and 8 not in c._map
 
 
 def test_forth_budget_error_reports_the_candidates_read():

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from copyposet import PreconditionError, closures, engine
+from copyposet import PreconditionError, closures, core, engine
 from copyposet.structures import BUILTIN_IDS, get_structure
 from copyposet import typesets as ts
 
@@ -231,13 +231,18 @@ def test_profile_counts_every_tuple(sid):
 def test_orbit_work_bounds(monkeypatch):
     # class reps come from one keyed pass over the enumeration-ordered
     # window, with no sort (1,928 index_of calls when every sockel and
-    # pool was sorted)
+    # pool was sorted); a second base reads its classes and typeset
+    # members from the shared tables and keys no point
     rado = get_structure("rado")
     index_of = _count_calls(monkeypatch, type(rado), "index_of")
     type_key = _count_calls(monkeypatch, type(rado), "type_key")
+    core.type_classes.cache_clear()
     engine.bernstein_base(rado, 14)
     assert index_of == []
     assert len(type_key) <= 3_000
+    type_key.clear()
+    engine.bernstein_base(rado, 14)
+    assert type_key == []
     for sid, n, window in (("dlo", 3, 8), ("rado", 3, 8), ("pairs", 2, 6)):
         st = get_structure(sid)
         extendable = _count_calls(monkeypatch, type(st), "extendable")
