@@ -7,7 +7,8 @@ carries the unresolved obligations instead of silently passing.  A
 typeset depends on the structure, the sockel and the point, never on the
 copy, so each sockel's type classes are a table (``core.type_classes``)
 that every check on the structure shares, and that ``bernstein_base``
-reads too; an obligation asks only the members of its class.
+reads too; an obligation asks only the members of its class.  The
+enumeration points, their encodings and the window sockels are shared too.
 
 brute_same_type and brute_extendable re-derive orbit equality from each
 structure's raw data (order comparisons, adjacency bits, class labels,
@@ -71,39 +72,60 @@ class Certificate(Frozen):
                           separators=(",", ":"))
 
 
-_IN, _OUT, _UNKNOWN = 1, 2, 3  # a membership asked; 0 for not yet asked
+class _Prefix:
+    """A structure's enumeration as far as any check has read it, each
+    point and its quoted encoding read once, and each window sockel's
+    listing and quoted list made once.  Keyed by index: a dict keyed by
+    dlo points would pay for the hash that Rational(-1) and Rational(-2)
+    share on every lookup of -2."""
+
+    __slots__ = ("structure", "points", "quotes", "sockels")
+
+    def __init__(self, structure):
+        self.structure = structure
+        self.points = []
+        self.quotes = {}  # index -> quoted encoding
+        self.sockels = {}  # tuple of indices -> (listing, quoted list)
+
+    def point(self, i):
+        points = self.points
+        while len(points) <= i:
+            points.append(self.structure.point_at(len(points)))
+        return points[i]
+
+    def quoted(self, i):
+        q = self.quotes.get(i)
+        if q is None:
+            q = self.quotes[i] = _quote(self.structure.encode(self.point(i)))
+        return q
+
+    def sockel(self, idx):
+        s = self.sockels[idx] = (
+            tuple([self.point(i) for i in idx]),
+            "[%s]" % ", ".join([self.quoted(i) for i in idx]))
+        return s
+
+
+_prefix = lru_cache(maxsize=32)(_Prefix)
 
 
 class _Check:
-    """What one check_copy call reads: each enumeration index's point at
-    most once, and each point's membership at most once."""
+    """What one check_copy call reads: each point's membership at most
+    once, asked by its enumeration index."""
 
-    __slots__ = ("handle", "budget", "window", "points", "kinds")
+    __slots__ = ("handle", "budget", "prefix", "asked")
 
-    def __init__(self, handle, budget, window):
+    def __init__(self, handle, budget, prefix):
         self.handle = handle
         self.budget = budget
-        self.window = window  # (point, quoted encoding) by index
-        n = max(budget, len(window))
-        self.points = [p for p, _ in window] + [None] * (n - len(window))
-        self.kinds = bytearray(n)
+        self.prefix = prefix
+        self.asked = {}  # index -> membership
 
-    def point(self, i):
-        p = self.points[i]
-        if p is None:
-            p = self.points[i] = self.handle.structure.point_at(i)
-        return p
-
-    def kind(self, i):
-        k = self.kinds[i]
-        if not k:
-            m = self.handle.membership(self.point(i))
-            k = self.kinds[i] = _IN if m.is_in else (
-                _OUT if m.is_out else _UNKNOWN)
-        return k
-
-    def quoted(self, y):
-        return _quote(self.handle.structure.encode(y))
+    def membership(self, i):
+        m = self.asked.get(i)
+        if m is None:
+            m = self.asked[i] = self.handle.membership(self.prefix.point(i))
+        return m
 
     def settle(self, table, c, x):
         """Settle <F |> x> against the copy, for the sockel F of ``table``
@@ -114,7 +136,8 @@ class _Check:
         in enumeration order.  When none is inside the copy and the
         typeset is infinite, the handle's own proposal is taken once it
         is confirmed a member of the typeset inside the copy."""
-        budget, kinds, ids = self.budget, self.kinds, table.ids
+        budget, asked, ids = self.budget, self.asked, table.ids
+        prefix = self.prefix
         unknown = False
         j = 0
         while True:
@@ -122,15 +145,13 @@ class _Check:
                 j = ids.index(c, j, budget)
             except ValueError:
                 # no member in [j, len(ids)): read on
-                j = table.grow_to(c, budget, self.point)
+                j = table.grow_to(c, budget, prefix.point)
                 if j is None:
                     break
-            k = kinds[j] or self.kind(j)
-            if k == _IN:
-                window = self.window
-                return (window[j][1] if j < len(window)
-                        else self.quoted(self.point(j))), None
-            unknown = unknown or k == _UNKNOWN
+            m = asked.get(j) or self.membership(j)
+            if m.is_in:
+                return prefix.quoted(j), None
+            unknown = unknown or m.is_unknown
             j += 1
         handle = self.handle
         st, ftup = handle.structure, table.ftup
@@ -142,7 +163,7 @@ class _Check:
             for y in members:
                 m = handle.membership(y)
                 if m.is_in:
-                    return self.quoted(y), None
+                    return _quote(st.encode(y)), None
                 member_unknown = member_unknown or m.is_unknown
             if member_unknown:
                 return None, None
@@ -153,20 +174,11 @@ class _Check:
         if w is not None and w not in ftup \
                 and table.keys.get(st.type_key(ftup, w)) == c \
                 and handle.membership(w).is_in:
-            return self.quoted(w), None
+            return _quote(st.encode(w)), None
         if unknown:
             return None, None
         # every scanned typeset member is decided out
         return None, {"scanned": budget}
-
-
-@lru_cache(maxsize=32)
-def _window(structure, depth):
-    """The first ``depth`` points, each paired with its quoted encoding.
-    Read by position: a dict keyed by dlo points would pay for the hash
-    that Rational(-1) and Rational(-2) share on every lookup of -2."""
-    return tuple([(p, _quote(structure.encode(p)))
-                  for p in structure.prefix(depth)])
 
 
 def check_copy(handle, depth, sockel_cap=2, budget=500):
@@ -186,42 +198,43 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     index, computed with one type key per index the first time any caller
     reads that far.  An obligation asks only the members of x's class,
     and each class is settled once per sockel: a later point of the class
-    reuses the outcome of the first.  Within one call each index's point
-    is read at most once and each point's membership is asked at most
-    once (``_Check``).  When no scanned member of an infinite typeset is
-    inside the copy, the handle's ``witness`` proposal is consulted and
-    taken only once confirmed.
+    reuses the outcome of the first.  Each enumeration point is read once
+    per process, into the structure's shared prefix (``_prefix``), and
+    within one call each point's membership is asked at most once
+    (``_Check``).  When no scanned member of an infinite typeset is inside
+    the copy, the handle's ``witness`` proposal is consulted and taken
+    only once confirmed.
 
     Records are the canonical JSON of json.dumps(..., sort_keys=True),
-    assembled from fragments encoded once each: a window point's quoted
-    encoding per structure and depth, a sockel's list per sockel, and a
-    witness per typeset class."""
+    assembled from fragments encoded once each: per process an
+    enumeration point's quoted encoding and a window sockel's list, and
+    per call a witness per typeset class."""
     if sockel_cap < 0 or budget < 1:
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
-    window = _window(st, depth)
-    check = _Check(handle, budget, window)
+    prefix = _prefix(st)
+    sockels = prefix.sockels
+    check = _Check(handle, budget, prefix)
     inside, rest = [], []
-    for i, (p, qp) in enumerate(window):
-        if check.kind(i) == _IN:
-            inside.append((p, qp))
+    for i in range(depth):
+        if check.membership(i).is_in:
+            inside.append(i)
         else:
             # a point inside the copy is its own witness (g = identity)
-            rest.append((i, p, qp))
+            rest.append((i, prefix.points[i], prefix.quoted(i)))
     unresolved = []
     witnesses = []  # only the first _WITNESSES_KEPT are emitted
     params = {"depth": depth, "sockel_cap": sockel_cap, "budget": budget,
               "copy": handle.describe()}
     for size in range(0, sockel_cap + 1):
-        for fpairs in combinations(inside, size):
-            ftup = tuple([p for p, _ in fpairs])
-            sockel = "[%s]" % ", ".join([qp for _, qp in fpairs])
+        for fidx in combinations(inside, size):
+            ftup, sockel = sockels.get(fidx) or prefix.sockel(fidx)
             table = core.type_classes(st, ftup)
             ids = table.ids
             searched = {}  # class id -> quoted witness, per class met
             for i, x, qx in rest:
                 while len(ids) <= i:
-                    table.grow(check.point)
+                    table.grow(prefix.point)
                 c = ids[i]
                 if c in searched:
                     found = searched[c]

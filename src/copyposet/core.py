@@ -71,7 +71,10 @@ def finite_answer(members):
 
 
 def infinite_answer():
-    return FinitenessAnswer(INFINITE)
+    return _INFINITE_ANSWER
+
+
+_INFINITE_ANSWER = FinitenessAnswer(INFINITE)
 
 
 class Membership(Frozen):
@@ -80,22 +83,14 @@ class Membership(Frozen):
     In/Out answers are permanent across stages; an undecided point is
     UNKNOWN."""
 
-    __slots__ = ("kind",)
+    __slots__ = ("kind", "is_in", "is_out", "is_unknown")
+    _uncompared = ("is_in", "is_out", "is_unknown")  # follow from kind
 
     def __init__(self, kind):
         object.__setattr__(self, "kind", kind)
-
-    @property
-    def is_in(self):
-        return self.kind == "in"
-
-    @property
-    def is_out(self):
-        return self.kind == "out"
-
-    @property
-    def is_unknown(self):
-        return self.kind == "unknown"
+        object.__setattr__(self, "is_in", kind == "in")
+        object.__setattr__(self, "is_out", kind == "out")
+        object.__setattr__(self, "is_unknown", kind == "unknown")
 
     def __repr__(self):
         return self.kind.capitalize()

@@ -62,6 +62,16 @@ class PairsAction(Structure):
                 regions[e] = regions.get(e, 0) | 1 << i
         return tuple(sorted(regions.values()))
 
+    def type_key(self, ftup, x):
+        # the Venn regions of x's two elements among the entries: ftup
+        # fixes the other regions of the orbit key of ftup + (x,)
+        a, b = x
+        ra = rb = 0
+        for i, p in enumerate(ftup):
+            ra |= (a in p) << i
+            rb |= (b in p) << i
+        return (ra, rb) if ra <= rb else (rb, ra)
+
     def typeset_finite(self, sockel, x):
         supp = support(sockel)
         if not x <= supp:

@@ -153,21 +153,25 @@ def test_check_copy_keys_each_scanned_point_once_per_sockel():
         assert not st.keyed, h.describe()
 
 
+class PointCountingDLO(type(get_structure("dlo"))):
+    """A fresh dlo that counts its point_at reads per index."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = Counter()
+
+    def point_at(self, i):
+        self.read[i] += 1
+        return super().point_at(i)
+
+
 def test_cold_check_reads_each_index_once():
-    class PointCounting(type(get_structure("dlo"))):
-        def __init__(self):
-            super().__init__()
-            self.read = Counter()
-
-        def point_at(self, i):
-            self.read[i] += 1
-            return super().point_at(i)
-
-    dlo = PointCounting()
+    dlo = PointCountingDLO()
     core.type_classes.cache_clear()
     for members in ((), (0,), (1, 3), (0, 2, 5)):
         h = engine.powerset_embedding_dlo(dlo, members=members)
         dlo.read.clear()
+        certify._prefix.cache_clear()
         assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
         assert dlo.read and max(dlo.read.values()) == 1, members
 
@@ -273,6 +277,26 @@ def _differential_cases():
     cases.append(("pairs finite typeset witness",
                   lambda: RuleCopy(pairs, lambda x: UNKNOWN
                                    if x in open_pairs else IN), 8, 2, 3))
+
+    def cold_interval(members=(0,)):
+        # a fresh dlo: its enumeration prefix starts empty
+        return engine.powerset_embedding_dlo(PointCountingDLO(), members)
+
+    def after_depth_8(members=(0, 2)):
+        h = cold_interval(members)
+        certify.check_copy(h, 8, 2, 500)
+        return h
+    cases += [("depth 0 cold", cold_interval, 0, 2, 500),
+              ("depth 1 cold", cold_interval, 1, 2, 500),
+              ("depth 1 pairs through-proper",
+               lambda: engine.decide_window(engine.copy_through(
+                   pairs, fs(), engine.copy_identity(pairs), proper=True,
+                   seed=0), 8), 1, 2, 500),
+              ("sockel cap 0", lambda: cold_interval((0, 2)), 8, 0, 500),
+              # fails when the budget runs out, not on a proof: none of
+              # the first 3 points is inside, and over [] all are of 0's type
+              ("budget below depth", after_depth_8, 12, 2, 3),
+              ("depth 12 after depth 8", after_depth_8, 12, 2, 500)]
     return cases
 
 
@@ -627,6 +651,41 @@ def test_more_sockels_than_tables_kept_leave_certificates_unchanged(
     got = _nine_structure_certificates()
     assert core.type_classes.cache_info().misses > 2
     assert [c.to_json() for c in got] == [c.to_json() for c in want]
+
+
+def _mixed_window_certificates(shuffle=True):
+    """The nine-structure checks, each also at (12, 1), (4, 0) and (0, 2)
+    for (depth, sockel_cap), run in a seeded shuffle or in order."""
+    cases = [(h, d, cap, b) for h, depth, sockel_cap, b
+             in _nine_structure_checks()
+             for d, cap in ((depth, sockel_cap), (12, 1), (4, 0), (0, 2))]
+    order = list(range(len(cases)))
+    if shuffle:
+        random.Random(0).shuffle(order)
+    got = {i: certify.check_copy(*cases[i]).to_json() for i in order}
+    return [got[i] for i in range(len(cases))]
+
+
+def test_certificates_do_not_depend_on_the_prefixes_kept(monkeypatch):
+    certify._prefix.cache_clear()
+    core.type_classes.cache_clear()
+    cold = _mixed_window_certificates()
+    warm = _mixed_window_certificates()
+    in_order = _mixed_window_certificates(shuffle=False)
+    monkeypatch.setattr(certify, "_prefix",
+                        lru_cache(maxsize=1)(certify._Prefix))
+    small = _mixed_window_certificates()
+    assert certify._prefix.cache_info().misses > 2
+    assert cold == warm == in_order == small
+
+
+def test_warm_check_of_a_new_copy_reads_no_point():
+    dlo = PointCountingDLO()
+    for members in ((0,), (1, 3), (0, 2, 5)):
+        h = engine.powerset_embedding_dlo(dlo, members=members)
+        dlo.read.clear()
+        assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
+        assert bool(dlo.read) == (members == (0,)), members
 
 
 # -- cofinite copies ------------------------------------------------------------

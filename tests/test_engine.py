@@ -801,7 +801,7 @@ def test_undecided_membership_is_one_constant(dlo):
 
 def test_value_types_are_immutable_values():
     assert (repr(IN), repr(OUT), repr(UNKNOWN)) == ("In", "Out", "Unknown")
-    assert Membership.__slots__ == ("kind",)
+    assert Membership.__slots__ == ("kind", "is_in", "is_out", "is_unknown")
     assert FinitenessAnswer.__slots__ == ("kind", "members")
     assert Membership("in") == IN and hash(Membership("in")) == hash(IN)
     assert FinitenessAnswer("finite", (1,)) != FinitenessAnswer("finite")

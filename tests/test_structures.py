@@ -250,6 +250,24 @@ def test_same_type_matches_extendable_reduction(structure):
                             structure.type_key(ftup, y)) == want, (ftup, x, y)
 
 
+def test_pairs_type_key_matches_the_orbit_key_on_a_wider_window():
+    # sockels of two or three pairs of {0..6} sharing elements, with points
+    # meeting none, one or both of a shared element's pairs
+    pa = get_structure("pairs")
+    window = pa.prefix(21)
+    sockels = [ftup for size in (2, 3) for ftup in combinations(window, size)
+               if len(support(ftup)) < 2 * size]
+    assert len(sockels) > 1000
+    for ftup in sockels:
+        pool = [p for p in window if p not in ftup]
+        orbit = [pa.orbit_key(ftup + (x,)) for x in pool]
+        typed = [pa.type_key(ftup, x) for x in pool]
+        for i in range(len(pool)):
+            for j in range(i):
+                assert (typed[i] == typed[j]) == (orbit[i] == orbit[j]), \
+                    (ftup, pool[i], pool[j])
+
+
 def test_pinned_and_free_zetaeta_points_do_not_share_a_key():
     # (1|1) sits in a pinned block; (0|0) is free, below both pinned
     # blocks.  Without the pinned/free tags, the key (1|1) of the pinned
