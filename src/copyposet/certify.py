@@ -23,7 +23,6 @@ target; such an injection extends to a permutation of the whole support.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -66,10 +65,6 @@ class Certificate(Frozen):
         if self.unresolved:
             rec["unresolved"] = list(self.unresolved)
         return rec
-
-    def to_json(self):
-        return json.dumps(self.to_record(), sort_keys=True,
-                          separators=(",", ":"))
 
 
 class _Prefix:
@@ -492,8 +487,12 @@ def check_meet_irreducible_candidate(handle, x, depth, samples=6, seed=0):
 
     Tries to build a copy strictly containing the decided window part of
     the handle and still excluding x; pass means "not refuted".  On the
-    ``CofiniteCopy`` U minus {x} a pass is a proof: no copy avoiding x
-    strictly contains it."""
+    copy ``max_avoiding_copy`` builds for x alone a pass is a proof, since
+    no copy avoiding x strictly contains that copy: U minus {x} where
+    every stabilizer orbit off a finite set is infinite, U minus x's block
+    on zetaeta, U minus x's up-set on treetz, and [N minus {min x}]^2 on
+    pairs, whose copies [S]^2 avoid x only when S misses an element of
+    x."""
     from . import engine
 
     st = handle.structure

@@ -193,26 +193,28 @@ class RuleCopy(CopyHandle):
             st.encode(a) for a in st.sort_points(self.fix)))
 
 
-class CofiniteCopy(CopyHandle):
-    """U minus a finite ``avoid``; total membership.  Without algebraicity
-    it keeps the extension property: the maximum copy avoiding ``avoid``."""
+class CutCopy(CopyHandle):
+    """U minus the cuts of finitely many ``roots``; total membership.  The
+    structure says what a root cuts (``Structure.cuts``) and how the copy
+    reads (``Structure.describe_cut``).  By default a root cuts itself, so
+    the copy is the cofinite U minus the roots: without algebraicity the
+    maximum copy avoiding them."""
 
-    def __init__(self, structure, avoid):
+    def __init__(self, structure, roots):
         super().__init__(structure)
-        self.avoid = frozenset(avoid)
+        self.roots = frozenset(roots)
 
     def membership(self, x):
-        return OUT if x in self.avoid else IN
+        return OUT if self.structure.cuts(self.roots, x) else IN
 
     def witness(self, ftup, x):
-        for y in self.structure.typeset_iter(frozenset(ftup), x):
-            if y not in self.avoid:
+        st, roots = self.structure, self.roots
+        for y in st.typeset_iter(frozenset(ftup), x):
+            if not st.cuts(roots, y):
                 return y
 
     def describe(self):
-        st = self.structure
-        return "cofinite avoid={%s}" % ",".join(
-            st.encode(a) for a in st.sort_points(self.avoid))
+        return self.structure.describe_cut(self.roots)
 
 
 class TypeClasses:

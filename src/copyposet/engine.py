@@ -12,8 +12,11 @@ otherwise.
 
 Constructors take the structure's closed form when it has one
 (``closed_form_avoiding``); disjoint pairs are closed form only
-(``closed_form_disjoint_pair``).  Without algebraicity the closed form
-is the cofinite copy U minus the avoided set (``CofiniteCopy``).
+(``closed_form_disjoint_pair``).  On every built-in with proper copies the
+closed form is a cut copy, U minus the cuts of finitely many roots
+(``CutCopy``), except that rado keeps its tagged classes, so no built-in
+constructor reaches the back-and-forth search: ``BackForthCopy`` is the
+engine for a structure with algebraicity that defines no cut.
 
 Bernstein bases (``bernstein_base``) read each sockel's type classes, and
 the typeset members drawn for them, from the tables ``check_copy`` keeps
@@ -28,7 +31,7 @@ from itertools import combinations
 from . import core
 
 # CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
-from .core import (IN, OUT, UNKNOWN, CofiniteCopy, CopyHandle, Frozen,
+from .core import (IN, OUT, UNKNOWN, CopyHandle, CutCopy, Frozen,
                    IdentityCopy)
 from .errors import (
     ImpossibleConstructionError,
@@ -257,7 +260,7 @@ def decide_window(handle, depth, stages=None):
 def copy_through(structure, fix, parent, proper, seed=0):
     """A copy fixing ``fix`` pointwise with image inside ``parent``; when
     proper, one point of the parent is scheduled out as a strictness
-    witness."""
+    witness, and otherwise a closed form returns the parent itself."""
     fixset = frozenset(fix)
     for a in fixset:
         if not parent.try_decide(a).is_in:
@@ -316,11 +319,15 @@ def copy_avoiding(structure, fix, avoid, seed=0):
 
 
 def max_avoiding_copy(structure, avoid, depth, seed=0):
-    """The maximum copy U minus ``avoid`` where every stabilizer orbit off
-    a finite set is infinite; elsewhere a copy avoiding ``avoid`` decided
-    on the window at ``depth``."""
+    """A copy avoiding ``avoid``, decided on the window at ``depth``.  It
+    is the maximum copy avoiding ``avoid`` where every stabilizer orbit
+    off a finite set is infinite (U minus ``avoid``), on zetaeta (U minus
+    the avoided blocks) and on treetz (U minus the avoided up-sets), and
+    *a* maximal one on pairs ([N minus H]^2 for a minimal H meeting every
+    avoided pair; there are several when the avoided pairs share
+    elements, so no maximum)."""
     if structure.stabilizer_orbits_all_infinite:
-        return CofiniteCopy(structure, avoid)
+        return CutCopy(structure, avoid)
     return decide_window(copy_avoiding(structure, (), avoid, seed=seed), depth)
 
 
@@ -345,7 +352,12 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10):
         parent = chain[-1]
         child = structure.closed_form_avoiding(
             fixset, frozenset(batches[i]), parent)
-        if child is None:
+        if child is parent:
+            # the batch cuts nothing new: cut the parent's enum-least
+            # unranked member, so the chain stays strict
+            child = structure.closed_form_avoiding(
+                fixset, {parent.unranked_member(fixset)}, parent)
+        elif child is None:
             avoid = set(batches[i])
             if not any(parent.try_decide(x).is_in for x in avoid):
                 avoid.add(parent.unranked_member(fixset))

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from ..core import (CofiniteCopy, IdentityCopy, finite_answer,
-                    infinite_answer)
+from ..core import CutCopy, IdentityCopy, finite_answer, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
 
 # Safety cap for searches that are mathematically guaranteed to terminate on
@@ -317,17 +316,48 @@ class Structure:
     def closed_form_avoiding(self, fix, avoid, parent):
         """A closed-form copy containing ``fix``, avoiding ``avoid``, inside
         ``parent``; None unless ``parent`` is ``IdentityCopy`` or one of the
-        structure's own handles.  Default, with the flag set: U minus the
-        avoided points; when ``avoid`` cuts nothing from a cofinite parent,
-        ``parent.unranked_member(fix)`` is cut, so chains stay strict."""
-        if self.stabilizer_orbits_all_infinite:
-            if isinstance(parent, IdentityCopy):
-                return CofiniteCopy(self, avoid)
-            if isinstance(parent, CofiniteCopy):
-                if parent.avoid and avoid <= parent.avoid:
-                    avoid = avoid | {parent.unranked_member(fix)}
-                return CofiniteCopy(self, parent.avoid | avoid)
-        return None
+        structure's own handles.  Default: the ``CutCopy`` that adds to the
+        parent's roots the ``cut_root`` of each avoided point it does not
+        cut yet, and the parent itself when there is none; None where the
+        structure defines no cut.  A new root the others make redundant is
+        dropped (on pairs one root can cut several avoided pairs), so from
+        ``IdentityCopy`` with no fixed point the copy is maximal among the
+        copies avoiding ``avoid``."""
+        if isinstance(parent, IdentityCopy):
+            roots = frozenset()
+        elif isinstance(parent, CutCopy):
+            roots = parent.roots
+        else:
+            return None
+        new = []
+        for a in self.sort_points(avoid):
+            if not self.cuts(roots.union(new), a):
+                r = self.cut_root(fix, a)
+                if r is None:
+                    return None
+                new.append(r)
+        for r in new[::-1]:
+            rest = roots.union(q for q in new if q != r)
+            if all(self.cuts(rest, a) for a in avoid):
+                new.remove(r)
+        return CutCopy(self, roots.union(new)) if new else parent
+
+    # -- cut copies: U minus the cuts of finitely many roots ----------------
+
+    def cut_root(self, fix, x):
+        """The root whose cut takes the avoided point x out of a copy
+        containing ``fix``, or None where the structure defines no cut.
+        Default, with the flag set: x itself."""
+        return x if self.stabilizer_orbits_all_infinite else None
+
+    def cuts(self, roots, x):
+        """Whether the cuts of ``roots`` take x out.  Default: x is one."""
+        return x in roots
+
+    def describe_cut(self, roots):
+        """The description of U minus the cuts of ``roots``."""
+        return "cofinite avoid={%s}" % ",".join(
+            self.encode(a) for a in self.sort_points(roots))
 
     def closed_form_disjoint_pair(self, fix):
         """Two closed-form copies meeting exactly in ac(``fix``), or None.

@@ -31,7 +31,6 @@ unions indexed by sets of naturals (the powerset embedding) and pieces
 pinching a finite set from either side (the disjoint pair).
 """
 
-from collections import deque
 from fractions import Fraction
 
 from ..core import IN, OUT, CopyHandle
@@ -95,44 +94,6 @@ class Rational(Fraction):
 
 
 ZERO = Rational(0)
-
-
-def simplest_in_gap(lo, hi):
-    """Rationals strictly between lo and hi (None for unbounded), simplest
-    first in Stern-Brocot order.  Deterministic and exhaustive on the gap;
-    an empty gap (lo >= hi) raises PreconditionError."""
-    if lo is not None and hi is not None and not lo < hi:
-        raise PreconditionError("empty gap (%s, %s)" % (lo, hi))
-    left, right = (-1, 0), (1, 0)
-    while True:
-        mid = (left[0] + right[0], left[1] + right[1])
-        if mid[1] == 0:
-            mid = (0, 1)  # root of the full-line tree
-        val = Rational(*mid)
-        if lo is not None and val <= lo:
-            left = mid
-            continue
-        if hi is not None and val >= hi:
-            right = mid
-            continue
-        break
-    queue = deque([(left, mid, right)])
-    while queue:
-        lnode, mnode, rnode = queue.popleft()
-        val = Rational(*mnode)
-        if (lo is None or val > lo) and (hi is None or val < hi):
-            yield val
-        span_lo = None if lnode[1] == 0 else Rational(*lnode)
-        span_hi = None if rnode[1] == 0 else Rational(*rnode)
-        lmid = (lnode[0] + mnode[0], lnode[1] + mnode[1])
-        rmid = (mnode[0] + rnode[0], mnode[1] + rnode[1])
-        # descend only into subtrees whose span meets the open gap
-        if (lo is None or val > lo) and (hi is None or span_lo is None
-                                         or span_lo < hi):
-            queue.append((lnode, lmid, mnode))
-        if (hi is None or val < hi) and (lo is None or span_hi is None
-                                         or span_hi > lo):
-            queue.append((mnode, rmid, rnode))
 
 
 def _stern_brocot_rows():

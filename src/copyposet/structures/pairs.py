@@ -2,15 +2,15 @@
 
 Points are unordered pairs {i, j}; a permutation of N acts by taking images
 elementwise.  The orbit of a tuple is given by its Venn regions: which of
-its pairs each support element lies in.  Candidate images are exact: the
-enumeration points whose elements sit in the Venn regions of the targets
-that the source's elements occupy among the sources.
+its pairs each support element lies in.  A limit of permutations is
+induced by an injection of N, so the copies are [S]^2 for infinite S, and
+the cut copies take finitely many elements out of S.
 """
 
 from itertools import combinations
 
 from ..core import RuleCopy, finite_answer, infinite_answer
-from .base import _SCAN_CAP, Structure
+from .base import Structure
 
 
 def support(pairs):
@@ -84,33 +84,16 @@ class PairsAction(Structure):
         # oligomorphic: unranked iff the typeset is infinite
         return not x <= support(sockel)
 
-    def target_candidates(self, items, source):
-        # c = {x, y} extends the map plus source -> c exactly when x and y
-        # lie in the same Venn regions of the targets as the source's
-        # elements do in those of the sources: adding c or source sets the
-        # new bit on just those two regions of the orbit key
-        regions, held = {}, {}
-        for i, (s, t) in enumerate(items):
-            bit = 1 << i
-            for e in s:
-                held[e] = held.get(e, 0) | bit
-            for e in t:
-                regions[e] = regions.get(e, 0) | bit
-        a, b = source
-        ra, rb = held.get(a, 0), held.get(b, 0)
-        stop = _SCAN_CAP + 1
-        if ra and rb:
-            # both source elements lie among the sources, so both image
-            # elements lie in the targets' support [0..top], and the last
-            # pair of [0..top]^2, {top-1, top}, has index top(top+1)/2 - 1
-            top = max(regions)
-            stop = min(stop, top * (top + 1) // 2)
-        for i in range(stop):
-            c = self.point_at(i)
-            x, y = c
-            rx, ry = regions.get(x, 0), regions.get(y, 0)
-            if (rx == ra and ry == rb) or (rx == rb and ry == ra):
-                yield c
+    def cut_root(self, fix, x):
+        # every copy is [S]^2 for an infinite S: avoiding x takes an element
+        # of x out of S, here the least one off the fixed pairs' support
+        return min(x - support(fix))
+
+    def cuts(self, roots, x):
+        return not roots.isdisjoint(x)
+
+    def describe_cut(self, roots):
+        return "pairs [N minus {%s}]^2" % ",".join(map(str, sorted(roots)))
 
     def ac_members_exact(self, sockel):
         supp = sorted(support(sockel))

@@ -11,13 +11,12 @@ Automorphisms shift levels uniformly and permute sibling subtrees, so a
 finite partial injection extends to an automorphism exactly when it shifts
 all levels by one constant and preserves the levels of pairwise meets.
 
-Tree constructions interact through whole up-sets, so copies come as a
-closed-form handle realizing the same objects: the complement of the
-up-sets of finitely many nodes.
+A copy that avoids a node avoids its up-set, since a node's ancestor
+chain is fixed, so the cut copies are the complements of the up-sets of
+finitely many nodes (the images of iterated child-shift embeddings).
 """
 
-from ..core import IN, OUT, CopyHandle, IdentityCopy, infinite_answer
-from ..errors import ImpossibleConstructionError
+from ..core import infinite_answer
 from .base import Structure
 
 
@@ -123,47 +122,14 @@ class TreeTZ(Structure):
     def type_unranked(self, sockel, x):
         return not any(tree_le(x, a) for a in sockel)
 
-    def closed_form_avoiding(self, fix, avoid, parent):
-        if isinstance(parent, UpsetComplementCopyTree):
-            removed = parent.removed
-        elif isinstance(parent, IdentityCopy):
-            removed = ()
-        else:
-            return None
-        grown = removed + tuple(avoid)
-        child = UpsetComplementCopyTree(self, fix=fix, removed=grown)
-        if removed and set(child.removed) == set(removed):
-            # nothing new to cut inside a proper parent: cut the enum-least
-            # unranked node it contains, so chains stay strictly descending
-            cut = parent.unranked_member(fix)
-            child = UpsetComplementCopyTree(self, fix=fix,
-                                            removed=grown + (cut,))
-        return child
+    def cut_root(self, fix, x):
+        return x  # the copy loses x's up-set
 
+    def cuts(self, roots, x):
+        return any(tree_le(r, x) for r in roots)
 
-class UpsetComplementCopyTree(CopyHandle):
-    """A tree copy obtained by deleting the up-sets of finitely many nodes
-    (the image of iterated child-shift embeddings); total membership."""
-
-    def __init__(self, structure, fix=(), removed=()):
-        super().__init__(structure)
-        self.fix = frozenset(fix)
-        pruned = []
-        for r in structure.sort_points(frozenset(removed)):
-            if not any(tree_le(p, r) for p in pruned):
-                pruned.append(r)
-        self.removed = tuple(pruned)
-        for a in self.fix:
-            if any(tree_le(r, a) for r in self.removed):
-                raise ImpossibleConstructionError(
-                    "fixed point %s sits above a removed node"
-                    % structure.encode(a))
-
-    def membership(self, x):
-        if any(tree_le(r, x) for r in self.removed):
-            return OUT
-        return IN
-
-    def describe(self):
+    def describe_cut(self, roots):
+        # the minimal roots: a root above another cuts nothing more
         return "tree minus up-sets of {%s}" % ",".join(
-            self.structure.encode(r) for r in self.removed)
+            self.encode(r) for r in self.sort_points(roots)
+            if not self.cuts(roots - {r}, r))

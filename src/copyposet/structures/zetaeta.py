@@ -2,12 +2,15 @@
 
 Points are (block, offset) with block a rational and offset an integer,
 ordered lexicographically.  Automorphisms combine any order-automorphism of
-the block line with an independent translation inside each block.
+the block line with an independent translation inside each block.  A limit
+of them maps each block onto a whole block and the block line into itself
+by an order embedding, so the copies are B x Z for B a copy of (Q, <), and
+the cut copies take finitely many whole blocks out.
 """
 
 from ..core import infinite_answer
 from .base import Structure, equality_pattern
-from .dlo import DLO, order_pattern, simplest_in_gap
+from .dlo import DLO, order_pattern
 from .zorder import zigzag, zigzag_index
 
 _dlo = DLO()
@@ -72,15 +75,12 @@ class ZetaEta(Structure):
         # free-block orbits have order type zeta*eta: unranked
         return x[0] not in blocks
 
-    def target_candidates(self, items, source):
-        lo = hi = None
-        for (sq, sn), (tq, tn) in items:
-            if sq == source[0]:
-                yield (tq, source[1] + (tn - sn))  # block pinned, delta forced
-                return
-            if sq < source[0]:
-                lo = tq if lo is None or tq > lo else lo
-            else:
-                hi = tq if hi is None or tq < hi else hi
-        for q in simplest_in_gap(lo, hi):
-            yield (q, 0)
+    def cut_root(self, fix, x):
+        return x[0]  # every copy is B x Z: avoiding x avoids its block
+
+    def cuts(self, roots, x):
+        return x[0] in roots
+
+    def describe_cut(self, roots):
+        return "zetaeta minus blocks {%s}" % ",".join(
+            map(_dlo.encode, _dlo.sort_points(roots)))

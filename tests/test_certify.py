@@ -13,12 +13,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet.core import IN, OUT, UNKNOWN, CofiniteCopy
+from copyposet.core import IN, OUT, UNKNOWN, CutCopy
 from copyposet.errors import PreconditionError
 from copyposet import certify, core, engine
 from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
 
 fs = frozenset
+
+
+def to_json(cert):
+    """A certificate's canonical byte form: its record as sorted, compact
+    JSON."""
+    return json.dumps(cert.to_record(), sort_keys=True, separators=(",", ":"))
 
 
 class PlantedNonCopy(engine.CopyHandle):
@@ -55,9 +61,8 @@ def test_check_copy_pass_monotone_in_budget(dlo):
     assert low.verdict == "pass" and high.verdict == "pass"
 
 
-def test_check_copy_unknown_on_fresh_backforth():
-    ze = get_structure("zetaeta")
-    c = engine.copy_avoiding(ze, set(), {ze.decode("(0|0)")})
+def test_check_copy_unknown_on_fresh_backforth(dlo):
+    c = engine.BackForthCopy(dlo, avoid={F(0)})
     cert = certify.check_copy(c, 8, 1, 50)
     assert cert.verdict == "unknown"
     assert cert.unresolved
@@ -66,7 +71,7 @@ def test_check_copy_unknown_on_fresh_backforth():
 def test_check_copy_replay(dlo):
     cert1 = certify.check_copy(PlantedNonCopy(dlo), 8, 1, 200)
     cert2 = certify.check_copy(PlantedNonCopy(dlo), 8, 1, 200)
-    assert cert1.to_json() == cert2.to_json()
+    assert to_json(cert1) == to_json(cert2)
     bigger = certify.check_copy(PlantedNonCopy(dlo), 8, 1, 500)
     assert bigger.verdict == "fail"
     assert bigger.counterexample["sockel"] == cert1.counterexample["sockel"]
@@ -265,7 +270,7 @@ def _differential_cases():
                           dlo, members=m), 8, 2, 500))
     cases.append(("planted non-copy", lambda: PlantedNonCopy(dlo), 8, 1, 200))
     cases.append(("fresh back-and-forth",
-                  lambda: engine.copy_avoiding(dlo, set(), {F(0)}), 8, 1, 50))
+                  lambda: engine.BackForthCopy(dlo, avoid={F(0)}), 8, 1, 50))
     zorder, pairs = get_structure("zorder"), get_structure("pairs")
     cases.append(("zorder finite typeset out",
                   lambda: RuleCopy(zorder, lambda x: IN if x >= 0 else (
@@ -306,7 +311,7 @@ def test_check_copy_matches_per_obligation_scan(make, depth, sockel_cap,
                                                 budget):
     got = certify.check_copy(make(), depth, sockel_cap, budget)
     want = _reference_check_copy(make(), depth, sockel_cap, budget)
-    assert got.to_json() == want.to_json()
+    assert to_json(got) == to_json(want)
 
 
 # -- brute_same_type -----------------------------------------------------------
@@ -459,11 +464,9 @@ def test_inclusion_examples(dlo):
     assert certify.check_inclusion(s0, s0, 10).verdict == "pass"
 
 
-def test_inclusion_unknown_against_partial():
-    ze = get_structure("zetaeta")
-    partial = engine.copy_avoiding(ze, set(), {ze.decode("(5|0)")})
-    partial.advance(2)
-    cert = certify.check_inclusion(engine.copy_identity(ze), partial, 8)
+def test_inclusion_unknown_against_partial(dlo):
+    partial = engine.BackForthCopy(dlo, avoid={F(5)}).advance(2)
+    cert = certify.check_inclusion(engine.copy_identity(dlo), partial, 8)
     assert cert.verdict == "unknown"
 
 
@@ -512,7 +515,7 @@ def test_certificate_jsonl_round_trip(dlo, tmp_path):
             engine.powerset_embedding_dlo(dlo, members=(0, 1)), 10),
     ]
     path = tmp_path / "certs.jsonl"
-    path.write_text("".join(c.to_json() + "\n" for c in certs))
+    path.write_text("".join(to_json(c) + "\n" for c in certs))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     for line, cert in zip(lines, certs):
@@ -521,15 +524,17 @@ def test_certificate_jsonl_round_trip(dlo, tmp_path):
         assert rec["verdict"] == cert.verdict
         assert rec["kind"] == cert.kind
     # canonical form: dumping again is byte-identical
-    assert lines[0] == certs[0].to_json()
+    assert lines[0] == to_json(certs[0])
 
 
 # sha256 of the check_copy(h, 8, 2, 500) certificates of _pinned_copies(),
 # one to_json() line each: the bytes must not move with the point type.
 # Re-pinned when the dlo copies became cofinite: their four certificates
-# changed, every other certificate kept its bytes
+# changed, every other certificate kept its bytes.  Re-pinned when the
+# zetaeta copies became block cuts: their four certificates changed, every
+# other certificate kept its bytes
 PINNED_CERTIFICATES_SHA256 = (
-    "cf57be5f2dbda03a1c4f198cb8a4f7a1efbc3ca103aea9bd44b6fdb30bb7e981")
+    "48350e7a352049379e4195bb37c6a626abd7d6f05a8f0f38a834abec4c5db396")
 
 
 def _pinned_copies():
@@ -556,7 +561,7 @@ def test_certificate_bytes_are_pinned():
     digest = hashlib.sha256()
     for h in _pinned_copies():
         cert = certify.check_copy(h, 8, 2, 500)
-        digest.update(cert.to_json().encode() + b"\n")
+        digest.update(to_json(cert).encode() + b"\n")
     assert digest.hexdigest() == PINNED_CERTIFICATES_SHA256
 
 
@@ -565,17 +570,20 @@ def test_certificate_bytes_are_pinned():
 # closed forms: their eight side certificates changed, every other
 # certificate kept its bytes.  Re-pinned when the pureset, dlo and equiv
 # copies became cofinite: their thirteen certificates changed, the five dlo
-# ones from unknown to pass, and every other certificate kept its bytes
+# ones from unknown to pass, and every other certificate kept its bytes.
+# Re-pinned when the zetaeta and pairs copies became cut copies: their
+# eight certificates changed, the two zetaeta ones at d = 12 from unknown
+# to pass, and every other certificate kept its bytes
 PINNED_NINE_STRUCTURE_SHA256 = (
-    "a019f926998fa8be2b6ff7d413269a103bebaf5590958fb3319089e442920870")
+    "d13df1e43c71bd84f404989ea659dbd0647b5cc0fee874c923c6cadf2677090e")
 
 
 def _nine_structure_checks():
     """(handle, depth, sockel_cap, budget) for the identity copy of every
     structure; the decided through-proper and avoiding copies at d = 8 and
     12 and both sides of the disjoint pairs of every structure that has
-    them; the dlo max_avoiding_copy; and the planted non-copy.  Two of
-    these stay unknown (zetaeta at d = 12) and the planted one fails."""
+    them; the dlo max_avoiding_copy; and the planted non-copy.  The
+    planted one fails and every other passes."""
     for sid in BUILTIN_IDS:
         st = get_structure(sid)
         yield engine.copy_identity(st), 8, 2, 500
@@ -609,15 +617,18 @@ def _nine_structure_certificates():
 def test_nine_structure_certificate_bytes_are_pinned():
     certs = _nine_structure_certificates()
     verdicts = Counter(c.verdict for c in certs)
-    assert verdicts["unknown"] == 2 and verdicts["fail"] == 1
+    assert verdicts["unknown"] == 0 and verdicts["fail"] == 1
     digest = hashlib.sha256()
     for cert in certs:
-        digest.update(cert.to_json().encode() + b"\n")
+        digest.update(to_json(cert).encode() + b"\n")
     assert digest.hexdigest() == PINNED_NINE_STRUCTURE_SHA256
 
 
 def test_certificate_records_are_canonical_json():
-    certs = _nine_structure_certificates()
+    # no built-in constructor leaves a copy unknown: a fresh back-and-forth
+    # copy gives the unresolved records
+    certs = _nine_structure_certificates() + [certify.check_copy(
+        engine.BackForthCopy(get_structure("dlo"), avoid={F(0)}), 8, 1, 50)]
     strings = [s for c in certs for s in c.witnesses + c.unresolved]
     assert any(c.witnesses for c in certs)
     assert any(c.unresolved for c in certs)
@@ -634,11 +645,11 @@ def _interval_and_nine_structure_checks():
 
 def test_certificates_do_not_depend_on_the_class_tables_kept():
     core.type_classes.cache_clear()
-    cold = [certify.check_copy(*case).to_json()
+    cold = [to_json(certify.check_copy(*case))
             for case in _interval_and_nine_structure_checks()]
-    warm = [certify.check_copy(*case).to_json()
+    warm = [to_json(certify.check_copy(*case))
             for case in _interval_and_nine_structure_checks()]
-    backwards = [certify.check_copy(*case).to_json()
+    backwards = [to_json(certify.check_copy(*case))
                  for case in _interval_and_nine_structure_checks()[::-1]]
     assert cold == warm == backwards[::-1]
 
@@ -650,7 +661,7 @@ def test_more_sockels_than_tables_kept_leave_certificates_unchanged(
                         lru_cache(maxsize=2)(core.TypeClasses))
     got = _nine_structure_certificates()
     assert core.type_classes.cache_info().misses > 2
-    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+    assert [to_json(c) for c in got] == [to_json(c) for c in want]
 
 
 def _mixed_window_certificates(shuffle=True):
@@ -662,7 +673,7 @@ def _mixed_window_certificates(shuffle=True):
     order = list(range(len(cases)))
     if shuffle:
         random.Random(0).shuffle(order)
-    got = {i: certify.check_copy(*cases[i]).to_json() for i in order}
+    got = {i: to_json(certify.check_copy(*cases[i])) for i in order}
     return [got[i] for i in range(len(cases))]
 
 
@@ -690,11 +701,10 @@ def test_warm_check_of_a_new_copy_reads_no_point():
 
 # -- cofinite copies ------------------------------------------------------------
 
-@pytest.mark.parametrize("sid", ["pureset", "dlo", "equiv"])
-def test_cofinite_copies_pass_after_decide_window(sid):
-    # through-proper copies, and copies avoiding the first or the second
-    # unranked window point, at seeds 0-5 and depths 6-12
-    st = get_structure(sid)
+def _swept_copies(st):
+    """(seed, d, copy): through-proper copies, and copies avoiding the
+    first or the second unranked window point, at seeds 0-5 and depths
+    6-12, each with its window decided."""
     for seed in range(6):
         for d in (6, 8, 10, 12):
             free = [x for x in st.prefix(d)
@@ -704,10 +714,28 @@ def test_cofinite_copies_pass_after_decide_window(sid):
             handles += [engine.copy_avoiding(st, fs(), {a}, seed=seed)
                         for a in free[:2]]
             for h in handles:
-                assert isinstance(h, CofiniteCopy)
-                engine.decide_window(h, d)
-                cert = certify.check_copy(h, d)
-                assert cert.verdict == "pass", (seed, d, h.describe())
+                yield seed, d, engine.decide_window(h, d)
+
+
+@pytest.mark.parametrize("sid", ["pureset", "dlo", "equiv"])
+def test_cofinite_copies_pass_after_decide_window(sid):
+    for seed, d, h in _swept_copies(get_structure(sid)):
+        assert isinstance(h, CutCopy)
+        cert = certify.check_copy(h, d)
+        assert cert.verdict == "pass", (seed, d, h.describe())
+
+
+@pytest.mark.parametrize("sid", [sid for sid in BUILTIN_IDS
+                                 if not get_structure(sid).single_copy])
+def test_constructed_copies_pass_at_budget_60(sid):
+    # 72 checks on each of the seven structures with proper copies: a
+    # small budget leaves the witness to the copy's own proposal
+    checked = 0
+    for seed, d, h in _swept_copies(get_structure(sid)):
+        cert = certify.check_copy(h, d, 2, 60)
+        assert cert.verdict == "pass", (seed, d, h.describe(), cert)
+        checked += 1
+    assert checked == 72
 
 
 @pytest.mark.parametrize("sid", ["pureset", "dlo", "rado", "equiv"])
@@ -718,7 +746,7 @@ def test_max_avoiding_copy_is_the_cofinite_copy(sid):
             for k in (1, 3):
                 avoid = random.Random(seed).sample(st.prefix(d), k)
                 h = engine.max_avoiding_copy(st, avoid, d)
-                assert isinstance(h, CofiniteCopy)
+                assert isinstance(h, CutCopy)
                 assert [x for x in st.prefix(d) if h.membership(x).is_out] \
                     == st.sort_points(avoid)
                 cert = certify.check_copy(h, d)
@@ -806,7 +834,7 @@ def test_unconfirmed_proposals_keep_the_verdict(propose):
     assert silent.verdict == "fail"
     assert silent.counterexample["scanned"] == 200
     lying = certify.check_copy(_ProposingCopy(propose), 8, 2, 200)
-    assert lying.to_json() == silent.to_json()
+    assert to_json(lying) == to_json(silent)
     honest = certify.check_copy(_ProposingCopy(
         lambda h, ftup, x: h.witness(ftup, x)), 8, 2, 200)
     assert honest.verdict == "pass"

@@ -19,9 +19,9 @@ from copyposet.errors import (
     UnsupportedConstructionError,
 )
 from copyposet import certify, closures, core, engine, typesets
-from copyposet.core import (IN, OUT, UNKNOWN, CofiniteCopy, FinitenessAnswer,
+from copyposet.core import (IN, OUT, UNKNOWN, CutCopy, FinitenessAnswer,
                             Membership)
-from copyposet.structures import BUILTIN_IDS, PureSet, get_structure
+from copyposet.structures import BUILTIN_IDS, PureSet, Structure, get_structure
 
 fs = frozenset
 
@@ -126,15 +126,17 @@ def test_membership_decisions_permanent(dlo):
     assert snapshot_out <= set(c.decided_out(10))
 
 
-def _zetaeta_avoiding(fix, avoid):
-    ze = get_structure("zetaeta")
-    return engine.copy_avoiding(ze, {ze.decode(p) for p in fix},
-                                {ze.decode(p) for p in avoid}, seed=0)
+def _dlo_back_forth(fix, avoid):
+    # the constructors build cut copies on every built-in: the search is
+    # built directly
+    dlo = get_structure("dlo")
+    return engine.BackForthCopy(dlo, fix=map(dlo.decode, fix),
+                                avoid=map(dlo.decode, avoid), seed=0)
 
 
 def test_advance_determinism():
-    a = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
-    b = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
+    a = _dlo_back_forth(["0"], ["1"])
+    b = _dlo_back_forth(["0"], ["1"])
     a.advance(4).advance(4)
     b.advance(8)
     assert a._map == b._map
@@ -143,7 +145,7 @@ def test_advance_determinism():
 
 
 def test_advance_zero_is_noop():
-    c = _zetaeta_avoiding([], ["(0|0)"])
+    c = _dlo_back_forth([], ["0"])
     c.advance(4)
     before = dict(c._map)
     c.advance(0)
@@ -262,7 +264,7 @@ def test_cofinite_chain_longer_than_its_window_stays_strict(dlo):
     # the enum-least point its parent holds
     chain = engine.descending_chain(dlo, set(), engine.copy_identity(dlo),
                                     12, depth=6)
-    assert all(isinstance(c, CofiniteCopy) for c in chain[1:])
+    assert all(isinstance(c, CutCopy) for c in chain[1:])
     window = dlo.prefix(32)
     for lower, upper in zip(chain[1:], chain):
         assert any(upper.membership(x).is_in and lower.membership(x).is_out
@@ -275,9 +277,9 @@ def test_cofinite_copies_on_the_flagged_structures():
         st = get_structure(sid)
         ident = engine.copy_identity(st)
         u0, u1 = st.prefix(2)
-        assert isinstance(engine.copy_avoiding(st, {u0}, {u1}), CofiniteCopy)
+        assert isinstance(engine.copy_avoiding(st, {u0}, {u1}), CutCopy)
         assert isinstance(engine.copy_through(st, {u0}, ident, proper=True),
-                          CofiniteCopy)
+                          CutCopy)
         whole = engine.copy_through(st, {u0}, ident, proper=False)
         assert all(whole.membership(x).is_in for x in st.prefix(32))
     # inside the maximum copy avoiding 0, a rado copy is cofinite too
@@ -286,6 +288,71 @@ def test_cofinite_copies_on_the_flagged_structures():
     c = engine.copy_through(rado, {2}, top, proper=True)
     assert c.describe() == "cofinite avoid={0,1}"
     assert certify.check_copy(c, 8).verdict == "pass"
+
+
+@pytest.mark.parametrize("sid, avoid, text", [
+    ("dlo", "1", "cofinite avoid={1}"),
+    ("treetz", "L1:[]", "tree minus up-sets of {L1:[]}"),
+])
+def test_a_copy_through_that_is_not_proper_cuts_nothing(sid, avoid, text):
+    st = get_structure(sid)
+    parent = engine.copy_avoiding(st, set(), {st.decode(avoid)})
+    c = engine.copy_through(st, set(), parent, proper=False)
+    assert c is parent and c.describe() == text
+
+
+def test_cut_copies_on_zetaeta_and_pairs():
+    # zetaeta takes the avoided point's whole block out, pairs the avoided
+    # pair's least element off the fixed pairs' support
+    ze, pairs = get_structure("zetaeta"), get_structure("pairs")
+    c = engine.copy_avoiding(ze, {ze.decode("(0|0)")}, {ze.decode("(1|5)")})
+    assert c.describe() == "zetaeta minus blocks {1}"
+    assert c.membership(ze.decode("(1|-7)")).is_out
+    assert c.membership(ze.decode("(1/2|3)")).is_in
+    c = engine.copy_avoiding(pairs, {fs((0, 1))}, {fs((1, 4)), fs((2, 3))})
+    assert c.describe() == "pairs [N minus {2,4}]^2"
+    assert c.membership(fs((2, 9))).is_out and c.membership(fs((0, 5))).is_in
+    # the avoided pairs share 1: one cut is enough, so the copy is maximal
+    c = engine.max_avoiding_copy(pairs, [fs((0, 1)), fs((1, 2)), fs((1, 3))],
+                                 8)
+    assert c.describe() == "pairs [N minus {1}]^2"
+    for h in (c, engine.max_avoiding_copy(ze, [ze.decode("(0|0)")], 8)):
+        assert certify.check_copy(h, 10, 2, 60).verdict == "pass"
+
+
+@pytest.mark.parametrize("sid", [sid for sid in BUILTIN_IDS
+                                 if not get_structure(sid).single_copy])
+def test_no_constructor_builds_a_back_and_forth_copy(sid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BackForthCopy was built")
+
+    monkeypatch.setattr(engine.BackForthCopy, "__init__", refuse)
+    st = get_structure(sid)
+    ident = engine.copy_identity(st)
+    u0 = fs(st.prefix(1))
+    avoid = [x for x in st.prefix(8)
+             if x not in u0 and st.type_unranked(u0, x) is True][:2]
+    engine.copy_through(st, u0, ident, proper=True)
+    engine.copy_through(st, u0, ident, proper=False)
+    inner = engine.copy_avoiding(st, u0, avoid)
+    engine.copy_through(st, u0, inner, proper=True)
+    engine.max_avoiding_copy(st, avoid, 8)
+    engine.descending_chain(st, u0, ident, 3)
+    engine.descending_chain(st, u0, inner, 3)
+    closures.intersection_closure_upper(st, u0, 4, 8)
+
+
+def test_a_structure_without_a_cut_gets_a_back_and_forth_copy():
+    # algebraicity and no cut of its own: the constructors fall back on
+    # the search
+    class Uncut(type(get_structure("zetaeta"))):
+        cut_root = Structure.cut_root
+
+    st = Uncut()
+    a = st.decode("(0|0)")
+    c = engine.copy_avoiding(st, set(), {a})
+    assert isinstance(c, engine.BackForthCopy)
+    assert c.advance(2).membership(a).is_out
 
 
 # -- disjoint pairs ---------------------------------------------------------------------
@@ -418,7 +485,7 @@ def test_bernstein_bases_do_not_depend_on_the_tables_kept():
         for case in BERNSTEIN_CASES[::-1]:
             mixed[case] = _bernstein_record(st, *case)
             if case == (14, 0):
-                copy = CofiniteCopy(st, st.prefix(8)[1::2])
+                copy = CutCopy(st, st.prefix(8)[1::2])
                 assert certify.check_copy(copy, 8, 2, 500).verdict == "pass"
         assert cold == warm == mixed, sid
 
@@ -493,7 +560,7 @@ def test_supported_constructors_certify_on_non_amalgamation(sid):
 
 
 def test_trace_records_moves():
-    c = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
+    c = _dlo_back_forth(["0"], ["1"])
     c.advance(4)
     assert len(c.trace) == 4
     rec = c.trace[0]
@@ -502,87 +569,99 @@ def test_trace_records_moves():
     assert rec["move"] == "forth"
 
 
-def test_golden_trace_zetaeta_avoiding():
+def test_golden_trace_avoiding():
     # frozen from a reference run; guards reproducibility of the scheduler
-    c = _zetaeta_avoiding(["(0|0)"], ["(1|0)"])
+    c = _dlo_back_forth(["0"], ["1"])
     c.advance(4)
     assert c.trace == [
-        {"round": 0, "move": "forth", "source": "(0|1)", "target": "(0|1)",
+        {"round": 0, "move": "forth", "source": "1", "target": "1/2",
+         "scanned": 2, "checks": 1},
+        {"round": 1, "move": "forth", "source": "-1", "target": "-1",
          "scanned": 1, "checks": 1},
-        {"round": 1, "move": "forth", "source": "(1|0)",
-         "target": "(1/2|0)", "scanned": 2, "checks": 1},
-        {"round": 2, "move": "forth", "source": "(0|-1)",
-         "target": "(0|-1)", "scanned": 1, "checks": 1},
-        {"round": 3, "move": "forth", "source": "(1|1)",
-         "target": "(1/2|1)", "scanned": 1, "checks": 1},
+        {"round": 2, "move": "forth", "source": "1/2", "target": "1/3",
+         "scanned": 1, "checks": 1},
+        {"round": 3, "move": "forth", "source": "-1/2", "target": "-1/2",
+         "scanned": 1, "checks": 1},
     ]
 
 
 # (round, move, source, target, scanned, checks) of every move of a
-# through-proper copy over nothing with its window decided at depth 8,
-# frozen from a reference run: back steps as well as forth steps
+# back-and-forth through-proper copy over nothing with its window decided
+# at depth 8, frozen from a reference run: back steps as well as forth
+# steps
 GOLDEN_THROUGH_TRACES = {
-    "zetaeta": [
-        (0, "forth", "(0|0)", "(-1|0)", 2, 1),
-        (1, "forth", "(0|1)", "(-1|1)", 1, 1),
-        (1, "back", "(1|0)", "(1|0)", 1, 1),
-        (2, "forth", "(0|-1)", "(-1|-1)", 1, 1),
-        (3, "back", "(1|1)", "(1|1)", 1, 1),
-        (3, "forth", "(-1|0)", "(-2|0)", 1, 1),
-        (4, "forth", "(0|2)", "(-1|2)", 1, 1),
-        (5, "forth", "(1|-1)", "(1|-1)", 1, 1),
-        (6, "forth", "(-1|1)", "(-2|1)", 1, 1),
-        (7, "forth", "(1/2|0)", "(-1/2|0)", 2, 1),
-        (8, "forth", "(0|-2)", "(-1|-2)", 1, 1),
-        (9, "forth", "(1|2)", "(1|2)", 1, 1),
-        (10, "forth", "(-1|-1)", "(-2|-1)", 1, 1),
-        (11, "forth", "(1/2|1)", "(-1/2|1)", 1, 1),
-        (12, "forth", "(-1/2|0)", "(-3/2|0)", 1, 1),
-        (13, "forth", "(0|3)", "(-1|3)", 1, 1),
-        (14, "forth", "(1|-2)", "(1|-2)", 1, 1),
-        (15, "forth", "(-1|2)", "(-2|2)", 1, 1),
-        (16, "forth", "(1/2|-1)", "(-1/2|-1)", 1, 1),
-        (17, "forth", "(-1/2|1)", "(-3/2|1)", 1, 1),
-        (18, "forth", "(2|0)", "(2|0)", 1, 1),
-        (19, "forth", "(0|-3)", "(-1|-3)", 1, 1),
-        (20, "forth", "(1|3)", "(1|3)", 1, 1),
-        (21, "forth", "(-1|-2)", "(-2|-2)", 1, 1),
-        (22, "forth", "(1/2|2)", "(-1/2|2)", 1, 1),
-        (23, "forth", "(-1/2|-1)", "(-3/2|-1)", 1, 1)],
-    "pairs": [
-        (0, "back", "{0,1}", "{0,2}", 1, 1),
-        (0, "forth", "{0,2}", "{0,3}", 3, 1),
-        (1, "forth", "{1,2}", "{2,3}", 1, 1),
-        (2, "forth", "{0,3}", "{0,4}", 2, 1),
-        (3, "forth", "{1,3}", "{2,4}", 1, 1),
-        (4, "forth", "{2,3}", "{3,4}", 1, 1),
-        (5, "forth", "{0,4}", "{0,5}", 2, 1),
-        (6, "forth", "{1,4}", "{2,5}", 1, 1),
-        (7, "forth", "{2,4}", "{3,5}", 1, 1),
-        (8, "forth", "{3,4}", "{4,5}", 1, 1),
-        (9, "forth", "{0,5}", "{0,6}", 2, 1),
-        (10, "forth", "{1,5}", "{2,6}", 1, 1),
-        (11, "forth", "{2,5}", "{3,6}", 1, 1),
-        (12, "forth", "{3,5}", "{4,6}", 1, 1),
-        (13, "forth", "{4,5}", "{5,6}", 1, 1),
-        (14, "forth", "{0,6}", "{0,7}", 2, 1),
-        (15, "forth", "{1,6}", "{2,7}", 1, 1),
-        (16, "forth", "{2,6}", "{3,7}", 1, 1),
-        (17, "forth", "{3,6}", "{4,7}", 1, 1),
-        (18, "forth", "{4,6}", "{5,7}", 1, 1),
-        (19, "forth", "{5,6}", "{6,7}", 1, 1),
-        (20, "forth", "{0,7}", "{0,8}", 2, 1),
-        (21, "forth", "{1,7}", "{2,8}", 1, 1),
-        (22, "forth", "{2,7}", "{3,8}", 1, 1),
-        (23, "forth", "{3,7}", "{4,8}", 1, 1)],
+    "dlo": [
+        (0, 'back', '0', '1', 1, 1),
+        (0, 'forth', '1', '2', 1, 1),
+        (1, 'forth', '-1', '-1', 2, 1),
+        (1, 'back', '-1/2', '1/2', 1, 1),
+        (2, 'forth', '1/2', '3/2', 1, 1),
+        (2, 'back', '-2/3', '-1/2', 1, 1),
+        (3, 'back', '-2', '-2', 1, 1),
+        (3, 'forth', '2', '3', 1, 1),
+        (4, 'forth', '3/2', '5/2', 1, 1),
+        (5, 'forth', '-3/2', '-3/2', 1, 1),
+        (6, 'forth', '1/3', '4/3', 1, 1),
+        (7, 'forth', '3', '4', 1, 1),
+        (8, 'forth', '-3', '-3', 1, 1),
+        (9, 'forth', '5/2', '7/2', 1, 1),
+        (10, 'forth', '-5/2', '-5/2', 1, 1),
+        (11, 'forth', '2/3', '5/3', 1, 1),
+        (12, 'forth', '4', '5', 1, 1),
+        (13, 'forth', '-4', '-4', 1, 1),
+        (14, 'forth', '7/2', '9/2', 1, 1),
+        (15, 'forth', '-7/2', '-7/2', 1, 1),
+        (16, 'forth', '-1/3', '2/3', 1, 1),
+        (17, 'forth', '5', '6', 1, 1),
+        (18, 'forth', '-5', '-5', 1, 1),
+        (19, 'forth', '9/2', '11/2', 1, 1),
+        (20, 'forth', '-9/2', '-9/2', 1, 1),
+        (21, 'forth', '6', '7', 1, 1),
+        (22, 'forth', '-6', '-6', 1, 1),
+        (23, 'forth', '11/2', '13/2', 1, 1)],
+    "equiv": [
+        (0, 'back', '0.0', '0.1', 1, 1),
+        (0, 'forth', '0.1', '0.2', 2, 1),
+        (1, 'forth', '1.0', '1.0', 1, 1),
+        (1, 'back', '1.1', '1.1', 1, 1),
+        (2, 'forth', '0.2', '0.3', 2, 1),
+        (2, 'back', '2.0', '2.0', 1, 1),
+        (3, 'back', '1.2', '1.2', 1, 1),
+        (3, 'forth', '0.3', '0.4', 2, 1),
+        (4, 'forth', '2.1', '2.1', 1, 1),
+        (5, 'forth', '3.0', '3.0', 1, 1),
+        (6, 'forth', '0.4', '0.5', 2, 1),
+        (7, 'forth', '1.3', '1.3', 1, 1),
+        (8, 'forth', '2.2', '2.2', 1, 1),
+        (9, 'forth', '3.1', '3.1', 1, 1),
+        (10, 'forth', '4.0', '4.0', 1, 1),
+        (11, 'forth', '0.5', '0.6', 2, 1),
+        (12, 'forth', '1.4', '1.4', 1, 1),
+        (13, 'forth', '2.3', '2.3', 1, 1),
+        (14, 'forth', '3.2', '3.2', 1, 1),
+        (15, 'forth', '4.1', '4.1', 1, 1),
+        (16, 'forth', '5.0', '5.0', 1, 1),
+        (17, 'forth', '0.6', '0.7', 2, 1),
+        (18, 'forth', '1.5', '1.5', 1, 1),
+        (19, 'forth', '2.4', '2.4', 1, 1),
+        (20, 'forth', '3.3', '3.3', 1, 1),
+        (21, 'forth', '4.2', '4.2', 1, 1),
+        (22, 'forth', '5.1', '5.1', 1, 1),
+        (23, 'forth', '6.0', '6.0', 1, 1)]
 }
+
+
+def _through_proper(st):
+    """A through-proper copy over nothing, built by back-and-forth as
+    copy_through builds it on a structure that defines no cut."""
+    ident = engine.copy_identity(st)
+    return engine.BackForthCopy(st, avoid={ident.unranked_member(fs())},
+                                parent=ident, seed=0)
 
 
 @pytest.mark.parametrize("sid", sorted(GOLDEN_THROUGH_TRACES))
 def test_golden_trace_through_proper_with_back_moves(sid):
-    st = get_structure(sid)
-    c = engine.copy_through(st, fs(), engine.copy_identity(st), proper=True,
-                            seed=0)
+    c = _through_proper(get_structure(sid))
     engine.decide_window(c, 8)
     keys = ["round", "move", "source", "target", "scanned", "checks"]
     assert [list(m) for m in c.trace] == [keys] * len(c.trace)
@@ -592,36 +671,41 @@ def test_golden_trace_through_proper_with_back_moves(sid):
 # sha256 of the traces of _back_forth_handles(), one JSON line of
 # [source, target, move, scanned] per move per handle: a candidate stream
 # that yields a different set of images shows up as a different
-# ``scanned``.  Re-pinned when the disjoint pairs became closed forms and
-# their sides left the list, and again when the pureset, dlo and equiv
-# copies became cofinite; every remaining handle kept its bytes
+# ``scanned``.  Re-pinned when zetaeta and pairs built cut copies and the
+# handles became ones built directly on dlo and equiv, pinned at the
+# commit before, whose search they share
 PINNED_BACK_FORTH_TRACES_SHA256 = (
-    "7398da32956621ea25bf1b39286f84d39d4363a34654225cb898337b2a39c8ac")
+    "2da411c6afb2026d7d9343785706bdbb0e35415998d110dd3e469e4d68be4af1")
+
+
+def _back_forth_chain(st):
+    """The two links of a chain over {u_0}, as descending_chain builds them
+    by back-and-forth, each decided at d = 8."""
+    fix = fs(st.prefix(1))
+    free = [x for x in st.prefix(10) if x not in fix
+            and st.type_unranked(fix, x) is True]
+    parent = engine.copy_identity(st)
+    links = []
+    for i, batch in enumerate((free[0::2], free[1::2])):
+        parent = engine.BackForthCopy(st, fix=fix, avoid=batch,
+                                      parent=parent, seed=i)
+        links.append(engine.decide_window(parent.advance(20), 8))
+    return links
 
 
 def _back_forth_handles():
-    """The through-proper and avoiding copies over nothing, decided at
-    d = 8 and 12, of every structure that builds them by back-and-forth,
-    and the descending chain of pairs over its first point, each link
-    decided at d = 8."""
-    for sid in BUILTIN_IDS:
+    """Built directly on dlo and equiv: the through-proper and avoiding
+    copies over nothing, decided at d = 8 and 12, and the two links of a
+    chain over the first point."""
+    for sid in ("dlo", "equiv"):
         st = get_structure(sid)
-        if st.single_copy:
-            continue
         avoid = next(x for x in st.prefix(8)
                      if st.type_unranked(fs(), x) is True)
         for d in (8, 12):
-            for h in (engine.copy_through(st, fs(), engine.copy_identity(st),
-                                          proper=True, seed=0),
-                      engine.copy_avoiding(st, fs(), {avoid}, seed=0)):
-                if isinstance(h, engine.BackForthCopy):
-                    yield engine.decide_window(h, d)
-    pairs = get_structure("pairs")
-    chain = engine.descending_chain(pairs, fs(pairs.prefix(1)),
-                                    engine.copy_identity(pairs), 2, seed=0)
-    for link in chain[1:]:
-        engine.decide_window(link, 8)
-    yield from chain[1:]
+            for h in (_through_proper(st),
+                      engine.BackForthCopy(st, avoid={avoid}, seed=0)):
+                yield engine.decide_window(h, d)
+        yield from _back_forth_chain(st)
 
 
 def test_back_forth_traces_are_pinned():
@@ -633,84 +717,24 @@ def test_back_forth_traces_are_pinned():
     assert digest.hexdigest() == PINNED_BACK_FORTH_TRACES_SHA256
 
 
-# sha256 of the traces of long pairs constructions, in the format above,
-# each taken when its handle's own stages end: deep into a run the maps
-# have hundreds of pairs and the candidate streams read far past the
-# enumeration head.  Frozen from a reference run whose stream went on past
-# 300 points with images induced by a witness assignment of the supports
-PINNED_LONG_PAIRS_TRACES_SHA256 = (
-    "d7e186fcd7d1e10699f43348b0b4a0d28c4ced41c7064fddbd352579b4a6fa46")
-
-
-def test_long_pairs_traces_are_pinned():
-    # through-proper and avoiding copies decided at d = 40 and advanced 600
-    # stages, then the two links of the descending chain over {0,1}
-    # advanced to stage 600
-    pairs = get_structure("pairs")
-    avoid = next(x for x in pairs.prefix(8)
-                 if pairs.type_unranked(fs(), x) is True)
-    digest = hashlib.sha256()
-
-    def pin(h):
-        moves = [[m["source"], m["target"], m["move"], m["scanned"]]
-                 for m in h.trace]
-        digest.update(json.dumps(moves).encode() + b"\n")
-
-    for h in (engine.copy_through(pairs, fs(), engine.copy_identity(pairs),
-                                  proper=True, seed=0),
-              engine.copy_avoiding(pairs, fs(), {avoid}, seed=0)):
-        pin(engine.decide_window(h, 40).advance(600))
-        assert h.stage == 720
-    chain = engine.descending_chain(pairs, fs(pairs.prefix(1)),
-                                    engine.copy_identity(pairs), 2, seed=0)
-    top, low = chain[1:]
-    pin(top.advance(600 - top.stage))
-    settled = len(top.trace)
-    pin(low.advance(600 - low.stage))
-    assert digest.hexdigest() == PINNED_LONG_PAIRS_TRACES_SHA256
-    # the lower link's search then claims 29 pairs into the upper one.  The
-    # last six need an element outside the upper map's domain, and the
-    # stream yields the first in enumeration order, 36
-    assert [(m["source"], m["target"], m["move"]) for m in
-            top.trace[settled:]] == [
-        ("{%d,35}" % k, "{%d,38}" % (k + 3), "back") for k in range(12, 35)
-    ] + [("{%d,36}" % k, "{%d,39}" % t, "back")
-         for k, t in ((0, 0), (1, 1), (3, 6), (4, 7), (5, 8), (6, 9))]
-    for h in (top, low):
-        assert pairs.extendable(dict(h._map))
-
-
 def test_back_forth_maps_extend():
     # the search tests no orbit, so an inexact candidate stream would show
     # here: every decided map must pass the raw oracle.  To the pinned
-    # handles this adds the descending chains of the other structures, and
-    # through-proper and avoiding copies over {u_1}, as the closure
-    # sandwiches build them: on pairs an unfiltered stream happens to stay
-    # extendable over {0,1}, but not over {0,2}.  The constructors build
-    # cofinite copies on pureset, dlo and equiv, so these handles are built
-    # directly there: they read the base-class stream
+    # handles this adds the chain on pureset, and through-proper and
+    # avoiding copies over {u_1}, as the closure sandwiches build them.
+    # The handles read the base-class stream
     handles = list(_back_forth_handles())
-    for sid in ("pureset", "dlo", "equiv", "zetaeta", "pairs"):
+    handles += _back_forth_chain(get_structure("pureset"))
+    for sid in ("pureset", "dlo", "equiv"):
         st = get_structure(sid)
         ident = engine.copy_identity(st)
-        if sid != "pairs":
-            # the two links of a chain over {u_0}, as descending_chain
-            # builds them by back-and-forth
-            fix = fs(st.prefix(1))
-            free = [x for x in st.prefix(10) if x not in fix
-                    and st.type_unranked(fix, x) is True]
-            parent = ident
-            for i, batch in enumerate((free[0::2], free[1::2])):
-                parent = engine.BackForthCopy(st, fix=fix, avoid=batch,
-                                              parent=parent, seed=i)
-                handles.append(engine.decide_window(parent.advance(20), 8))
         fix = fs(st.prefix(2)[1:])
         avoid = next(x for x in st.prefix(8)
                      if x not in fix and st.type_unranked(fix, x) is True)
         for cut in (ident.unranked_member(fix), avoid):
             handles.append(engine.decide_window(
                 engine.BackForthCopy(st, fix=fix, avoid={cut}, seed=0), 8))
-    assert len(handles) == 28
+    assert len(handles) == 20
     for h in handles:
         st = h.structure
         ground = 1 + max(st.index_of(p) for p in (*h._map, *h._range))
@@ -734,13 +758,17 @@ def test_structures_write_one_candidate_generator():
     assert not [cls for cls in classes if "extendable" in vars(cls)]
     # orbit equality over a sockel compares type keys in the base class
     assert not [cls for cls in classes if "same_type" in vars(cls)]
+    # no built-in constructor reaches the back-and-forth search, so no
+    # built-in writes a candidate stream of its own
+    assert not [cls for cls in classes if "target_candidates" in vars(cls)]
     # with every stabilizer orbit infinite, the finiteness, rank and
     # algebraic-closure answers follow from the flag in the base class,
     # and the copies built from the whole structure are cofinite
     assert not [(cls, name) for cls in classes
                 if cls.stabilizer_orbits_all_infinite
                 for name in ("typeset_finite", "type_unranked",
-                             "ac_members_exact", "target_candidates")
+                             "ac_members_exact", "cut_root", "cuts",
+                             "describe_cut")
                 if name in vars(cls)]
 
 
@@ -778,18 +806,6 @@ def test_rado_forth_budget_error_counts_the_points_read(monkeypatch):
     assert err.value.scanned == 301
     assert err.value.blocking == (c._map, 8)
     assert c._map[2] == 2 and 8 not in c._map
-
-
-def test_forth_budget_error_reports_the_candidates_read():
-    # a point in a pinned zetaeta block has one candidate image; the
-    # record counts that one, not the budget of 100
-    z = get_structure("zetaeta")
-    c = engine.BackForthCopy(z, fix=[z.decode("(0|0)")],
-                             avoid=[z.decode("(0|1)")])
-    with pytest.raises(SearchBudgetError) as err:
-        c.advance(3)
-    assert err.value.scanned == 1
-    assert "within 1 candidates" in str(err.value)
 
 
 def test_undecided_membership_is_one_constant(dlo):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from copyposet import PreconditionError, certify
 from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
-from copyposet.structures.dlo import Rational, simplest_in_gap
+from copyposet.structures.dlo import Rational
 from copyposet.structures.pairs import support
 from copyposet.structures.rado import adjacent
 from copyposet.structures.treetz import meet_level
@@ -109,20 +109,13 @@ def test_enumerate_rejects_negative(structure):
 
 def _dlo_points():
     """Rational points from every source that makes them: the dlo and
-    zetaeta enumerations, decode, simplest_in_gap and the zetaeta
-    target_candidates."""
+    zetaeta enumerations and decode."""
     dlo, ze = get_structure("dlo"), get_structure("zetaeta")
     pts = dlo.prefix(3000)
     pts += [q for q, _ in ze.prefix(300)]
     pts += [dlo.decode(s) for s in ("0", "-3", "1/2", "-7/3", " 4/6 ", "0.5",
                                     "-1.25", "1e3", "2E-2")]
     pts += [ze.decode(s)[0] for s in ("(-5/2|3)", "(0.75|0)")]
-    pts += list(islice(simplest_in_gap(None, None), 60))
-    pts += list(islice(simplest_in_gap(F(1, 3), F(1, 2)), 60))
-    pts += list(islice(simplest_in_gap(F(1), None), 60))
-    pts += list(islice(simplest_in_gap(None, F(-2)), 60))
-    pts += [q for q, _ in islice(ze.target_candidates(
-        [((F(0), 0), (F(1), 4))], (F(5), 2)), 60)]
     return pts
 
 
@@ -183,18 +176,6 @@ def test_dlo_point_repr_and_pickle():
 def test_fraction_slot_layout():
     # Rational's comparisons read these two private slots directly
     assert F.__slots__ == ("_numerator", "_denominator")
-
-
-def test_empty_gap_is_a_precondition_error_on_dlo():
-    with pytest.raises(PreconditionError):
-        next(simplest_in_gap(F(1), F(1)))
-
-
-def test_empty_gap_is_a_precondition_error_on_zetaeta():
-    ze = get_structure("zetaeta")
-    items = [((F(0), 0), (F(1), 0)), ((F(1), 0), (F(0), 0))]
-    with pytest.raises(PreconditionError):
-        next(ze.target_candidates(items, (F(1, 2), 0)))
 
 
 # -- same_type ---------------------------------------------------------------
@@ -381,12 +362,12 @@ def _seeded_maps(structure, seed, n=12):
         yield list(pm.items()), source
 
 
-@pytest.mark.parametrize("sid", ["dlo", "zetaeta", "equiv", "pureset",
-                                 "pairs", "zorder"])
+@pytest.mark.parametrize("sid", ["dlo", "equiv", "pureset", "zorder"])
 def test_candidate_streams_are_exact(sid, monkeypatch):
     # every candidate is a target already (the search skips it) or extends
-    # the map; zorder reads the keyed enumeration scan of the base class,
-    # capped here because a pinned translation leaves one image
+    # the map; every structure reads the keyed enumeration scan of the base
+    # class, capped here because a pinned zorder translation leaves one
+    # image
     from copyposet.structures import base
 
     monkeypatch.setattr(base, "_SCAN_CAP", 2000)
@@ -400,33 +381,6 @@ def test_candidate_streams_are_exact(sid, monkeypatch):
                 (items, source, c)
             drawn += 1
     assert drawn
-
-
-def test_pairs_stream_filters_the_enumeration_head(pairs):
-    # the stream is the enumeration points that extend, in enumeration
-    # order; when both source elements are mapped, every image lies in the
-    # targets' support [0..top] and the stream ends at index top(top+1)/2
-    ended = 0
-    for items, source in _seeded_maps(pairs, 9):
-        pm = dict(items)
-        head = [p for p in pairs.prefix(1200)
-                if pairs.extendable({**pm, source: p})]
-        stream = pairs.target_candidates(items, source)
-        if source <= support(pm):
-            top = max(support(pm.values()))
-            stop = top * (top + 1) // 2
-            assert stop <= 1200
-            assert list(stream) == [p for p in head
-                                    if pairs.index_of(p) < stop], \
-                (items, source)
-            ended += 1
-        else:
-            assert list(islice(stream, len(head))) == head, (items, source)
-    assert ended
-    # a map that fixes the image: {0,2} must go to {5,30}, and the stream
-    # ends at {29,30}, index 464
-    items = [(fs((0, 1)), fs((5, 9))), (fs((1, 2)), fs((9, 30)))]
-    assert list(pairs.target_candidates(items, fs((0, 2)))) == [fs((5, 30))]
 
 
 # -- typeset finiteness ---------------------------------------------------------
