@@ -156,10 +156,6 @@ class CopyHandle:
         return [x for x in self.structure.prefix(depth)
                 if self.membership(x).is_in]
 
-    def decided_out(self, depth):
-        return [x for x in self.structure.prefix(depth)
-                if self.membership(x).is_out]
-
     def describe(self):
         return self.__class__.__name__
 

@@ -10,13 +10,12 @@ three-valued: points enter `in` when claimed into the image, `out` by an
 avoidance constraint or the parent's exclusions, and stay `unknown`
 otherwise.
 
-Constructors take the structure's closed form when it has one
-(``closed_form_avoiding``); disjoint pairs are closed form only
-(``closed_form_disjoint_pair``).  On every built-in with proper copies the
-closed form is a cut copy, U minus the cuts of finitely many roots
-(``CutCopy``), except that rado keeps its tagged classes, so no built-in
-constructor reaches the back-and-forth search: ``BackForthCopy`` is the
-engine for a structure with algebraicity that defines no cut.
+Constructors build cut copies, U minus the cuts of finitely many roots
+(``CutCopy``), from the structure's ``cut_root`` and ``cuts``; disjoint
+pairs are closed form only (``closed_form_disjoint_pair``).  Every built-in
+with proper copies defines a cut, so no built-in constructor reaches the
+back-and-forth search: ``BackForthCopy`` is the engine for a structure with
+algebraicity that defines no cut.
 
 Bernstein bases (``bernstein_base``) read each sockel's type classes, and
 the typeset members drawn for them, from the tables ``check_copy`` keeps
@@ -244,6 +243,35 @@ class BackForthCopy(CopyHandle):
 # -- constructors ------------------------------------------------------------
 
 
+def _cut_copy(structure, fix, avoid, parent):
+    """The cut copy containing ``fix``, avoiding ``avoid``, inside
+    ``parent``; None unless ``parent`` is ``IdentityCopy`` or a
+    ``CutCopy``, or where the structure defines no cut.  It adds to the
+    parent's roots the ``cut_root`` of each avoided point the parent does
+    not cut yet, and is the parent itself when there is none.  A new root
+    the others make redundant is dropped (on pairs one root can cut
+    several avoided pairs), so from ``IdentityCopy`` with no fixed point
+    the copy is maximal among the copies avoiding ``avoid``."""
+    if isinstance(parent, IdentityCopy):
+        roots = frozenset()
+    elif isinstance(parent, CutCopy):
+        roots = parent.roots
+    else:
+        return None
+    new = []
+    for a in structure.sort_points(avoid):
+        if not structure.cuts(roots.union(new), a):
+            r = structure.cut_root(fix, a)
+            if r is None:
+                return None
+            new.append(r)
+    for r in new[::-1]:
+        rest = roots.union(q for q in new if q != r)
+        if all(structure.cuts(rest, a) for a in avoid):
+            new.remove(r)
+    return CutCopy(structure, roots.union(new)) if new else parent
+
+
 def copy_identity(structure):
     return IdentityCopy(structure)
 
@@ -260,7 +288,7 @@ def decide_window(handle, depth, stages=None):
 def copy_through(structure, fix, parent, proper, seed=0):
     """A copy fixing ``fix`` pointwise with image inside ``parent``; when
     proper, one point of the parent is scheduled out as a strictness
-    witness, and otherwise a closed form returns the parent itself."""
+    witness, and otherwise an identity or cut parent is returned itself."""
     fixset = frozenset(fix)
     for a in fixset:
         if not parent.try_decide(a).is_in:
@@ -274,9 +302,9 @@ def copy_through(structure, fix, parent, proper, seed=0):
                 "%s has only the copy U: no proper copy exists"
                 % structure.structure_id)
         avoid.add(parent.unranked_member(fixset))
-    closed = structure.closed_form_avoiding(fixset, frozenset(avoid), parent)
-    if closed is not None:
-        return closed
+    cut = _cut_copy(structure, fixset, avoid, parent)
+    if cut is not None:
+        return cut
     return BackForthCopy(structure, fix=fixset, avoid=avoid, parent=parent,
                          seed=seed)
 
@@ -311,10 +339,9 @@ def copy_avoiding(structure, fix, avoid, seed=0):
             raise UnsupportedConstructionError(
                 "structure cannot certify unrankedness of %s"
                 % structure.encode(e))
-    closed = structure.closed_form_avoiding(fixset, avoidset,
-                                            IdentityCopy(structure))
-    if closed is not None:
-        return closed
+    cut = _cut_copy(structure, fixset, avoidset, IdentityCopy(structure))
+    if cut is not None:
+        return cut
     return BackForthCopy(structure, fix=fixset, avoid=avoidset, seed=seed)
 
 
@@ -326,8 +353,6 @@ def max_avoiding_copy(structure, avoid, depth, seed=0):
     *a* maximal one on pairs ([N minus H]^2 for a minimal H meeting every
     avoided pair; there are several when the avoided pairs share
     elements, so no maximum)."""
-    if structure.stabilizer_orbits_all_infinite:
-        return CutCopy(structure, avoid)
     return decide_window(copy_avoiding(structure, (), avoid, seed=seed), depth)
 
 
@@ -350,13 +375,12 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10):
     batches = [killable[i::k] for i in range(k)]
     for i in range(k):
         parent = chain[-1]
-        child = structure.closed_form_avoiding(
-            fixset, frozenset(batches[i]), parent)
+        child = _cut_copy(structure, fixset, batches[i], parent)
         if child is parent:
             # the batch cuts nothing new: cut the parent's enum-least
             # unranked member, so the chain stays strict
-            child = structure.closed_form_avoiding(
-                fixset, {parent.unranked_member(fixset)}, parent)
+            child = _cut_copy(structure, fixset,
+                              {parent.unranked_member(fixset)}, parent)
         elif child is None:
             avoid = set(batches[i])
             if not any(parent.try_decide(x).is_in for x in avoid):

@@ -12,7 +12,10 @@ orbit keys.  Structures also decide exact finiteness of typesets and
 certify unrankedness.  Where every stabilizer orbit off a finite set is
 infinite (``stabilizer_orbits_all_infinite``), the base class gives those
 answers: every typeset is infinite, so no type reaches rank 0 and every
-type is unranked, and a finite set is its own algebraic closure.  All
+type is unranked, and a finite set is its own algebraic closure.  A
+structure's copies are cut copies, U minus the cuts of finitely many
+roots, which the engine builds from ``cut_root``, ``cuts`` and
+``describe_cut``; by default, with the flag set, a root cuts itself.  All
 operations are pure; instances hold only append-only enumeration caches
 and are safe to share.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from ..core import CutCopy, IdentityCopy, finite_answer, infinite_answer
+from ..core import finite_answer, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
 
 # Safety cap for searches that are mathematically guaranteed to terminate on
@@ -311,43 +314,13 @@ class Structure:
         """Orbit equality of two tuples under G."""
         return len(xs) == len(ys) and self.orbit_key(xs) == self.orbit_key(ys)
 
-    # -- closed-form copies --------------------------------------------------
-
-    def closed_form_avoiding(self, fix, avoid, parent):
-        """A closed-form copy containing ``fix``, avoiding ``avoid``, inside
-        ``parent``; None unless ``parent`` is ``IdentityCopy`` or one of the
-        structure's own handles.  Default: the ``CutCopy`` that adds to the
-        parent's roots the ``cut_root`` of each avoided point it does not
-        cut yet, and the parent itself when there is none; None where the
-        structure defines no cut.  A new root the others make redundant is
-        dropped (on pairs one root can cut several avoided pairs), so from
-        ``IdentityCopy`` with no fixed point the copy is maximal among the
-        copies avoiding ``avoid``."""
-        if isinstance(parent, IdentityCopy):
-            roots = frozenset()
-        elif isinstance(parent, CutCopy):
-            roots = parent.roots
-        else:
-            return None
-        new = []
-        for a in self.sort_points(avoid):
-            if not self.cuts(roots.union(new), a):
-                r = self.cut_root(fix, a)
-                if r is None:
-                    return None
-                new.append(r)
-        for r in new[::-1]:
-            rest = roots.union(q for q in new if q != r)
-            if all(self.cuts(rest, a) for a in avoid):
-                new.remove(r)
-        return CutCopy(self, roots.union(new)) if new else parent
-
     # -- cut copies: U minus the cuts of finitely many roots ----------------
 
     def cut_root(self, fix, x):
         """The root whose cut takes the avoided point x out of a copy
-        containing ``fix``, or None where the structure defines no cut.
-        Default, with the flag set: x itself."""
+        containing ``fix``, or None where the structure defines no cut (the
+        engine then builds a ``BackForthCopy``).  Default, with the flag
+        set: x itself."""
         return x if self.stabilizer_orbits_all_infinite else None
 
     def cuts(self, roots, x):
@@ -358,6 +331,8 @@ class Structure:
         """The description of U minus the cuts of ``roots``."""
         return "cofinite avoid={%s}" % ",".join(
             self.encode(a) for a in self.sort_points(roots))
+
+    # -- closed-form disjoint pairs ------------------------------------------
 
     def closed_form_disjoint_pair(self, fix):
         """Two closed-form copies meeting exactly in ac(``fix``), or None.

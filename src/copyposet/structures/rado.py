@@ -1,16 +1,15 @@
 """The Rado graph on N presented by the BIT predicate.
 
 BIT adjacency positions are vertex values, so the enum-least witness for
-an adjacency pattern sits far out in the enumeration.  Every copy the
-library builds from the whole graph or from a tagged copy is therefore a
-tagged bit-class (Rado 1964): the fixed set together with every vertex
-above a floor whose bits match chosen tag positions.  Avoiding copies,
-chains and disjoint pairs over any finite fixed set are all such classes;
-the pair over nothing is the residue split 2, 3 (mod 4).  The maximum copy
-avoiding a set, and every copy inside it, is the base class's cofinite one.
+an adjacency pattern sits far out in the enumeration.  The graph has no
+algebraicity, so U minus a finite set A is a copy, the maximum one
+avoiding A: through, avoiding and chain copies are the base class's
+cofinite cut copies.  Disjoint pairs are tagged bit-classes (Rado 1964):
+the fixed set together with every vertex whose bits match chosen tag
+positions; the pair over nothing is the residue split 2, 3 (mod 4).
 """
 
-from ..core import IN, OUT, CopyHandle, IdentityCopy
+from ..core import IN, OUT, CopyHandle
 from ..errors import PreconditionError, SearchBudgetError
 from .base import (_SCAN_CAP, Structure, _decimal, _from_decimal,
                    equality_pattern)
@@ -94,25 +93,24 @@ class RadoGraph(Structure):
                 yield y
             y = (((y | mask) + 1) & ~mask) | pattern
 
-    def closed_form_avoiding(self, fix, avoid, parent):
-        if isinstance(parent, TaggedCopyRado):
-            return _rado_avoiding(self, fix, avoid, parent.ones,
-                                  parent.zeros, parent.floor)
-        if isinstance(parent, IdentityCopy):
-            return _rado_avoiding(self, fix, avoid)
-        return super().closed_form_avoiding(fix, avoid, parent)
-
     def closed_form_disjoint_pair(self, fix):
         # over nothing, the residue classes 2 and 3 (mod 4); over a nonempty
-        # F, the tagged class avoiding nothing (one-tag p1, zero-tag p2, both
-        # off F) and its twin with the tags swapped.  Neither tag vertex is
+        # F, the tagged class with one-tag p1 and zero-tag p2, both off F,
+        # and its twin with the tags swapped.  Neither tag vertex is
         # in either class, so both are copies; off F they disagree on both
         # tag bits, so they meet exactly in F, which is ac(F)
         if not fix:
             return ResidueCopyRado(self, 2), ResidueCopyRado(self, 3)
-        left = _rado_avoiding(self, fix, frozenset())
-        return left, TaggedCopyRado(self, fix, left.floor, left.zeros,
-                                    left.ones)
+        p1 = max([2] + [v.bit_length() for v in fix])
+        while p1 in fix:
+            p1 += 1
+        # the zero-tag's own vertex must miss the one-tag bit, else that
+        # vertex would be a class member with its adjacency pinned to zero
+        p2 = p1 + 1
+        while p2 in fix or (p2 >> p1) & 1:
+            p2 += 1
+        return (TaggedCopyRado(self, fix, ones=(p1,), zeros=(p2,)),
+                TaggedCopyRado(self, fix, ones=(p2,), zeros=(p1,)))
 
 
 class TaggedCopyRado(CopyHandle):
@@ -159,24 +157,6 @@ class TaggedCopyRado(CopyHandle):
         return "rado tagged-class floor=%s ones=%s zeros=%s fix={%s}" % (
             _decimal(self.floor), list(self.ones), list(self.zeros),
             ",".join(_decimal(v) for v in sorted(self.fix)))
-
-
-def _rado_avoiding(structure, fixset, avoidset, ones=(), zeros=(), floor=-1):
-    values = fixset | avoidset
-    maxbit = max((v.bit_length() for v in values), default=0)
-    above = max([maxbit, 2] + [p + 1 for p in list(ones) + list(zeros)])
-    p1 = above
-    while p1 in values:
-        p1 += 1
-    all_ones = tuple(ones) + (p1,)
-    # the zero-tag's own vertex must miss some one-tag bit, else that
-    # vertex would be a class member with its adjacency pinned to zero
-    p2 = p1 + 1
-    while p2 in values or any((p2 >> o) & 1 for o in all_ones):
-        p2 += 1
-    return TaggedCopyRado(structure, fix=fixset,
-                          floor=max([floor] + list(avoidset)),
-                          ones=all_ones, zeros=tuple(zeros) + (p2,))
 
 
 class ResidueCopyRado(TaggedCopyRado):

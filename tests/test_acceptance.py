@@ -23,6 +23,13 @@ from copyposet.structures import all_structures, get_structure
 
 fs = frozenset
 
+
+def decided_out(handle, depth):
+    """The window points ``handle`` decides out, in enumeration order."""
+    return [x for x in handle.structure.prefix(depth)
+            if handle.membership(x).is_out]
+
+
 AMALGAMATION_IDS = ("dlo", "rado", "pureset", "equiv", "pairs")
 
 
@@ -267,7 +274,7 @@ def test_criterion_10_no_isolated_point_proxy():
                                 proper=True, seed=seed)
         engine.decide_window(c, 8)
         inside = c.decided_in(8)[:2]
-        outside = c.decided_out(8)[:2]
+        outside = decided_out(c, 8)[:2]
         witness = next(x for x in c.decided_in(8) if x not in inside)
         second = engine.copy_avoiding(dlo, set(inside),
                                       set(outside) | {witness}, seed=seed)

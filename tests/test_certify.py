@@ -17,6 +17,7 @@ from copyposet.core import IN, OUT, UNKNOWN, CutCopy
 from copyposet.errors import PreconditionError
 from copyposet import certify, core, engine
 from copyposet.structures import BUILTIN_IDS, all_structures, get_structure
+from copyposet.structures.rado import TaggedCopyRado
 
 fs = frozenset
 
@@ -573,9 +574,11 @@ def test_certificate_bytes_are_pinned():
 # ones from unknown to pass, and every other certificate kept its bytes.
 # Re-pinned when the zetaeta and pairs copies became cut copies: their
 # eight certificates changed, the two zetaeta ones at d = 12 from unknown
-# to pass, and every other certificate kept its bytes
+# to pass, and every other certificate kept its bytes.  Re-pinned when the
+# rado through-proper and avoiding copies became cofinite: their four
+# certificates changed, and every other certificate kept its bytes
 PINNED_NINE_STRUCTURE_SHA256 = (
-    "d13df1e43c71bd84f404989ea659dbd0647b5cc0fee874c923c6cadf2677090e")
+    "1e8bd3cdd3f82e897d1ad09a28f60b427c9487a52fb987573bb478abb7c15b72")
 
 
 def _nine_structure_checks():
@@ -768,25 +771,27 @@ def test_rado_cofinite_copy_passes_through_its_witness():
 # -- witness proposals ---------------------------------------------------------
 
 def test_rado_copy_avoiding_600_passes_with_proposed_witnesses():
+    # the tagged class above 600 with one-tag 10 and zero-tag 11: every
+    # member lies at 1024 or above, past the 200-point scan
     rado = get_structure("rado")
-    h = engine.copy_avoiding(rado, set(), {600})
+    h = TaggedCopyRado(rado, floor=600, ones=(10,), zeros=(11,))
     cert = certify.check_copy(h, 8, 2, 200)
     assert cert.verdict == "pass"
     assert {json.loads(w)["witness"] for w in cert.witnesses} == {"1024"}
 
 
 def test_rado_proposals_are_members_of_the_right_type():
-    from copyposet.structures.rado import TaggedCopyRado
-
     rado = get_structure("rado")
-    copies = [engine.copy_avoiding(rado, fix, avoid) for fix, avoid in (
-        ((), {600}), ((), {0}), ((1, 2), {600}), ((3, 5, 40), {7}),
-        ((9,), {2 ** 70}))]
-    copies.append(engine.copy_through(rado, {2}, copies[2], proper=True))
+    # (fix, floor, ones, zeros): tagged classes avoiding 600, 0, 600 over
+    # {1, 2}, 7 over {3, 5, 40} and 2^70 over {9}; and two through {2},
+    # inside the third and inside the residue class 2 (mod 4)
+    copies = [TaggedCopyRado(rado, *params) for params in (
+        ((), 600, (10,), (11,)), ((), 0, (2,), (3,)),
+        ((1, 2), 600, (10,), (11,)), ((3, 5, 40), 7, (6,), (8,)),
+        ((9,), 2 ** 70, (71,), (72,)), ((2,), 600, (10, 12), (11, 13)),
+        ((2,), 6, (1, 3), (0, 4)))]
     for fix in ((), (0, 5), (3,)):
         copies.extend(engine.disjoint_pair(rado, fix))
-    residue_2 = engine.disjoint_pair(rado, ())[0]
-    copies.append(engine.copy_through(rado, {2}, residue_2, proper=True))
     assert all(isinstance(h, TaggedCopyRado) for h in copies)
     for h in copies:
         members = sorted(h.fix) + [y for y in range(4096) if y not in h.fix
@@ -809,7 +814,7 @@ class _ProposingCopy(engine.CopyHandle):
     def __init__(self, propose):
         rado = get_structure("rado")
         super().__init__(rado)
-        self.inner = engine.copy_avoiding(rado, {1, 2}, {600})
+        self.inner = TaggedCopyRado(rado, {1, 2}, 600, (10,), (11,))
         self.propose = propose
 
     def membership(self, x):

@@ -189,7 +189,8 @@ def test_rado_copy_avoiding_a_vertex_past_the_digit_limit(capsys):
     code, out, _ = run(capsys, "copy", "--structure", "rado", "--kind",
                        "avoiding", "--avoid", big, "--format", "jsonl")
     assert code == 0
-    assert "floor=%s " % big in json.loads(out.splitlines()[0])["copy"]
+    copy = json.loads(out.splitlines()[0])["copy"]
+    assert copy == "cofinite avoid={%s}" % big
 
 
 @pytest.mark.parametrize("sid, members", [("zorder", None),
@@ -233,7 +234,9 @@ def test_rado_copy_avoiding_600_certifies(capsys):
     assert code == 0
     cert = json.loads(out.splitlines()[-1])
     assert cert["verdict"] == "pass"
-    assert json.loads(cert["witnesses"][0])["witness"] == "1024"
+    assert cert["params"]["copy"] == "cofinite avoid={600}"
+    # every window point is in the copy, so no member comes from a proposal
+    assert "witnesses" not in cert
 
 
 def test_copy_certify_prints_the_verdict(capsys):
@@ -264,10 +267,10 @@ def test_certify_inclusion_fail_exit_1(capsys):
 
 
 def test_certify_copy_unknown_exit_2(capsys, monkeypatch):
-    # without its cut copies zetaeta falls back on a back-and-forth copy,
+    # without its cut root zetaeta falls back on a back-and-forth copy,
     # which one stage leaves undecided
-    monkeypatch.setattr(type(cli.get_structure("zetaeta")),
-                        "closed_form_avoiding", lambda *args: None)
+    monkeypatch.setattr(type(cli.get_structure("zetaeta")), "cut_root",
+                        lambda *args: None)
     code, out, _ = run(capsys, "certify", "copy", "--structure", "zetaeta",
                        "--kind", "avoiding", "--avoid", "(0|0)",
                        "--stages", "1", "--budget", "40")
@@ -323,6 +326,18 @@ def test_certify_meet_passes_on_the_maximum_avoiding_copy(capsys, sid, avoid):
     rec = json.loads(out)
     assert rec["verdict"] == "pass"
     assert rec["params"]["copy"] == "cofinite avoid={%s}" % avoid
+
+
+def test_rado_certify_meet_bytes_are_pinned(capsys):
+    # the copy U minus {0} holds every other window point, so the refuting
+    # search has no point to add
+    code, out, _ = run(capsys, "certify", "meet", "--structure", "rado",
+                       "--avoid", "0", "--format", "jsonl")
+    assert code == 0
+    assert out == ('{"kind":"meet-irreducible","params":{"copy":"cofinite '
+                   'avoid={0}","depth":8,"point":"0","samples":6},"schema":1,'
+                   '"structure":"rado","verdict":"pass","witnesses":["not '
+                   'refuted within 6 samples"]}\n')
 
 
 def test_chain_command(capsys):

@@ -26,6 +26,12 @@ from copyposet.structures import BUILTIN_IDS, PureSet, Structure, get_structure
 fs = frozenset
 
 
+def decided_out(handle, depth):
+    """The window points ``handle`` decides out, in enumeration order."""
+    return [x for x in handle.structure.prefix(depth)
+            if handle.membership(x).is_out]
+
+
 def test_identity_membership(structure):
     c = engine.copy_identity(structure)
     for x in structure.prefix(6):
@@ -41,7 +47,7 @@ def test_copy_through_proper_dlo(dlo):
                             proper=True)
     c.advance(5)
     assert c.membership(F(0)).is_in
-    assert c.decided_out(8), "properness needs a decided exclusion"
+    assert decided_out(c, 8), "properness needs a decided exclusion"
 
 
 def test_copy_through_proper_unsupported_on_single_copy():
@@ -120,10 +126,10 @@ def test_membership_decisions_permanent(dlo):
     c = engine.copy_avoiding(dlo, {F(0)}, {F(1)})
     c.advance(3)
     snapshot_in = set(c.decided_in(10))
-    snapshot_out = set(c.decided_out(10))
+    snapshot_out = set(decided_out(c, 10))
     c.advance(9)
     assert snapshot_in <= set(c.decided_in(10))
-    assert snapshot_out <= set(c.decided_out(10))
+    assert snapshot_out <= set(decided_out(c, 10))
 
 
 def _dlo_back_forth(fix, avoid):
@@ -323,6 +329,9 @@ def test_cut_copies_on_zetaeta_and_pairs():
 @pytest.mark.parametrize("sid", [sid for sid in BUILTIN_IDS
                                  if not get_structure(sid).single_copy])
 def test_no_constructor_builds_a_back_and_forth_copy(sid, monkeypatch):
+    # on every structure with proper copies, rado included, the through,
+    # avoiding and maximum avoiding copies and every chain level are cut
+    # copies
     def refuse(*args, **kwargs):
         raise AssertionError("a BackForthCopy was built")
 
@@ -332,13 +341,14 @@ def test_no_constructor_builds_a_back_and_forth_copy(sid, monkeypatch):
     u0 = fs(st.prefix(1))
     avoid = [x for x in st.prefix(8)
              if x not in u0 and st.type_unranked(u0, x) is True][:2]
-    engine.copy_through(st, u0, ident, proper=True)
-    engine.copy_through(st, u0, ident, proper=False)
+    assert engine.copy_through(st, u0, ident, proper=False) is ident
     inner = engine.copy_avoiding(st, u0, avoid)
-    engine.copy_through(st, u0, inner, proper=True)
-    engine.max_avoiding_copy(st, avoid, 8)
-    engine.descending_chain(st, u0, ident, 3)
-    engine.descending_chain(st, u0, inner, 3)
+    cut = [inner, engine.copy_through(st, u0, ident, proper=True),
+           engine.copy_through(st, u0, inner, proper=True),
+           engine.max_avoiding_copy(st, avoid, 8)]
+    cut += engine.descending_chain(st, u0, ident, 3)[1:]
+    cut += engine.descending_chain(st, u0, inner, 3)[1:]
+    assert [type(h) for h in cut] == [CutCopy] * 10
     closures.intersection_closure_upper(st, u0, 4, 8)
 
 
@@ -381,6 +391,28 @@ def test_disjoint_pair_meets_in_closure(sid, fix):
         else:
             assert not (ml.is_in and mr.is_in)
             assert ml.is_out or mr.is_out
+
+
+# sha256 of the certificates of the rado disjoint pairs over {}, {3} and
+# {0, 5}: both sides' copy checks, which name each side, and the pair's
+# disjointness check, one sorted JSON line each.  Pinned when rado's
+# through, avoiding and chain copies became cofinite: the tagged pairs
+# kept their bytes
+PINNED_RADO_DISJOINT_PAIRS_SHA256 = \
+    "dc87f99577afbda5d9c37397199670a6b4a3b93986e2ab44574fb345937e6599"
+
+
+def test_rado_disjoint_pair_bytes_are_pinned():
+    rado = get_structure("rado")
+    digest = hashlib.sha256()
+    for fix in (fs(), fs({3}), fs({0, 5})):
+        left, right = engine.disjoint_pair(rado, fix)
+        certs = [certify.check_copy(side, 8, 2, 500) for side in (left, right)]
+        certs.append(certify.check_disjointness(left, right, 12, fix))
+        for cert in certs:
+            digest.update(json.dumps(cert.to_record(), sort_keys=True).encode()
+                          + b"\n")
+    assert digest.hexdigest() == PINNED_RADO_DISJOINT_PAIRS_SHA256
 
 
 @pytest.mark.parametrize("sid", ["pureset", "dlo", "rado", "equiv",
@@ -533,7 +565,7 @@ def test_second_copy_in_every_neighbourhood(dlo):
                                 proper=True, seed=seed)
         engine.decide_window(c, 8)
         inside = [x for x in c.decided_in(8)][:2]
-        outside = [x for x in c.decided_out(8)][:2]
+        outside = [x for x in decided_out(c, 8)][:2]
         witness = next(x for x in c.decided_in(8) if x not in inside)
         second = engine.copy_avoiding(
             dlo, set(inside), set(outside) | {witness}, seed=seed)
