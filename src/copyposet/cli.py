@@ -148,7 +148,7 @@ def cmd_closure(args, out):
         res = closures.ranked_closure(st, base, maxrank, args.depth)
     else:
         members = closures.intersection_closure_upper(
-            st, base, samples=args.samples, depth=args.depth, seed=args.seed)
+            st, base, samples=4, depth=args.depth, seed=args.seed)
         res = closures.ClosureResult(
             st.structure_id, "ic",
             tuple(st.sort_points(base)), tuple(st.sort_points(members)),
@@ -171,16 +171,13 @@ def _build_copy(args, st):
     if args.kind == "identity":
         return engine.copy_identity(st)
     if args.kind == "through":
-        c = engine.copy_through(st, fix, engine.copy_identity(st),
-                                proper=args.proper, seed=args.seed)
-    elif args.kind == "avoiding":
+        return engine.copy_through(st, fix, engine.copy_identity(st),
+                                   proper=args.proper, seed=args.seed)
+    if args.kind == "avoiding":
         if not avoid:
             raise PreconditionError("an avoiding copy needs --avoid")
-        c = engine.copy_avoiding(st, fix, avoid, seed=args.seed)
-    else:
-        raise PreconditionError("unknown copy kind %r" % args.kind)
-    c.advance(args.stages)
-    return c
+        return engine.copy_avoiding(st, fix, avoid, seed=args.seed)
+    raise PreconditionError("unknown copy kind %r" % args.kind)
 
 
 def cmd_copy(args, out):
@@ -369,7 +366,6 @@ def build_parser():
     p.add_argument("--base", default="")
     # None stands for closures.DEFAULT_MAXRANK, read when rc runs
     p.add_argument("--maxrank", type=int, default=None)
-    p.add_argument("--samples", type=int, default=6)
     p.set_defaults(fn=cmd_closure)
 
     p = sub.add_parser("copy", help="construct a copy")
@@ -379,7 +375,6 @@ def build_parser():
     p.add_argument("--fix", default="")
     p.add_argument("--avoid", default="")
     p.add_argument("--proper", action="store_true")
-    p.add_argument("--stages", type=int, default=24)
     p.add_argument("--certify", action="store_true")
     p.set_defaults(fn=cmd_copy)
 
@@ -414,7 +409,6 @@ def build_parser():
     p.add_argument("--fix", default="")
     p.add_argument("--avoid", default="")
     p.add_argument("--proper", action="store_true")
-    p.add_argument("--stages", type=int, default=24)
     p.add_argument("--set", default="")
     p.add_argument("--set2", default="")
     p.set_defaults(fn=cmd_certify)
@@ -479,10 +473,6 @@ def main(argv=None):
         parser.error("need maxrank >= 0")
     if getattr(args, "count", 0) < 0:
         parser.error("need n >= 0")
-    if getattr(args, "samples", 1) < 1:
-        parser.error("need samples >= 1")
-    if getattr(args, "stages", 0) < 0:
-        parser.error("need stages >= 0")
     if getattr(args, "what", None) == "meet" and not split_points(args.avoid):
         parser.error("certify meet needs --avoid")
     out = _Out(args)

@@ -111,7 +111,9 @@ def intersection_closure_upper(structure, base, samples, depth, seed=0):
 
     Sampling strategy: the identity copy, one copy avoiding every window
     point whose type over base is certified unranked, and seed-varied
-    proper copies through the identity while the sample budget lasts."""
+    proper copies through the identity while the sample budget lasts.  On
+    a structure with cuts the seed changes nothing: every sampled proper
+    copy is the same cut copy."""
     from . import engine  # local, so that closure ac and rc never load it
 
     base = frozenset(base)

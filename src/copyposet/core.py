@@ -1,6 +1,7 @@
 """Shared value types: finiteness answers, memberships, and the copy-handle
-interface whose memberships they are; and the type-class tables that
-check_copy and bernstein_base share."""
+interface whose memberships they are, with the cut copy (the identity is
+the cut copy with no roots); and the type-class tables that check_copy and
+bernstein_base share."""
 
 from __future__ import annotations
 
@@ -160,16 +161,6 @@ class CopyHandle:
         return self.__class__.__name__
 
 
-class IdentityCopy(CopyHandle):
-    """The copy U itself; membership is total."""
-
-    def membership(self, x):
-        return IN
-
-    def describe(self):
-        return "identity"
-
-
 class RuleCopy(CopyHandle):
     """A closed-form copy: the fixed set together with every point a
     membership rule admits; total membership."""
@@ -190,10 +181,11 @@ class RuleCopy(CopyHandle):
 
 
 class CutCopy(CopyHandle):
-    """U minus the cuts of finitely many ``roots``; total membership.  The
-    structure says what a root cuts (``Structure.cuts``) and how the copy
-    reads (``Structure.describe_cut``).  By default a root cuts itself, so
-    the copy is the cofinite U minus the roots: without algebraicity the
+    """U minus the cuts of finitely many ``roots``; total membership.  With
+    no roots it is the identity, the copy U itself.  The structure says
+    what a root cuts (``Structure.cuts``) and how the copy reads
+    (``Structure.describe_cut``).  By default a root cuts itself, so the
+    copy is the cofinite U minus the roots: without algebraicity the
     maximum copy avoiding them."""
 
     def __init__(self, structure, roots):
@@ -210,6 +202,8 @@ class CutCopy(CopyHandle):
                 return y
 
     def describe(self):
+        if not self.roots:
+            return "identity"
         return self.structure.describe_cut(self.roots)
 
 

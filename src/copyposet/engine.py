@@ -11,11 +11,13 @@ avoidance constraint or the parent's exclusions, and stay `unknown`
 otherwise.
 
 Constructors build cut copies, U minus the cuts of finitely many roots
-(``CutCopy``), from the structure's ``cut_root`` and ``cuts``; disjoint
-pairs are closed form only (``closed_form_disjoint_pair``).  Every built-in
-with proper copies defines a cut, so no built-in constructor reaches the
-back-and-forth search: ``BackForthCopy`` is the engine for a structure with
-algebraicity that defines no cut.
+(``CutCopy``), from the structure's ``cut_root`` and ``cuts``; the identity
+is the cut copy with no roots, and disjoint pairs are closed form only
+(``closed_form_disjoint_pair``).  One function (``_copy``) chooses between a
+cut copy and the back-and-forth search.  Every built-in with proper copies
+defines a cut, so no built-in constructor reaches the search:
+``BackForthCopy`` is the engine for a structure with algebraicity that
+defines no cut, or for a parent that is not a cut copy.
 
 Bernstein bases (``bernstein_base``) read each sockel's type classes, and
 the typeset members drawn for them, from the tables ``check_copy`` keeps
@@ -29,9 +31,8 @@ from itertools import combinations
 
 from . import core
 
-# CopyHandle, IdentityCopy and powerset_embedding_dlo are re-exported
-from .core import (IN, OUT, UNKNOWN, CopyHandle, CutCopy, Frozen,
-                   IdentityCopy)
+# CopyHandle and powerset_embedding_dlo are re-exported
+from .core import IN, OUT, UNKNOWN, CopyHandle, CutCopy, Frozen
 from .errors import (
     ImpossibleConstructionError,
     InclusionContractError,
@@ -243,37 +244,37 @@ class BackForthCopy(CopyHandle):
 # -- constructors ------------------------------------------------------------
 
 
-def _cut_copy(structure, fix, avoid, parent):
-    """The cut copy containing ``fix``, avoiding ``avoid``, inside
-    ``parent``; None unless ``parent`` is ``IdentityCopy`` or a
-    ``CutCopy``, or where the structure defines no cut.  It adds to the
-    parent's roots the ``cut_root`` of each avoided point the parent does
-    not cut yet, and is the parent itself when there is none.  A new root
-    the others make redundant is dropped (on pairs one root can cut
-    several avoided pairs), so from ``IdentityCopy`` with no fixed point
-    the copy is maximal among the copies avoiding ``avoid``."""
-    if isinstance(parent, IdentityCopy):
-        roots = frozenset()
-    elif isinstance(parent, CutCopy):
-        roots = parent.roots
-    else:
-        return None
-    new = []
-    for a in structure.sort_points(avoid):
-        if not structure.cuts(roots.union(new), a):
-            r = structure.cut_root(fix, a)
-            if r is None:
-                return None
-            new.append(r)
-    for r in new[::-1]:
-        rest = roots.union(q for q in new if q != r)
-        if all(structure.cuts(rest, a) for a in avoid):
-            new.remove(r)
-    return CutCopy(structure, roots.union(new)) if new else parent
+def _copy(structure, fix, avoid, parent, seed):
+    """The copy containing ``fix``, avoiding ``avoid``, inside ``parent``:
+    the one place that chooses a cut copy or the back-and-forth search.
+    Inside a ``CutCopy`` parent it adds to the parent's roots the
+    ``cut_root`` of each avoided point the parent does not cut yet, and is
+    the parent itself when there is none.  A new root the others make
+    redundant is dropped (on pairs one root can cut several avoided
+    pairs), so from the identity with no fixed point the copy is maximal
+    among the copies avoiding ``avoid``.  Any other parent, or a structure
+    whose ``cut_root`` is None, gets a ``BackForthCopy``."""
+    if isinstance(parent, CutCopy):
+        roots, new = parent.roots, []
+        for a in structure.sort_points(avoid):
+            if not structure.cuts(roots.union(new), a):
+                r = structure.cut_root(fix, a)
+                if r is None:
+                    break
+                new.append(r)
+        else:
+            for r in new[::-1]:
+                rest = roots.union(q for q in new if q != r)
+                if all(structure.cuts(rest, a) for a in avoid):
+                    new.remove(r)
+            return CutCopy(structure, roots.union(new)) if new else parent
+    return BackForthCopy(structure, fix=fix, avoid=avoid, parent=parent,
+                         seed=seed)
 
 
 def copy_identity(structure):
-    return IdentityCopy(structure)
+    """The copy U itself: the cut copy with no roots."""
+    return CutCopy(structure, ())
 
 
 def decide_window(handle, depth, stages=None):
@@ -288,7 +289,8 @@ def decide_window(handle, depth, stages=None):
 def copy_through(structure, fix, parent, proper, seed=0):
     """A copy fixing ``fix`` pointwise with image inside ``parent``; when
     proper, one point of the parent is scheduled out as a strictness
-    witness, and otherwise an identity or cut parent is returned itself."""
+    witness, and otherwise a cut parent, the identity included, is
+    returned itself."""
     fixset = frozenset(fix)
     for a in fixset:
         if not parent.try_decide(a).is_in:
@@ -302,11 +304,7 @@ def copy_through(structure, fix, parent, proper, seed=0):
                 "%s has only the copy U: no proper copy exists"
                 % structure.structure_id)
         avoid.add(parent.unranked_member(fixset))
-    cut = _cut_copy(structure, fixset, avoid, parent)
-    if cut is not None:
-        return cut
-    return BackForthCopy(structure, fix=fixset, avoid=avoid, parent=parent,
-                         seed=seed)
+    return _copy(structure, fixset, avoid, parent, seed)
 
 
 def copy_avoiding(structure, fix, avoid, seed=0):
@@ -339,10 +337,7 @@ def copy_avoiding(structure, fix, avoid, seed=0):
             raise UnsupportedConstructionError(
                 "structure cannot certify unrankedness of %s"
                 % structure.encode(e))
-    cut = _cut_copy(structure, fixset, avoidset, IdentityCopy(structure))
-    if cut is not None:
-        return cut
-    return BackForthCopy(structure, fix=fixset, avoid=avoidset, seed=seed)
+    return _copy(structure, fixset, avoidset, copy_identity(structure), seed)
 
 
 def max_avoiding_copy(structure, avoid, depth, seed=0):
@@ -370,25 +365,18 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10):
             "no certified-unranked types over the fixed set: single copy")
     for a in fixset:
         if not c0.try_decide(a).is_in:
-            raise PreconditionError("fixed point not inside the top copy")
+            raise PreconditionError("fixed point %s not inside the top copy"
+                                    % structure.encode(a))
     chain = [c0]
-    batches = [killable[i::k] for i in range(k)]
     for i in range(k):
         parent = chain[-1]
-        child = _cut_copy(structure, fixset, batches[i], parent)
-        if child is parent:
-            # the batch cuts nothing new: cut the parent's enum-least
-            # unranked member, so the chain stays strict
-            child = _cut_copy(structure, fixset,
-                              {parent.unranked_member(fixset)}, parent)
-        elif child is None:
-            avoid = set(batches[i])
-            if not any(parent.try_decide(x).is_in for x in avoid):
-                avoid.add(parent.unranked_member(fixset))
-            child = BackForthCopy(structure, fix=fixset, avoid=avoid,
-                                  parent=parent, seed=seed + i)
-            child.advance(max(2 * depth, 16))
-        chain.append(child)
+        avoid = set(killable[i::k])
+        if not any(parent.try_decide(x).is_in for x in avoid):
+            # the batch takes nothing more out: avoid the parent's
+            # enum-least unranked member too, so the chain stays strict
+            avoid.add(parent.unranked_member(fixset))
+        chain.append(_copy(structure, fixset, avoid, parent, seed + i)
+                     .advance(max(2 * depth, 16)))
     return chain
 
 

@@ -80,10 +80,8 @@ _POWERSET = ["embed-powerset", "--structure", "dlo", "--set", "0",
     ["closure", "rc", "--structure", "dlo", "--maxrank", "-1"],
     ["certify", "meet", "--structure", "dlo"],
     ["typeset", "--structure", "dlo", "--rep", "1", "-n", "-1"],
-    ["closure", "ic", "--structure", "dlo", "--samples", "0"],
-    ["copy", "--structure", "dlo", "--stages", "-1"],
 ], ids=["sockel-cap", "depth", "budget-below-depth", "k", "maxrank",
-        "meet-without-avoid", "n", "samples", "stages"])
+        "meet-without-avoid", "n"])
 def test_out_of_range_flag_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
@@ -268,12 +266,12 @@ def test_certify_inclusion_fail_exit_1(capsys):
 
 def test_certify_copy_unknown_exit_2(capsys, monkeypatch):
     # without its cut root zetaeta falls back on a back-and-forth copy,
-    # which one stage leaves undecided
+    # which the CLI leaves unadvanced and so undecided
     monkeypatch.setattr(type(cli.get_structure("zetaeta")), "cut_root",
                         lambda *args: None)
     code, out, _ = run(capsys, "certify", "copy", "--structure", "zetaeta",
                        "--kind", "avoiding", "--avoid", "(0|0)",
-                       "--stages", "1", "--budget", "40")
+                       "--budget", "40")
     assert code == 2
 
 

@@ -255,6 +255,13 @@ def test_descending_chain_unsupported_on_zorder(zorder):
                                 1)
 
 
+def test_descending_chain_fix_outside_top_copy(dlo):
+    top = engine.powerset_embedding_dlo(dlo, members=(0,))
+    with pytest.raises(PreconditionError,
+                       match="fixed point 5 not inside the top copy"):
+        engine.descending_chain(dlo, {F(5)}, top, 2)
+
+
 def test_descending_chain_strictness(dlo):
     chain = engine.descending_chain(
         dlo, {F(0)}, engine.copy_identity(dlo), 3, depth=10)
@@ -326,18 +333,21 @@ def test_cut_copies_on_zetaeta_and_pairs():
         assert certify.check_copy(h, 10, 2, 60).verdict == "pass"
 
 
-@pytest.mark.parametrize("sid", [sid for sid in BUILTIN_IDS
-                                 if not get_structure(sid).single_copy])
+@pytest.mark.parametrize("sid", BUILTIN_IDS)
 def test_no_constructor_builds_a_back_and_forth_copy(sid, monkeypatch):
-    # on every structure with proper copies, rado included, the through,
-    # avoiding and maximum avoiding copies and every chain level are cut
-    # copies
+    # the identity is the cut copy with no roots; on every structure with
+    # proper copies, rado included, the through, avoiding and maximum
+    # avoiding copies and every chain level are cut copies
     def refuse(*args, **kwargs):
         raise AssertionError("a BackForthCopy was built")
 
     monkeypatch.setattr(engine.BackForthCopy, "__init__", refuse)
     st = get_structure(sid)
     ident = engine.copy_identity(st)
+    assert type(ident) is CutCopy and ident.roots == fs()
+    assert ident.describe() == "identity"
+    if st.single_copy:
+        return
     u0 = fs(st.prefix(1))
     avoid = [x for x in st.prefix(8)
              if x not in u0 and st.type_unranked(u0, x) is True][:2]
@@ -363,6 +373,13 @@ def test_a_structure_without_a_cut_gets_a_back_and_forth_copy():
     c = engine.copy_avoiding(st, set(), {a})
     assert isinstance(c, engine.BackForthCopy)
     assert c.advance(2).membership(a).is_out
+    u0, ident = fs(st.prefix(1)), engine.copy_identity(st)
+    c = engine.copy_through(st, u0, ident, proper=True)
+    assert isinstance(c, engine.BackForthCopy)
+    chain = engine.descending_chain(st, u0, ident, 3)
+    assert all(isinstance(h, engine.BackForthCopy) for h in chain[1:])
+    for lower, upper in zip(chain[1:], chain):
+        assert certify.check_inclusion(lower, upper, 8).verdict == "pass"
 
 
 # -- disjoint pairs ---------------------------------------------------------------------
