@@ -456,7 +456,12 @@ def _run(args, out):
         print("error: %s" % e, file=sys.stderr)
         out.record({"error": "library", "message": str(e)})
         code = EXIT_FAIL
-    out.flush()
+    try:
+        out.flush()
+    except OSError as e:
+        print("error: cannot write %s: %s" % (out.path, e.strerror or e),
+              file=sys.stderr)
+        code = EXIT_FAIL
     return code
 
 

@@ -474,14 +474,14 @@ def bernstein_base(structure, depth, sockel_cap=2):
                         have.add(side)
                     elif len(fresh) < 2:
                         fresh.append(m)
-                    if {"A", "B"} <= have or len(fresh) >= 2:
+                    if len(have) == 2 or len(fresh) >= 2:
                         break
-                for side in sorted({"A", "B"} - have):
+                for side in [s for s in "AB" if s not in have]:
                     if not fresh:
                         break
                     assigned[fresh.pop(0)] = side
                     have.add(side)
-                if {"A", "B"} <= have:
+                if len(have) == 2:
                     served.append((ftup, rep))
                 else:
                     unserved.append((ftup, rep))

@@ -45,9 +45,10 @@ class PairsAction(Structure):
 
     def decode(self, s):
         s = s.strip()
-        if not (s.startswith("{") and s.endswith("}")):
-            raise ValueError("expected {i,j}")
-        i, j = (int(t) for t in s[1:-1].split(","))
+        parts = s[1:-1].split(",")
+        if not (s.startswith("{") and s.endswith("}")) or len(parts) != 2:
+            raise ValueError("expected {i,j}, got %r" % s)
+        i, j = (int(t) for t in parts)
         if i < 0 or j < 0 or i == j:
             raise ValueError("expected a 2-subset of the naturals")
         return frozenset((i, j))

@@ -87,15 +87,18 @@ class TreeTZ(Structure):
 
     def decode(self, s):
         s = s.strip()
+        form = "expected L<level>:[i:e,...], got %r" % s
         if not s.startswith("L") or ":[" not in s or not s.endswith("]"):
-            raise ValueError("expected L<level>:[i:e,...]")
+            raise ValueError(form)
         head, body = s[1:-1].split(":[", 1)
         lvl = int(head)
         choices = []
         if body:
             for item in body.split(","):
-                i, e = item.split(":")
-                choices.append((int(i), int(e)))
+                pair = item.split(":")
+                if len(pair) != 2:
+                    raise ValueError(form)
+                choices.append((int(pair[0]), int(pair[1])))
         choices.sort()
         if any(e < 1 or i > lvl for (i, e) in choices):
             raise ValueError("invalid choice entries")

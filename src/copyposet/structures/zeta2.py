@@ -36,9 +36,10 @@ class Zeta2(Structure):
 
     def decode(self, s):
         s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError("expected (a,b)")
-        a, b = s[1:-1].split(",")
+        parts = s[1:-1].split(",")
+        if not (s.startswith("(") and s.endswith(")")) or len(parts) != 2:
+            raise ValueError("expected (a,b), got %r" % s)
+        a, b = parts
         return (int(a), int(b))
 
     def type_key(self, ftup, x):

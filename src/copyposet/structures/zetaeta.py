@@ -42,9 +42,10 @@ class ZetaEta(Structure):
 
     def decode(self, s):
         s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError("expected (q|n)")
-        q, n = s[1:-1].split("|")
+        parts = s[1:-1].split("|")
+        if not (s.startswith("(") and s.endswith(")")) or len(parts) != 2:
+            raise ValueError("expected (q|n), got %r" % s)
+        q, n = parts
         return (_dlo.decode(q), int(n))
 
     def type_key(self, ftup, x):

@@ -231,7 +231,17 @@ def oligomorphic_profile(structure, n, window):
     m-tuple.  So two n-tuples share an orbit iff they share the pattern
     and their m-tuples share an orbit, and the count is the sum over m of
     S(n, m), the Stirling number of the second kind, times the number of
-    orbit classes of injective m-tuples.  Only those are keyed.
+    orbit classes of injective m-tuples.
+
+    Those classes are counted from the m-subsets of the window, as in
+    F*_m <= m! f_m (Cameron, Oligomorphic Permutation Groups): each orbit
+    on m-sets carries at most m! orbits on injective m-tuples.  The
+    subsets are walked in enumeration order against one set of keys, and
+    only a subset whose listed key is new has all m! orderings keyed.  A
+    subset with a known key is g.(s.A) for an ordering s of a subset A
+    keyed before, so each of its orderings t is g.((t s).A), already
+    keyed.  This needs only that ``orbit_key`` is a complete orbit
+    invariant.
 
     Stabilizes as the window grows exactly for the oligomorphic built-ins."""
     if not 1 <= n <= 4:
@@ -240,6 +250,11 @@ def oligomorphic_profile(structure, n, window):
         raise PreconditionError("window must be >= n")
     pts = structure.prefix(window)
     orbit_key = structure.orbit_key
-    return sum(_stirling2(n, m) * len({orbit_key(t)
-                                       for t in permutations(pts, m)})
-               for m in range(1, n + 1))
+    total = 0
+    for m in range(1, n + 1):
+        keys = set()
+        for sub in combinations(pts, m):
+            if orbit_key(sub) not in keys:
+                keys.update(map(orbit_key, permutations(sub)))
+        total += _stirling2(n, m) * len(keys)
+    return total

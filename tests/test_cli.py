@@ -369,6 +369,15 @@ def test_verify_jsonl_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_out_path_that_cannot_be_opened_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(capsys, "structures", "--format", "jsonl",
+                         "--out", str(path))
+    assert code == 1
+    assert len(out.splitlines()) == 9  # the records printed before the write
+    assert err == "error: cannot write %s: No such file or directory\n" % path
+
+
 def test_unknown_structure_exit_3(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "typeset", "--structure", "nope", "--rep", "0")
@@ -392,6 +401,22 @@ def test_equiv_point_needs_class_dot_index(capsys, rep):
                          "--sockel", "0.0", "--rep", rep, "--format", "jsonl")
     assert code == 1
     message = "expected class.index, got '%s'" % rep
+    assert json.loads(out) == {"error": "precondition", "message": message}
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("structure, rep, form", [
+    ("zeta2", "(1,2,3)", "(a,b)"),
+    ("pairs", "{1,2,3}", "{i,j}"),
+    ("zetaeta", "(1|2|3)", "(q|n)"),
+    ("treetz", "L2:[1]", "L<level>:[i:e,...]"),
+], ids=["zeta2", "pairs", "zetaeta", "treetz"])
+def test_malformed_point_names_the_point_and_its_form(capsys, structure, rep,
+                                                      form):
+    code, out, err = run(capsys, "typeset", "--structure", structure,
+                         "--rep", rep, "--format", "jsonl")
+    assert code == 1
+    message = "expected %s, got '%s'" % (form, rep)
     assert json.loads(out) == {"error": "precondition", "message": message}
     assert err == "error: %s\n" % message
 

@@ -228,6 +228,22 @@ def test_profile_counts_every_tuple(sid):
             assert ts.oligomorphic_profile(st, n, window) == brute
 
 
+def test_profile_work_bound(monkeypatch):
+    # each orbit on m-sets has its m! orderings keyed once, when a subset
+    # of the window first meets it (2,721 orbit_key calls over these seven
+    # profiles when every injective tuple was keyed)
+    calls = 0
+    for sid, n, window in (("pureset", 4, 6), ("dlo", 3, 8), ("dlo", 4, 5),
+                           ("rado", 3, 8), ("equiv", 3, 8), ("pairs", 3, 8),
+                           ("zorder", 3, 8)):
+        st = get_structure(sid)
+        orbit_key = _count_calls(monkeypatch, type(st), "orbit_key")
+        ts.oligomorphic_profile(st, n, window)
+        calls += len(orbit_key)
+        monkeypatch.undo()
+    assert calls <= 1_000
+
+
 def test_orbit_work_bounds(monkeypatch):
     # class reps come from one keyed pass over the enumeration-ordered
     # window, with no sort (1,928 index_of calls when every sockel and
