@@ -507,7 +507,7 @@ def check_meet_irreducible_candidate(handle, x, depth, samples=6, seed=0):
     for z in extras[:samples]:
         try:
             bigger = engine.copy_avoiding(st, base | {z}, {x}, seed=seed)
-            bigger.advance(max(2 * depth, 12))
+            engine.decide_window(bigger, depth, max(2 * depth, 12))
         except CopyPosetError:
             continue
         if all(bigger.membership(p).is_in for p in base | {z}) and \

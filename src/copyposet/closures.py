@@ -137,7 +137,7 @@ def intersection_closure_upper(structure, base, samples, depth, seed=0):
                 structure, base, engine.copy_identity(structure),
                 proper=True, seed=seed + 1 + i))
     for c in copies[1:]:
-        c.advance(max(2 * depth, 12))
+        engine.decide_window(c, depth, max(2 * depth, 12))
     for c in copies:
         survivors -= {x for x in survivors if c.membership(x).is_out}
     return frozenset(survivors)

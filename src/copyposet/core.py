@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import islice
 
-from .errors import PreconditionError, SearchBudgetError
+from .errors import SearchBudgetError
 
 _WITNESS_SCAN_CAP = 5000
 
@@ -103,22 +103,14 @@ UNKNOWN = Membership("unknown")
 
 
 class CopyHandle:
-    """Base interface: staged, single-writer, monotone decisions.  A handle
-    with total membership ignores claims."""
+    """Base interface of a copy.  Only ``engine.BackForthCopy`` stages: any
+    other handle is a plain value whose memberships never change."""
 
     def __init__(self, structure):
         self.structure = structure
-        self._stage = 0
-
-    @property
-    def stage(self):
-        return self._stage
 
     def membership(self, x):
         raise NotImplementedError
-
-    def schedule_claims(self, points):
-        """Queue window points to pull into the image."""
 
     def try_decide(self, y, budget=None):
         """Attempt to decide y; returns the possibly unknown membership."""
@@ -129,16 +121,6 @@ class CopyHandle:
         sockel listed in ``ftup``, or None.  Callers confirm a proposal
         before taking it; a proposal may read a typeset stream."""
         return None
-
-    def advance(self, stages):
-        if stages < 0:
-            raise PreconditionError("stages must be >= 0")
-        for _ in range(stages):
-            self._round()
-        return self
-
-    def _round(self):
-        self._stage += 1
 
     def unranked_member(self, fix):
         """The enum-least point off ``fix`` with a certified-unranked type
@@ -181,30 +163,38 @@ class RuleCopy(CopyHandle):
 
 
 class CutCopy(CopyHandle):
-    """U minus the cuts of finitely many ``roots``; total membership.  With
-    no roots it is the identity, the copy U itself.  The structure says
-    what a root cuts (``Structure.cuts``) and how the copy reads
-    (``Structure.describe_cut``).  By default a root cuts itself, so the
-    copy is the cofinite U minus the roots: without algebraicity the
-    maximum copy avoiding them."""
+    """The ``parent`` copy, U when None, minus the cuts of finitely many
+    ``roots``; with no roots, the identity.  The structure says what a root
+    cuts (``Structure.cuts``) and how the cut reads (``describe_cut``, then
+    `` inside <parent>``).  By default a root cuts itself: without
+    algebraicity a copy minus a finite set is a copy, and U minus the roots
+    is the maximum copy avoiding them."""
 
-    def __init__(self, structure, roots):
+    def __init__(self, structure, roots, parent=None):
         super().__init__(structure)
+        if isinstance(parent, CutCopy):  # one cut over the parent's parent
+            roots, parent = parent.roots.union(roots), parent.parent
         self.roots = frozenset(roots)
+        self.parent = parent
 
     def membership(self, x):
-        return OUT if self.structure.cuts(self.roots, x) else IN
+        if self.structure.cuts(self.roots, x):
+            return OUT
+        return IN if self.parent is None else self.parent.membership(x)
 
     def witness(self, ftup, x):
-        st, roots = self.structure, self.roots
-        for y in st.typeset_iter(frozenset(ftup), x):
-            if not st.cuts(roots, y):
+        stream = self.structure.typeset_iter(frozenset(ftup), x)
+        for y in islice(stream, _WITNESS_SCAN_CAP):
+            if self.membership(y).is_in:
                 return y
 
     def describe(self):
         if not self.roots:
             return "identity"
-        return self.structure.describe_cut(self.roots)
+        cut = self.structure.describe_cut(self.roots)
+        if self.parent is None:
+            return cut
+        return "%s inside %s" % (cut, self.parent.describe())
 
 
 class TypeClasses:

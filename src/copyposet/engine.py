@@ -1,23 +1,23 @@
-"""Progressive construction of copies by constrained back-and-forth.
+"""Construction of copies: cut copies in closed form, and a constrained
+back-and-forth search where no cut applies.
 
-A constructed copy is the image of a staged finite partial injection, every
-stage of which agrees with some group element.  Construction honours three
-constraint kinds: a finite set fixed pointwise, a finite set avoided forever
-(kept possible by rejecting any image extension under which an avoided
-point would acquire a ranked type over the image), and an optional parent
-copy the image must stay inside.  Membership in the limit image is honestly
-three-valued: points enter `in` when claimed into the image, `out` by an
-avoidance constraint or the parent's exclusions, and stay `unknown`
-otherwise.
+Constructors build cut copies, a parent minus the cuts of finitely many
+roots (``CutCopy``), from the structure's ``cut_root`` and ``cuts``; the
+identity is the cut copy with no roots, and disjoint pairs are closed form
+only (``closed_form_disjoint_pair``).  One function (``_copy``) chooses
+between a cut copy, which nests inside any closed-form parent, and the
+search (``BackForthCopy``): the engine for a structure with algebraicity
+that defines no cut, or inside a parent that is itself a back-and-forth
+copy.
 
-Constructors build cut copies, U minus the cuts of finitely many roots
-(``CutCopy``), from the structure's ``cut_root`` and ``cuts``; the identity
-is the cut copy with no roots, and disjoint pairs are closed form only
-(``closed_form_disjoint_pair``).  One function (``_copy``) chooses between a
-cut copy and the back-and-forth search.  Every built-in with proper copies
-defines a cut, so no built-in constructor reaches the search:
-``BackForthCopy`` is the engine for a structure with algebraicity that
-defines no cut, or for a parent that is not a cut copy.
+A back-and-forth copy, the one handle that stages, is the image of a
+staged finite partial injection, every stage of which agrees with some
+group element.  It fixes a finite set pointwise, keeps a finite set out
+forever (rejecting any image extension under which an avoided point would
+acquire a ranked type over the image) and stays inside its parent.  Its
+membership is honestly three-valued: points enter `in` when claimed into
+the image, `out` by an avoidance constraint or the parent's exclusions,
+and stay `unknown` otherwise.
 
 Bernstein bases (``bernstein_base``) read each sockel's type classes, and
 the typeset members drawn for them, from the tables ``check_copy`` keeps
@@ -51,19 +51,10 @@ class UnionCopy(CopyHandle):
         self.members = tuple(members)
 
     def membership(self, x):
-        saw_unknown = False
-        for c in self.members:
-            m = c.membership(x)
-            if m.is_in:
-                return IN
-            if m.is_unknown:
-                saw_unknown = True
-        return UNKNOWN if saw_unknown else OUT
-
-    def _round(self):
-        for c in self.members:
-            c.advance(1)
-        self._stage += 1
+        seen = {c.membership(x) for c in self.members}
+        if IN in seen:
+            return IN
+        return UNKNOWN if UNKNOWN in seen else OUT
 
     def describe(self):
         return "union[%s]" % ", ".join(c.describe() for c in self.members)
@@ -74,6 +65,7 @@ class BackForthCopy(CopyHandle):
 
     def __init__(self, structure, fix=(), avoid=(), parent=None, seed=0):
         super().__init__(structure)
+        self._stage = 0
         fixset = frozenset(fix)
         avoidset = frozenset(avoid)
         if fixset & avoidset:
@@ -218,15 +210,19 @@ class BackForthCopy(CopyHandle):
                 self.try_decide(c, budget)
                 return
 
-    def _round(self):
-        budget = self._budget()
-        claims_first = (self._stage + self.seed) % 3 == 0
-        if claims_first:
-            self._process_one_claim(budget)
-        self._forth(self._next_source(), budget)
-        if not claims_first:
-            self._process_one_claim(budget)
-        self._stage += 1
+    def advance(self, stages):
+        if stages < 0:
+            raise PreconditionError("stages must be >= 0")
+        for _ in range(stages):
+            budget = self._budget()
+            claims_first = (self._stage + self.seed) % 3 == 0
+            if claims_first:
+                self._process_one_claim(budget)
+            self._forth(self._next_source(), budget)
+            if not claims_first:
+                self._process_one_claim(budget)
+            self._stage += 1
+        return self
 
     def describe(self):
         bits = ["back-and-forth"]
@@ -247,27 +243,29 @@ class BackForthCopy(CopyHandle):
 def _copy(structure, fix, avoid, parent, seed):
     """The copy containing ``fix``, avoiding ``avoid``, inside ``parent``:
     the one place that chooses a cut copy or the back-and-forth search.
-    Inside a ``CutCopy`` parent it adds to the parent's roots the
-    ``cut_root`` of each avoided point the parent does not cut yet, and is
+    Inside any parent but a ``BackForthCopy`` it cuts the ``cut_root`` of
+    each avoided point the parent holds and no new root cuts yet, and is
     the parent itself when there is none.  A new root the others make
     redundant is dropped (on pairs one root can cut several avoided
     pairs), so from the identity with no fixed point the copy is maximal
-    among the copies avoiding ``avoid``.  Any other parent, or a structure
-    whose ``cut_root`` is None, gets a ``BackForthCopy``."""
-    if isinstance(parent, CutCopy):
-        roots, new = parent.roots, []
-        for a in structure.sort_points(avoid):
-            if not structure.cuts(roots.union(new), a):
+    among the copies avoiding ``avoid``.  A ``BackForthCopy`` parent, or a
+    structure whose ``cut_root`` is None, gets a ``BackForthCopy``."""
+    if not isinstance(parent, BackForthCopy):
+        held = [a for a in structure.sort_points(avoid)
+                if not parent.membership(a).is_out]
+        new = []
+        for a in held:
+            if not structure.cuts(frozenset(new), a):
                 r = structure.cut_root(fix, a)
                 if r is None:
                     break
                 new.append(r)
         else:
             for r in new[::-1]:
-                rest = roots.union(q for q in new if q != r)
-                if all(structure.cuts(rest, a) for a in avoid):
+                rest = frozenset(q for q in new if q != r)
+                if all(structure.cuts(rest, a) for a in held):
                     new.remove(r)
-            return CutCopy(structure, roots.union(new)) if new else parent
+            return CutCopy(structure, new, parent) if new else parent
     return BackForthCopy(structure, fix=fix, avoid=avoid, parent=parent,
                          seed=seed)
 
@@ -278,19 +276,21 @@ def copy_identity(structure):
 
 
 def decide_window(handle, depth, stages=None):
-    """Advance a handle until the window is as decided as its claims allow
-    (the usual preparation before check_copy)."""
-    handle.schedule_claims([x for x in handle.structure.prefix(depth)
-                            if handle.membership(x).is_unknown])
-    handle.advance(stages if stages is not None else max(3 * depth, 24))
+    """Advance a back-and-forth copy until the window is as decided as its
+    claims allow (the usual preparation before check_copy); any other
+    handle never changes, and is returned as it is."""
+    if isinstance(handle, BackForthCopy):
+        handle.schedule_claims([x for x in handle.structure.prefix(depth)
+                                if handle.membership(x).is_unknown])
+        handle.advance(stages if stages is not None else max(3 * depth, 24))
     return handle
 
 
 def copy_through(structure, fix, parent, proper, seed=0):
     """A copy fixing ``fix`` pointwise with image inside ``parent``; when
     proper, one point of the parent is scheduled out as a strictness
-    witness, and otherwise a cut parent, the identity included, is
-    returned itself."""
+    witness, and otherwise a closed-form parent, the identity included,
+    is returned itself."""
     fixset = frozenset(fix)
     for a in fixset:
         if not parent.try_decide(a).is_in:
@@ -375,8 +375,8 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10):
             # the batch takes nothing more out: avoid the parent's
             # enum-least unranked member too, so the chain stays strict
             avoid.add(parent.unranked_member(fixset))
-        chain.append(_copy(structure, fixset, avoid, parent, seed + i)
-                     .advance(max(2 * depth, 16)))
+        c = _copy(structure, fixset, avoid, parent, seed + i)
+        chain.append(decide_window(c, depth, max(2 * depth, 16)))
     return chain
 
 

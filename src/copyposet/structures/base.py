@@ -69,6 +69,14 @@ def _from_decimal(s):
         return -p if sign == "-" else p
 
 
+def decode_field(field, s, form, parse=_from_decimal):
+    """``parse(field)``, or a ValueError naming the point ``s`` and form."""
+    try:
+        return parse(field)
+    except ValueError:
+        raise ValueError("expected %s, got %r" % (form, s)) from None
+
+
 class Structure:
     structure_id = "?"
     description = ""

@@ -39,7 +39,7 @@ from ..errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
-from .base import _SCAN_CAP, Structure
+from .base import _SCAN_CAP, Structure, decode_field
 
 
 class Rational(Fraction):
@@ -193,7 +193,7 @@ class DLO(Structure):
 
     def decode(self, s):
         try:
-            return Rational(s)
+            return decode_field(s, s, "a rational p/q", Rational)
         except ZeroDivisionError:
             raise PreconditionError(
                 "zero denominator in rational %r" % s) from None

@@ -6,7 +6,7 @@ pattern.
 """
 
 from ..core import RuleCopy
-from .base import Structure, equality_pattern
+from .base import Structure, decode_field, equality_pattern
 
 
 class EquivInf(Structure):
@@ -37,7 +37,7 @@ class EquivInf(Structure):
         parts = s.split(".")
         if len(parts) != 2:
             raise ValueError("expected class.index, got %r" % s)
-        c, i = int(parts[0]), int(parts[1])
+        c, i = (decode_field(t, s, "class.index") for t in parts)
         if c < 0 or i < 0:
             raise ValueError("class and index are naturals")
         return (c, i)

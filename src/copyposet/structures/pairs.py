@@ -10,7 +10,7 @@ the cut copies take finitely many elements out of S.
 from itertools import combinations
 
 from ..core import RuleCopy, finite_answer, infinite_answer
-from .base import Structure
+from .base import Structure, decode_field
 
 
 def support(pairs):
@@ -48,7 +48,7 @@ class PairsAction(Structure):
         parts = s[1:-1].split(",")
         if not (s.startswith("{") and s.endswith("}")) or len(parts) != 2:
             raise ValueError("expected {i,j}, got %r" % s)
-        i, j = (int(t) for t in parts)
+        i, j = (decode_field(t, s, "{i,j}") for t in parts)
         if i < 0 or j < 0 or i == j:
             raise ValueError("expected a 2-subset of the naturals")
         return frozenset((i, j))

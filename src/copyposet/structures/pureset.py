@@ -1,7 +1,7 @@
 """The pure countable set: U = N with the full symmetric group."""
 
 from ..core import RuleCopy
-from .base import Structure, _decimal, _from_decimal, equality_pattern
+from .base import Structure, _decimal, decode_field, equality_pattern
 
 
 class PureSet(Structure):
@@ -26,7 +26,7 @@ class PureSet(Structure):
         return _decimal(p)
 
     def decode(self, s):
-        p = _from_decimal(s)
+        p = decode_field(s, s, "a natural")
         if p < 0:
             raise ValueError("pureset points are naturals")
         return p

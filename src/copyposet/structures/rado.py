@@ -11,7 +11,7 @@ positions; the pair over nothing is the residue split 2, 3 (mod 4).
 
 from ..core import IN, OUT, CopyHandle
 from ..errors import PreconditionError, SearchBudgetError
-from .base import (_SCAN_CAP, Structure, _decimal, _from_decimal,
+from .base import (_SCAN_CAP, Structure, _decimal, decode_field,
                    equality_pattern)
 
 
@@ -46,7 +46,7 @@ class RadoGraph(Structure):
         return _decimal(p)
 
     def decode(self, s):
-        p = _from_decimal(s)
+        p = decode_field(s, s, "a natural")
         if p < 0:
             raise ValueError("rado vertices are naturals")
         return p

@@ -17,7 +17,7 @@ finitely many nodes (the images of iterated child-shift embeddings).
 """
 
 from ..core import infinite_answer
-from .base import Structure
+from .base import Structure, decode_field
 
 
 def trunc(x, lvl):
@@ -87,18 +87,18 @@ class TreeTZ(Structure):
 
     def decode(self, s):
         s = s.strip()
-        form = "expected L<level>:[i:e,...], got %r" % s
+        form = "L<level>:[i:e,...]"
         if not s.startswith("L") or ":[" not in s or not s.endswith("]"):
-            raise ValueError(form)
+            raise ValueError("expected %s, got %r" % (form, s))
         head, body = s[1:-1].split(":[", 1)
-        lvl = int(head)
+        lvl = decode_field(head, s, form)
         choices = []
         if body:
             for item in body.split(","):
                 pair = item.split(":")
                 if len(pair) != 2:
-                    raise ValueError(form)
-                choices.append((int(pair[0]), int(pair[1])))
+                    raise ValueError("expected %s, got %r" % (form, s))
+                choices.append(tuple(decode_field(t, s, form) for t in pair))
         choices.sort()
         if any(e < 1 or i > lvl for (i, e) in choices):
             raise ValueError("invalid choice entries")

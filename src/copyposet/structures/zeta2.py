@@ -6,7 +6,7 @@ block, so (a, b) |-> (a + t, b + s_a).
 """
 
 from ..core import infinite_answer
-from .base import Structure, equality_pattern
+from .base import Structure, decode_field, equality_pattern
 from .zorder import zigzag, zigzag_index
 
 
@@ -40,7 +40,7 @@ class Zeta2(Structure):
         if not (s.startswith("(") and s.endswith(")")) or len(parts) != 2:
             raise ValueError("expected (a,b), got %r" % s)
         a, b = parts
-        return (int(a), int(b))
+        return (decode_field(a, s, "(a,b)"), decode_field(b, s, "(a,b)"))
 
     def type_key(self, ftup, x):
         a = x[0]

@@ -9,7 +9,7 @@ the cut copies take finitely many whole blocks out.
 """
 
 from ..core import infinite_answer
-from .base import Structure, equality_pattern
+from .base import Structure, decode_field, equality_pattern
 from .dlo import DLO, order_pattern
 from .zorder import zigzag, zigzag_index
 
@@ -46,7 +46,8 @@ class ZetaEta(Structure):
         if not (s.startswith("(") and s.endswith(")")) or len(parts) != 2:
             raise ValueError("expected (q|n), got %r" % s)
         q, n = parts
-        return (_dlo.decode(q), int(n))
+        return (decode_field(q, s, "(q|n)", _dlo.decode),
+                decode_field(n, s, "(q|n)"))
 
     def type_key(self, ftup, x):
         # the tags keep a pinned (1|1) apart from the free cut (True, True),

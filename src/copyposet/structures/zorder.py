@@ -1,7 +1,7 @@
 """The integers as a linear order; automorphisms are the translations."""
 
 from ..core import infinite_answer
-from .base import Structure, _decimal, _from_decimal
+from .base import Structure, _decimal, decode_field
 
 
 def zigzag(i):
@@ -38,7 +38,7 @@ class ZOrder(Structure):
         return _decimal(p)
 
     def decode(self, s):
-        return _from_decimal(s)
+        return decode_field(s, s, "an integer")
 
     def type_key(self, ftup, x):
         # translations act transitively; any fixed point pins the translation

@@ -278,7 +278,6 @@ def test_criterion_10_no_isolated_point_proxy():
         witness = next(x for x in c.decided_in(8) if x not in inside)
         second = engine.copy_avoiding(dlo, set(inside),
                                       set(outside) | {witness}, seed=seed)
-        second.advance(16)
         assert all(second.membership(x).is_in for x in inside)
         assert all(second.membership(x).is_out for x in outside)
         assert c.membership(witness).is_in

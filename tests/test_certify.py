@@ -493,7 +493,6 @@ def test_meet_irreducible_shrunk_refuted(dlo):
     inner = engine.copy_through(
         dlo, set(), engine.powerset_embedding_dlo(dlo, members=()),
         proper=False)
-    inner.advance(12)
     cert = certify.check_meet_irreducible_candidate(inner, F(0), 8)
     assert cert.verdict == "fail"
     assert cert.counterexample["added"]

@@ -410,7 +410,19 @@ def test_equiv_point_needs_class_dot_index(capsys, rep):
     ("pairs", "{1,2,3}", "{i,j}"),
     ("zetaeta", "(1|2|3)", "(q|n)"),
     ("treetz", "L2:[1]", "L<level>:[i:e,...]"),
-], ids=["zeta2", "pairs", "zetaeta", "treetz"])
+    # a field that is not a number
+    ("zeta2", "(a,1)", "(a,b)"),
+    ("equiv", "x.1", "class.index"),
+    ("pairs", "{a,1}", "{i,j}"),
+    ("treetz", "Lx:[]", "L<level>:[i:e,...]"),
+    ("rado", "abc", "a natural"),
+    ("pureset", "x", "a natural"),
+    ("zorder", "x", "an integer"),
+    ("dlo", "1/x", "a rational p/q"),
+    ("zetaeta", "(a|1)", "(q|n)"),
+], ids=["zeta2", "pairs", "zetaeta", "treetz"] + [
+    "%s-field" % sid for sid in ("zeta2", "equiv", "pairs", "treetz", "rado",
+                                 "pureset", "zorder", "dlo", "zetaeta")])
 def test_malformed_point_names_the_point_and_its_form(capsys, structure, rep,
                                                       form):
     code, out, err = run(capsys, "typeset", "--structure", structure,

@@ -36,8 +36,8 @@ def test_identity_membership(structure):
     c = engine.copy_identity(structure)
     for x in structure.prefix(6):
         assert c.membership(x).is_in
-    c.advance(3)
-    assert c.stage == 3
+    # only the back-and-forth search stages
+    assert not hasattr(c, "advance")
 
 
 # -- copy_through -------------------------------------------------------------
@@ -45,7 +45,6 @@ def test_identity_membership(structure):
 def test_copy_through_proper_dlo(dlo):
     c = engine.copy_through(dlo, {F(0)}, engine.copy_identity(dlo),
                             proper=True)
-    c.advance(5)
     assert c.membership(F(0)).is_in
     assert decided_out(c, 8), "properness needs a decided exclusion"
 
@@ -61,7 +60,6 @@ def test_copy_through_proper_unsupported_on_single_copy():
 def test_copy_through_nested_parent(dlo):
     parent = engine.powerset_embedding_dlo(dlo, members=(0,))
     c = engine.copy_through(dlo, set(), parent, proper=False)
-    c.advance(12)
     for x in c.decided_in(30):
         assert parent.membership(x).is_in
 
@@ -76,7 +74,6 @@ def test_copy_through_fix_outside_parent(dlo):
 
 def test_copy_avoiding_dlo(dlo):
     c = engine.copy_avoiding(dlo, {F(0)}, {F(1)})
-    c.advance(6)
     assert c.membership(F(0)).is_in
     assert c.membership(F(1)).is_out
 
@@ -123,7 +120,7 @@ def test_max_avoiding_copy_closed_form(sid, avoid):
 
 
 def test_membership_decisions_permanent(dlo):
-    c = engine.copy_avoiding(dlo, {F(0)}, {F(1)})
+    c = engine.BackForthCopy(dlo, fix=[F(0)], avoid=[F(1)])
     c.advance(3)
     snapshot_in = set(c.decided_in(10))
     snapshot_out = set(decided_out(c, 10))
@@ -360,6 +357,13 @@ def test_no_constructor_builds_a_back_and_forth_copy(sid, monkeypatch):
     cut += engine.descending_chain(st, u0, inner, 3)[1:]
     assert [type(h) for h in cut] == [CutCopy] * 10
     closures.intersection_closure_upper(st, u0, 4, 8)
+    if st.algebraically_finite:
+        # a closed-form parent takes the cut inside it
+        for side in engine.disjoint_pair(st, fs()):
+            inside = [engine.copy_through(st, fs(), side, proper=True)]
+            inside += engine.descending_chain(st, fs(), side, 2)[1:]
+            assert [(type(h), h.parent) for h in inside] == [(CutCopy,
+                                                              side)] * 3
 
 
 def test_a_structure_without_a_cut_gets_a_back_and_forth_copy():
@@ -380,6 +384,16 @@ def test_a_structure_without_a_cut_gets_a_back_and_forth_copy():
     assert all(isinstance(h, engine.BackForthCopy) for h in chain[1:])
     for lower, upper in zip(chain[1:], chain):
         assert certify.check_inclusion(lower, upper, 8).verdict == "pass"
+
+
+def test_only_a_back_and_forth_parent_keeps_the_search(dlo):
+    parent = engine.decide_window(_dlo_back_forth([], ["1"]), 8)
+    c = engine.copy_through(dlo, set(), parent, proper=True)
+    assert isinstance(c, engine.BackForthCopy) and c.parent is parent
+    # decide_window advances the search only: a closed form is left alone
+    for side in engine.disjoint_pair(dlo, ()):
+        assert engine.decide_window(side, 8, stages=8) is side
+        assert not hasattr(side, "advance")
 
 
 # -- disjoint pairs ---------------------------------------------------------------------
@@ -447,6 +461,37 @@ def test_disjoint_pairs_over_small_fixed_sets_certify(sid):
         verdicts += [certify.check_copy(side, depth).verdict
                      for side in (left, right) for depth in (8, 12)]
         assert verdicts == ["pass"] * 5, [st.encode(x) for x in fix]
+
+
+@pytest.mark.parametrize("sid", ["pureset", "dlo", "rado", "equiv",
+                                 "pairs"])
+def test_copies_inside_a_disjoint_pair_side_are_cut_copies(sid):
+    # a copy minus a finite set is a copy without algebraicity: a proper
+    # copy and a chain inside either side cut the side, and certify
+    st = get_structure(sid)
+    w = st.prefix(3)
+    fixes = [fs(), fs({fs((0, 1))})] if sid == "pairs" else [
+        fs(), fs(w[2:]), fs(w[1:])]
+    for fix in fixes:
+        for side in engine.disjoint_pair(st, fix):
+            c = engine.copy_through(st, fix, side, proper=True)
+            assert type(c) is CutCopy and c.parent is side
+            assert [certify.check_copy(c, d).verdict for d in (8, 12)] == \
+                ["pass"] * 2, c.describe()
+            chain = engine.descending_chain(st, fix, side, 3)
+            assert [certify.check_inclusion(lower, upper, 8).verdict
+                    for lower, upper in zip(chain[1:], chain)] == \
+                ["pass"] * 3, c.describe()
+
+
+def test_rado_copy_inside_a_residue_side_is_cut():
+    rado = get_structure("rado")
+    side = engine.disjoint_pair(rado, ())[0]
+    c = engine.copy_through(rado, {2}, side, proper=True)
+    assert type(c) is CutCopy
+    assert c.describe() == \
+        "cofinite avoid={6} inside rado residue-class 2 (mod 4)"
+    assert certify.check_copy(c, 8, 2, 200).verdict == "pass"
 
 
 def test_disjoint_pair_unsupported():
@@ -586,7 +631,6 @@ def test_second_copy_in_every_neighbourhood(dlo):
         witness = next(x for x in c.decided_in(8) if x not in inside)
         second = engine.copy_avoiding(
             dlo, set(inside), set(outside) | {witness}, seed=seed)
-        second.advance(16)
         assert all(second.membership(x).is_in for x in inside)
         assert all(second.membership(x).is_out for x in outside)
         # the two copies differ at the witness inside the doubled window
