@@ -11,24 +11,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import certify, closures, engine, typesets
-from .core import IN, OUT
 from .errors import (
     ImpossibleConstructionError,
     UnsupportedConstructionError,
 )
 
 PASS, FAIL, UNKNOWN = "pass", "fail", "unknown"
-
-
-class _PlantedNonCopyDLO(engine.CopyHandle):
-    """{-1} together with the positive rationals: fails the
-    characterization at sockel {-1} (nothing below -1 is inside)."""
-
-    def membership(self, x):
-        return IN if (x == -1 or x > 0) else OUT
-
-    def describe(self):
-        return "planted-non-copy"
 
 
 def _constructed_copies(st, depth, seed):
@@ -80,7 +68,14 @@ def run_battery(st, depth=10, budget=500, sockel_cap=2, seed=0):
     add("characterization", verdict, note)
 
     if st.structure_id == "dlo":
-        cert = certify.check_copy(_PlantedNonCopyDLO(st), 8, 1, budget)
+        from .structures.dlo import ZERO, IntervalsCopyDLO, Rational
+
+        # {-1} together with the positive rationals: fails the
+        # characterization at sockel {-1} (nothing below -1 is inside)
+        m1 = Rational(-1)
+        planted = IntervalsCopyDLO(
+            st, [(m1, True, m1, True), (ZERO, False, None, False)])
+        cert = certify.check_copy(planted, 8, 1, budget)
         certs.append(cert)
         ok = cert.verdict == FAIL and cert.counterexample and \
             cert.counterexample.get("sockel") == ["-1"]

@@ -54,6 +54,14 @@ def parse_points(st, text):
     return [st.decode(tok) for tok in split_points(text)]
 
 
+def parse_naturals(text):
+    """The entries of a set of naturals, a bad entry named."""
+    from .structures.base import decode_field
+
+    return tuple(decode_field(tok, tok, "a natural", int)
+                 for tok in split_points(text))
+
+
 class _Out:
     def __init__(self, args):
         self.fmt = args.format
@@ -235,7 +243,7 @@ def cmd_embed_powerset(args, out):
     from .structures.dlo import powerset_embedding_dlo
 
     st = get_structure(args.structure)
-    members = tuple(int(tok) for tok in split_points(args.set))
+    members = parse_naturals(args.set)
     if args.cofinite:
         handle = powerset_embedding_dlo(st, cofinite_complement=members)
     else:
@@ -276,10 +284,8 @@ def cmd_certify(args, out):
     if args.what == "inclusion":
         from .structures.dlo import powerset_embedding_dlo
 
-        lower = powerset_embedding_dlo(
-            st, members=tuple(int(t) for t in split_points(args.set)))
-        upper = powerset_embedding_dlo(
-            st, members=tuple(int(t) for t in split_points(args.set2)))
+        lower = powerset_embedding_dlo(st, members=parse_naturals(args.set))
+        upper = powerset_embedding_dlo(st, members=parse_naturals(args.set2))
         cert = certify.check_inclusion(lower, upper, args.depth)
     elif args.what == "meet":
         from . import engine

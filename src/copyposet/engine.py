@@ -277,12 +277,18 @@ def copy_identity(structure):
 
 def decide_window(handle, depth, stages=None):
     """Advance a back-and-forth copy until the window is as decided as its
-    claims allow (the usual preparation before check_copy); any other
-    handle never changes, and is returned as it is."""
+    claims allow (the usual preparation before check_copy); a union decides
+    each member and a cut copy its parent.  Any other handle never changes,
+    and every handle is returned as it is."""
     if isinstance(handle, BackForthCopy):
         handle.schedule_claims([x for x in handle.structure.prefix(depth)
                                 if handle.membership(x).is_unknown])
         handle.advance(stages if stages is not None else max(3 * depth, 24))
+    elif isinstance(handle, UnionCopy):
+        for member in handle.members:
+            decide_window(member, depth, stages)
+    elif isinstance(handle, CutCopy) and handle.parent is not None:
+        decide_window(handle.parent, depth, stages)
     return handle
 
 

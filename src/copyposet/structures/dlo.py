@@ -26,9 +26,11 @@ stay equal to, hash like and order against both.  Arithmetic returns a
 plain ``Fraction``, so code that derives a point by arithmetic wraps the
 result in ``Rational``.
 
-Closed-form copies are interval systems with total membership: interval
-unions indexed by sets of naturals (the powerset embedding) and pieces
-pinching a finite set from either side (the disjoint pair).
+Closed-form copies are interval unions with total membership: the unions
+indexed by sets of naturals (the powerset embedding, ``IntervalCopyDLO``)
+and finite unions of intervals with open or closed ends
+(``IntervalsCopyDLO``), which pinch a finite set from either side (the
+disjoint pair).
 """
 
 from fractions import Fraction
@@ -206,18 +208,19 @@ class DLO(Structure):
         return order_pattern(tup)
 
     def closed_form_disjoint_pair(self, fix):
-        # interval systems pinching the fixed points from opposite sides;
+        # interval unions pinching the fixed points from opposite sides;
         # total membership keeps every window obligation checkable
         pts = sorted(fix)
         if not pts:
-            return (IntervalPiecesCopyDLO(self, [(None, ZERO, False)]),
-                    IntervalPiecesCopyDLO(self, [(ZERO, None, False)]))
+            return (IntervalsCopyDLO(self, [(None, False, ZERO, False)]),
+                    IntervalsCopyDLO(self, [(ZERO, False, None, False)]))
         gaps = [b - a for a, b in zip(pts, pts[1:])]
         delta = min(gaps + [Fraction(2)]) / 2
-        left_pieces = [(Rational(a - delta), a, True) for a in pts]
-        left_pieces.append((Rational(pts[-1] + delta), None, False))
-        return (IntervalPiecesCopyDLO(self, left_pieces),
-                _RightPiecesCopyDLO(self, pts, delta))
+        left = [(Rational(a - delta), False, a, True) for a in pts]
+        left.append((Rational(pts[-1] + delta), False, None, False))
+        right = [(None, False, Rational(pts[0] - delta), False)]
+        right.extend((a, True, Rational(a + delta), False) for a in pts)
+        return IntervalsCopyDLO(self, left), IntervalsCopyDLO(self, right)
 
 
 def powerset_embedding_dlo(structure, members=(), cofinite_complement=None):
@@ -279,44 +282,26 @@ class IntervalCopyDLO(CopyHandle):
             str(s) for s in self.finite_part)
 
 
-class IntervalPiecesCopyDLO(CopyHandle):
-    """A closed-form rational copy given by finitely many interval pieces
-    (lo, hi] or (lo, hi), with None for an unbounded end."""
+class IntervalsCopyDLO(CopyHandle):
+    """A closed-form rational copy: a finite union of intervals, each piece
+    ``(lo, lo_closed, hi, hi_closed)`` with None for an unbounded end."""
 
     def __init__(self, structure, pieces):
         super().__init__(structure)
-        self.pieces = tuple(pieces)  # (lo, hi, hi_closed)
+        self.pieces = tuple(pieces)
 
     def membership(self, x):
-        for lo, hi, hi_closed in self.pieces:
-            if (lo is None or x > lo) and \
+        for lo, lo_closed, hi, hi_closed in self.pieces:
+            if (lo is None or (x >= lo if lo_closed else x > lo)) and \
                     (hi is None or (x <= hi if hi_closed else x < hi)):
                 return IN
         return OUT
 
     def describe(self):
-        return "dlo interval-pieces %s" % (
-            [(str(lo) if lo is not None else "-inf",
-              str(hi) if hi is not None else "+inf",
-              "closed" if c else "open") for lo, hi, c in self.pieces],)
-
-
-class _RightPiecesCopyDLO(CopyHandle):
-    """[a, a+delta) around each fixed point plus an unbounded left tail."""
-
-    def __init__(self, structure, pts, delta):
-        super().__init__(structure)
-        self.pts = tuple(pts)
-        self.delta = delta
-
-    def membership(self, x):
-        if x < self.pts[0] - self.delta:
-            return IN
-        for a in self.pts:
-            if a <= x < a + self.delta:
-                return IN
-        return OUT
-
-    def describe(self):
-        return "dlo right-pieces around {%s} delta=%s" % (
-            ",".join(str(a) for a in self.pts), self.delta)
+        enc = self.structure.encode
+        return "dlo intervals " + " ".join(
+            "%s%s,%s%s" % ("[" if lo_closed else "(",
+                           "-inf" if lo is None else enc(lo),
+                           "+inf" if hi is None else enc(hi),
+                           "]" if hi_closed else ")")
+            for lo, lo_closed, hi, hi_closed in self.pieces)

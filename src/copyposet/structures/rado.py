@@ -6,11 +6,12 @@ algebraicity, so U minus a finite set A is a copy, the maximum one
 avoiding A: through, avoiding and chain copies are the base class's
 cofinite cut copies.  Disjoint pairs are tagged bit-classes (Rado 1964):
 the fixed set together with every vertex whose bits match chosen tag
-positions; the pair over nothing is the residue split 2, 3 (mod 4).
+positions.  Over nothing the pair is the split 2, 3 (mod 4), the tags
+ones={1}, zeros={0} and ones={0, 1}.
 """
 
 from ..core import IN, OUT, CopyHandle
-from ..errors import PreconditionError, SearchBudgetError
+from ..errors import SearchBudgetError
 from .base import (_SCAN_CAP, Structure, _decimal, decode_field,
                    equality_pattern)
 
@@ -94,13 +95,14 @@ class RadoGraph(Structure):
             y = (((y | mask) + 1) & ~mask) | pattern
 
     def closed_form_disjoint_pair(self, fix):
-        # over nothing, the residue classes 2 and 3 (mod 4); over a nonempty
-        # F, the tagged class with one-tag p1 and zero-tag p2, both off F,
-        # and its twin with the tags swapped.  Neither tag vertex is
-        # in either class, so both are copies; off F they disagree on both
-        # tag bits, so they meet exactly in F, which is ac(F)
+        # over nothing, the classes 2 and 3 (mod 4); over a nonempty F, the
+        # tagged class with one-tag p1 and zero-tag p2, both off F, and its
+        # twin with the tags swapped.  Neither tag vertex is in either
+        # class, so both are copies; off F they disagree on both tag bits,
+        # so they meet exactly in F, which is ac(F)
         if not fix:
-            return ResidueCopyRado(self, 2), ResidueCopyRado(self, 3)
+            return (TaggedCopyRado(self, ones=(1,), zeros=(0,)),
+                    TaggedCopyRado(self, ones=(0, 1)))
         p1 = max([2] + [v.bit_length() for v in fix])
         while p1 in fix:
             p1 += 1
@@ -115,25 +117,22 @@ class RadoGraph(Structure):
 
 class TaggedCopyRado(CopyHandle):
     """A closed-form Rado copy: the fixed set together with every vertex
-    above ``floor`` whose bits are 1 at the ``ones`` positions and 0 at the
-    ``zeros`` positions.
+    whose bits are 1 at the ``ones`` positions and 0 at the ``zeros``
+    positions.
 
     Tag positions are chosen outside the fixed set, so the class realizes
     every adjacency pattern over finite subsets (append the required bits
     plus the one-tags plus a fresh high bit); total membership."""
 
-    def __init__(self, structure, fix=(), floor=-1, ones=(), zeros=()):
+    def __init__(self, structure, fix=(), ones=(), zeros=()):
         super().__init__(structure)
         self.fix = frozenset(fix)
-        self.floor = floor
         self.ones = tuple(sorted(ones))
         self.zeros = tuple(sorted(zeros))
 
     def membership(self, x):
         if x in self.fix:
             return IN
-        if x <= self.floor:
-            return OUT
         if all((x >> p) & 1 for p in self.ones) and \
                 not any((x >> p) & 1 for p in self.zeros):
             return IN
@@ -144,7 +143,7 @@ class TaggedCopyRado(CopyHandle):
         # of the sockel points x is adjacent to, plus the one-tags
         w = sum(1 << a for a in ftup if adjacent(x, a))
         w |= sum(1 << p for p in self.ones)
-        bound = max((self.floor,) + tuple(ftup))
+        bound = max(ftup, default=-1)
         if w <= bound:
             # a fresh high bit, off the sockel and the zero-tags
             top = bound.bit_length()
@@ -154,22 +153,6 @@ class TaggedCopyRado(CopyHandle):
         return w
 
     def describe(self):
-        return "rado tagged-class floor=%s ones=%s zeros=%s fix={%s}" % (
-            _decimal(self.floor), list(self.ones), list(self.zeros),
+        return "rado tagged-class ones=%s zeros=%s fix={%s}" % (
+            list(self.ones), list(self.zeros),
             ",".join(_decimal(v) for v in sorted(self.fix)))
-
-
-class ResidueCopyRado(TaggedCopyRado):
-    """The BIT graph induced on {n : n = residue (mod 4)}, residue in {2,3}:
-    the tagged class with bit 1 set and bit 0 set for 3, clear for 2.
-    Neither tag vertex is a class member."""
-
-    def __init__(self, structure, residue):
-        if residue not in (2, 3):
-            raise PreconditionError("residue must be 2 or 3")
-        super().__init__(structure, ones=(0, 1) if residue == 3 else (1,),
-                         zeros=() if residue == 3 else (0,))
-        self.residue = residue
-
-    def describe(self):
-        return "rado residue-class %d (mod 4)" % self.residue

@@ -532,9 +532,11 @@ def test_certificate_jsonl_round_trip(dlo, tmp_path):
 # Re-pinned when the dlo copies became cofinite: their four certificates
 # changed, every other certificate kept its bytes.  Re-pinned when the
 # zetaeta copies became block cuts: their four certificates changed, every
-# other certificate kept its bytes
+# other certificate kept its bytes.  Re-pinned when the dlo pair sides
+# became one interval-union value: their four certificates changed only in
+# the copy description
 PINNED_CERTIFICATES_SHA256 = (
-    "48350e7a352049379e4195bb37c6a626abd7d6f05a8f0f38a834abec4c5db396")
+    "4344030709851b1143ab4bf66758c3e8f2117adb03f5001b2da14300ec1bbfef")
 
 
 def _pinned_copies():
@@ -575,9 +577,12 @@ def test_certificate_bytes_are_pinned():
 # eight certificates changed, the two zetaeta ones at d = 12 from unknown
 # to pass, and every other certificate kept its bytes.  Re-pinned when the
 # rado through-proper and avoiding copies became cofinite: their four
-# certificates changed, and every other certificate kept its bytes
+# certificates changed, and every other certificate kept its bytes.
+# Re-pinned when the dlo pair sides became one interval-union value and the
+# rado sides over {} tagged classes: those four certificates changed only
+# in the copy description
 PINNED_NINE_STRUCTURE_SHA256 = (
-    "1e8bd3cdd3f82e897d1ad09a28f60b427c9487a52fb987573bb478abb7c15b72")
+    "03c6dc6bf57a4c72912127def992a2b3b612d7c700f2f42ca1aad51487c786fc")
 
 
 def _nine_structure_checks():
@@ -770,10 +775,10 @@ def test_rado_cofinite_copy_passes_through_its_witness():
 # -- witness proposals ---------------------------------------------------------
 
 def test_rado_copy_avoiding_600_passes_with_proposed_witnesses():
-    # the tagged class above 600 with one-tag 10 and zero-tag 11: every
+    # the tagged class with one-tag 10 and zero-tag 11 avoids 600: every
     # member lies at 1024 or above, past the 200-point scan
     rado = get_structure("rado")
-    h = TaggedCopyRado(rado, floor=600, ones=(10,), zeros=(11,))
+    h = TaggedCopyRado(rado, ones=(10,), zeros=(11,))
     cert = certify.check_copy(h, 8, 2, 200)
     assert cert.verdict == "pass"
     assert {json.loads(w)["witness"] for w in cert.witnesses} == {"1024"}
@@ -781,14 +786,15 @@ def test_rado_copy_avoiding_600_passes_with_proposed_witnesses():
 
 def test_rado_proposals_are_members_of_the_right_type():
     rado = get_structure("rado")
-    # (fix, floor, ones, zeros): tagged classes avoiding 600, 0, 600 over
-    # {1, 2}, 7 over {3, 5, 40} and 2^70 over {9}; and two through {2},
-    # inside the third and inside the residue class 2 (mod 4)
+    # (fix, ones, zeros): tagged classes avoiding 600, 0, 600 over {1, 2},
+    # 7 over {3, 5, 40} and 2^70 over {9}, each below its least one-tag
+    # bit; and two through {2}, inside the third and inside the class
+    # 2 (mod 4)
     copies = [TaggedCopyRado(rado, *params) for params in (
-        ((), 600, (10,), (11,)), ((), 0, (2,), (3,)),
-        ((1, 2), 600, (10,), (11,)), ((3, 5, 40), 7, (6,), (8,)),
-        ((9,), 2 ** 70, (71,), (72,)), ((2,), 600, (10, 12), (11, 13)),
-        ((2,), 6, (1, 3), (0, 4)))]
+        ((), (10,), (11,)), ((), (2,), (3,)),
+        ((1, 2), (10,), (11,)), ((3, 5, 40), (6,), (8,)),
+        ((9,), (71,), (72,)), ((2,), (10, 12), (11, 13)),
+        ((2,), (1, 3), (0, 4)))]
     for fix in ((), (0, 5), (3,)):
         copies.extend(engine.disjoint_pair(rado, fix))
     assert all(isinstance(h, TaggedCopyRado) for h in copies)
@@ -806,14 +812,14 @@ def test_rado_proposals_are_members_of_the_right_type():
 
 
 class _ProposingCopy(engine.CopyHandle):
-    """The rado tagged class over fix {1, 2} above 600, with a chosen
-    proposal rule; no member of a typeset over a nonempty sockel lies in
+    """The rado tagged class over fix {1, 2} with one-tag 10, so nothing
+    else at or below 600 is inside, with a chosen proposal rule; no member of a typeset over a nonempty sockel lies in
     the first 200 points."""
 
     def __init__(self, propose):
         rado = get_structure("rado")
         super().__init__(rado)
-        self.inner = TaggedCopyRado(rado, {1, 2}, 600, (10,), (11,))
+        self.inner = TaggedCopyRado(rado, {1, 2}, (10,), (11,))
         self.propose = propose
 
     def membership(self, x):
@@ -827,7 +833,7 @@ class _ProposingCopy(engine.CopyHandle):
 
 
 @pytest.mark.parametrize("propose", [
-    lambda h, ftup, x: 600,  # at the floor: outside the copy
+    lambda h, ftup, x: 600,  # below the one-tag bit: outside the copy
     lambda h, ftup, x: h.witness(ftup, x) | 1 << h.zeros[0],  # outside
     lambda h, ftup, x: h.witness(ftup, x) ^ (1 << ftup[0] if ftup else 0),
     lambda h, ftup, x: ftup[0] if ftup else None,  # in the sockel

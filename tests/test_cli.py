@@ -484,6 +484,30 @@ def test_negative_interval_index_is_a_precondition_error(capsys, argv):
     assert json.loads(out.splitlines()[-1])["error"] == "precondition"
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed-powerset", "--structure", "dlo", "--set", "0,a"],
+    ["certify", "inclusion", "--structure", "dlo", "--set", "0,a"],
+    ["certify", "inclusion", "--structure", "dlo", "--set2", "0,a"],
+], ids=["set", "inclusion-set", "inclusion-set2"])
+def test_bad_interval_index_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "jsonl")
+    assert code == 1
+    assert err == "error: expected a natural, got 'a'\n"
+    assert json.loads(out.splitlines()[-1]) == {
+        "error": "precondition", "message": "expected a natural, got 'a'"}
+
+
+def test_verify_refutes_the_planted_interval_union(capsys):
+    code, out, _ = run(capsys, "verify", "--structure", "dlo",
+                       "--format", "jsonl")
+    assert code == 0
+    planted = [rec for rec in map(json.loads, out.splitlines())
+               if rec.get("verdict") == "fail"]
+    assert [rec["params"]["copy"] for rec in planted] == \
+        ["dlo intervals [-1,-1] (0,+inf)"]
+    assert planted[0]["counterexample"]["sockel"] == ["-1"]
+
+
 def _fresh_modules(code):
     """The copyposet, structure and dataclasses modules loaded after
     running ``code`` in a fresh interpreter."""

@@ -2,7 +2,9 @@
 
 import ast
 import hashlib
+import importlib
 import json
+import pkgutil
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -18,6 +20,7 @@ from copyposet.errors import (
     SearchBudgetError,
     UnsupportedConstructionError,
 )
+import copyposet
 from copyposet import certify, closures, core, engine, typesets
 from copyposet.core import (IN, OUT, UNKNOWN, CutCopy, FinitenessAnswer,
                             Membership)
@@ -409,6 +412,7 @@ def test_only_a_back_and_forth_parent_keeps_the_search(dlo):
     ("pairs", fs()),
     ("pureset", fs({3, 4})),
     ("equiv", fs({(0, 1), (2, 2)})),
+    ("dlo", fs({F(-3), F(0), F(1, 2), F(7)})),
 ])
 def test_disjoint_pair_meets_in_closure(sid, fix):
     st = get_structure(sid)
@@ -428,9 +432,47 @@ def test_disjoint_pair_meets_in_closure(sid, fix):
 # {0, 5}: both sides' copy checks, which name each side, and the pair's
 # disjointness check, one sorted JSON line each.  Pinned when rado's
 # through, avoiding and chain copies became cofinite: the tagged pairs
-# kept their bytes
+# kept their bytes.  Re-pinned when the tagged class lost its floor and the
+# pair over {} became tagged classes: all nine records changed only in the
+# side descriptions
 PINNED_RADO_DISJOINT_PAIRS_SHA256 = \
-    "dc87f99577afbda5d9c37397199670a6b4a3b93986e2ab44574fb345937e6599"
+    "d18907dc0bdc12094fcdc9c24d34f6c39a6a0eea710a5b868c59b7aa742015aa"
+
+
+@pytest.mark.parametrize("sid,fix,left,right", [
+    ("dlo", (), "dlo intervals (-inf,0)", "dlo intervals (0,+inf)"),
+    ("dlo", ("0", "1/2"), "dlo intervals (-1/4,0] (1/4,1/2] (3/4,+inf)",
+     "dlo intervals (-inf,-1/4) [0,1/4) [1/2,3/4)"),
+    ("rado", (), "rado tagged-class ones=[1] zeros=[0] fix={}",
+     "rado tagged-class ones=[0, 1] zeros=[] fix={}"),
+    ("rado", ("3",), "rado tagged-class ones=[2] zeros=[8] fix={3}",
+     "rado tagged-class ones=[8] zeros=[2] fix={3}"),
+], ids=["dlo", "dlo-over-0,1/2", "rado", "rado-over-3"])
+def test_disjoint_pair_sides_describe_their_parameters(sid, fix, left, right):
+    st = get_structure(sid)
+    pair = engine.disjoint_pair(st, fs(map(st.decode, fix)))
+    assert [side.describe() for side in pair] == [left, right]
+
+
+def test_rado_pair_over_nothing_is_the_split_mod_4():
+    left, right = engine.disjoint_pair(get_structure("rado"), fs())
+    for x in range(64):
+        assert left.membership(x).is_in == (x % 4 == 2)
+        assert right.membership(x).is_in == (x % 4 == 3)
+
+
+def test_closed_form_handle_classes_are_few():
+    # one handle per closed-form family, besides the union and the search
+    for info in pkgutil.walk_packages(copyposet.__path__, "copyposet."):
+        importlib.import_module(info.name)
+    found, todo = set(), [core.CopyHandle]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("copyposet."):
+                found.add(cls.__name__)
+    assert found == {"CutCopy", "RuleCopy", "UnionCopy", "BackForthCopy",
+                     "TaggedCopyRado", "IntervalCopyDLO", "IntervalsCopyDLO"}
 
 
 def test_rado_disjoint_pair_bytes_are_pinned():
@@ -489,8 +531,8 @@ def test_rado_copy_inside_a_residue_side_is_cut():
     side = engine.disjoint_pair(rado, ())[0]
     c = engine.copy_through(rado, {2}, side, proper=True)
     assert type(c) is CutCopy
-    assert c.describe() == \
-        "cofinite avoid={6} inside rado residue-class 2 (mod 4)"
+    assert c.describe() == ("cofinite avoid={6} inside "
+                            "rado tagged-class ones=[1] zeros=[0] fix={}")
     assert certify.check_copy(c, 8, 2, 200).verdict == "pass"
 
 
@@ -906,6 +948,22 @@ def test_undecided_membership_is_one_constant(dlo):
     undecided = [x for x in dlo.prefix(20) if c.membership(x).is_unknown]
     assert undecided and all(c.membership(x) is UNKNOWN for x in undecided)
     assert engine.UnionCopy(dlo, [c]).membership(undecided[0]) is UNKNOWN
+
+
+def test_decide_window_decides_the_members_of_a_union(dlo):
+    def member():
+        return engine.BackForthCopy(dlo, avoid=[dlo.decode("1")])
+
+    alone = engine.decide_window(member(), 8)
+    want = [alone.membership(x) for x in dlo.prefix(8)]
+    assert UNKNOWN not in want
+    u = engine.decide_window(engine.union_chain([member()]), 8)
+    assert [u.membership(x) for x in dlo.prefix(8)] == want
+    # a cut copy inside the union decides it the same way
+    cut = engine.decide_window(
+        CutCopy(dlo, [dlo.decode("2")], engine.union_chain([member()])), 8)
+    assert [cut.membership(x) for x in dlo.prefix(8)] == \
+        [OUT if x == 2 else m for x, m in zip(dlo.prefix(8), want)]
 
 
 def test_value_types_are_immutable_values():
