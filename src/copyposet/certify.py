@@ -6,8 +6,9 @@ orbit witness landing in the copy.  Verdicts are three-valued; unknown
 carries the unresolved obligations instead of silently passing.  A
 typeset depends on the structure, the sockel and the point, never on the
 copy, so each sockel's type classes are a table (``core.type_classes``)
-that every check on the structure shares, and that ``bernstein_base``
-reads too; an obligation asks only the members of its class.  The
+that every check on the structure shares, and that ``bernstein_base``,
+the default typeset stream and the rank search read too; an obligation
+asks only the members of its class.  The
 enumeration points, their encodings and the window sockels are shared too.
 
 brute_same_type and brute_extendable re-derive orbit equality from each
@@ -189,11 +190,12 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     The typeset of x over F is x's orbit under the stabilizer of F, so it
     depends on the structure, F and x, never on the copy.  Each sockel's
     type classes are a table kept across calls (``core.type_classes``,
-    shared with ``engine.bernstein_base``): the class of each enumeration
-    index, computed with one type key per index the first time any caller
-    reads that far.  An obligation asks only the members of x's class,
-    and each class is settled once per sockel: a later point of the class
-    reuses the outcome of the first.  Each enumeration point is read once
+    shared with ``engine.bernstein_base``, the default typeset stream and
+    the rank search): the class of each enumeration index, computed with
+    one type key per index the first time any caller reads that far.  An
+    obligation asks only the members of x's class, and each class is
+    settled once per sockel: a later point of the class reuses the outcome
+    of the first.  Each enumeration point is read once
     per process, into the structure's shared prefix (``_prefix``), and
     within one call each point's membership is asked at most once
     (``_Check``).  When no scanned member of an infinite typeset is inside

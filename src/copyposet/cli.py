@@ -50,6 +50,26 @@ def split_points(text):
     return [s for s in items if s]
 
 
+# the flags whose value is a point or a point list
+_POINT_FLAGS = frozenset(("--sockel", "--rep", "--base", "--fix", "--avoid",
+                          "--set", "--set2"))
+
+
+def attach_point_values(argv):
+    """``argv`` with each point flag's value that starts with a minus sign
+    and a digit or a point attached to its flag, as in ``--fix=-3,0``:
+    argparse takes a separate such token for a flag unless it reads as one
+    negative number."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _POINT_FLAGS and tok[:1] == "-" \
+                and (tok[1:2].isdigit() or tok[1:2] == "."):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def parse_points(st, text):
     return [st.decode(tok) for tok in split_points(text)]
 
@@ -473,7 +493,8 @@ def _run(args, out):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        attach_point_values(sys.argv[1:] if argv is None else argv))
     if args.depth < 1 or args.budget < args.depth:
         parser.error("need depth >= 1 and budget >= depth")
     if args.sockel_cap < 0:

@@ -199,15 +199,17 @@ class CutCopy(CopyHandle):
 
 class TypeClasses:
     """The type classes over one listed sockel ``ftup``, shared by every
-    caller on the structure (``check_copy`` and ``bernstein_base``):
-    ``ids[i]`` is the class of enumeration index i, or -1 for a point of
-    the sockel.  Classes are numbered in the order the enumeration meets
-    them, so no id depends on hashing and each class's first index is its
-    rep.  The table grows one type key per index, and only as far as a
-    caller reads it.  ``drawn`` maps a class asked for by ``members`` to
-    the members of its typeset read so far, a plain list: a class's
-    typeset is the orbit of its rep under the stabilizer of the sockel, so
-    it depends on nothing but the structure and the sockel."""
+    caller on the structure: ``check_copy``, ``bernstein_base``, the
+    default ``Structure.typeset_iter`` stream, and the rank search's probe
+    typesets and ``continuation_partition``.  ``ids[i]`` is the class of
+    enumeration index i, or -1 for a point of the sockel.  Classes are
+    numbered in the order the enumeration meets them, so no id depends on
+    hashing or on the listing, and each class's first index is its rep.
+    The table grows one type key per index, and only as far as a caller
+    reads it.  ``drawn`` maps a class asked for by ``members`` to the
+    members of its typeset read so far, a plain list: a class's typeset is
+    the orbit of its rep under the stabilizer of the sockel, so it depends
+    on nothing but the structure and the sockel."""
 
     __slots__ = ("structure", "ftup", "ids", "keys", "drawn")
 
@@ -240,6 +242,42 @@ class TypeClasses:
                 return len(ids) - 1
         return None
 
+    def find(self, key, budget, point):
+        """The class whose type key over ``ftup`` is ``key``, growing the
+        table below ``budget`` until it meets the class; None when it
+        reaches ``budget`` first."""
+        keys = self.keys
+        c = keys.get(key)
+        while c is None and len(self.ids) < budget:
+            self.grow(point)
+            c = keys.get(key)
+        return c
+
+    def indices(self, c, budget, point):
+        """Stream the indices of class c below ``budget``, in order: those
+        in the table, then those it grows to past what any caller read."""
+        ids = self.ids
+        j = 0
+        while True:
+            try:
+                j = ids.index(c, j, budget)
+            except ValueError:
+                # no index of c in [j, len(ids)): read on
+                j = self.grow_to(c, budget, point)
+                if j is None:
+                    return
+            yield j
+            j += 1
+
+    def among(self, key, points):
+        """The members of the class whose type key is ``key`` among
+        ``points``, the first len(points) enumeration points, in order."""
+        ids = self.ids
+        while len(ids) < len(points):
+            self.grow(points.__getitem__)
+        c = self.keys.get(key)
+        return [y for y, d in zip(points, ids) if d == c]
+
     def members(self, c, rep):
         """The members of class c's typeset, ``rep`` one of them, in
         enumeration order: those read before, then those of a
@@ -254,7 +292,9 @@ class TypeClasses:
             yield m
 
 
-# one copy-certify round of the benchmark touches 370 tables; the
-# Bernstein bases of one orbit-scan round touch 274 (106 on rado at depth
-# 14, 56 on each of dlo, equiv and pureset at depth 10)
+# one copy-certify round of the benchmark touches 432 tables, 3 of them
+# read by the rank searches of its closures; one orbit-scan round touches
+# 277: 274 for its Bernstein bases (106 on rado at depth 14, 56 on each of
+# dlo, equiv and pureset at depth 10), whose dlo tables its typeset streams
+# read too, and 3 for its rank searches
 type_classes = lru_cache(maxsize=512)(TypeClasses)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from itertools import islice
 
+from .. import core
 from ..core import finite_answer, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
 
@@ -224,17 +225,30 @@ class Structure:
         """Members of the typeset of <sockel |> x> in enumeration order.
 
         For finite typesets the stream is exact and exhausts; for infinite
-        ones it is the on-demand witness stream.  This default scans the
-        enumeration; a structure may override it with a closed form, which
-        must yield the same members in the same enumeration order."""
+        ones it is the on-demand witness stream.  This default reads x's
+        class from the sockel's shared type-class table
+        (``core.type_classes``, the sockel listed in enumeration order), so
+        it keys only x and the enumeration points past what any caller of
+        the table has read; a structure may override it with a closed form,
+        which must yield the same members in the same enumeration order."""
         self.check_same_type_pre(sockel, x, x)
         fin = self.typeset_finite(sockel, x)
         if fin.is_finite:
             for y in self.sort_points(fin.members):
                 yield y
             return
-        yield from self.typeset_in(
-            sockel, x, map(self.point_at, range(_SCAN_CAP + 1)))
+        try:
+            ftup = tuple(sockel) if len(sockel) < 2 else \
+                tuple(self.sort_points(sockel))
+        except SearchBudgetError:
+            # a sockel point past the enumeration scan cap has no index:
+            # list the sockel as the set iterates, in a table of its own
+            ftup = tuple(sockel)
+        table = core.type_classes(self, ftup)
+        point_at, cap = self.point_at, _SCAN_CAP + 1
+        c = table.find(self.type_key(ftup, x), cap, point_at)
+        if c is not None:
+            yield from map(point_at, table.indices(c, cap, point_at))
         raise SearchBudgetError(
             "typeset stream scan cap exceeded",
             blocking=({a: a for a in sockel}, x), scanned=_SCAN_CAP + 1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import chain, combinations, permutations
 from math import comb, factorial
 
+from . import core
 from .core import Frozen
 from .errors import PreconditionError
 
@@ -87,8 +88,8 @@ def continuation_partition(structure, t, ext_sockel, depth):
     ext = frozenset(ext_sockel)
     if not t.sockel_set() <= ext:
         raise PreconditionError("extended sockel must contain the sockel")
-    members = structure.typeset_in(t.sockel_set(), t.rep,
-                                   structure.prefix(depth))
+    members = core.type_classes(structure, t.sockel).among(
+        structure.type_key(t.sockel, t.rep), structure.prefix(depth))
     pool = [q for q in members if q not in ext]
     return [make_type(structure, ext, rep)
             for _, rep in _class_reps(structure, tuple(ext), pool)]
@@ -110,7 +111,9 @@ def _class_reps(structure, ftup, pool):
 class _RankSearch:
     """Sockels travel as tuples in enumeration order, and a class is named
     by its type key over that listing, so every rep of a class shares one
-    memo entry."""
+    memo entry.  A class's members in the probe window are read from the
+    sockel's shared type-class table (``core.type_classes``), so a later
+    search on the structure keys no probe point again."""
 
     def __init__(self, structure, window):
         self.structure = structure
@@ -137,10 +140,10 @@ class _RankSearch:
         memo_key = (ftup, key, k)
         answer = self._memo.get(memo_key)
         if answer is None:
-            answer = self._memo[memo_key] = self._bound(ftup, rep, k)
+            answer = self._memo[memo_key] = self._bound(ftup, key, rep, k)
         return answer
 
-    def _bound(self, ftup, rep, k):
+    def _bound(self, ftup, key, rep, k):
         st = self.structure
         sockel = frozenset(ftup)
         fin = st.typeset_finite(sockel, rep)
@@ -162,9 +165,9 @@ class _RankSearch:
         candidates = chain([(rep,)], (
             added for size in range(1, DEFAULT_SOCKEL_EXTENSION_CAP + 1)
             for added in combinations(window_pts, size) if added != (rep,)))
-        # the probe-window typeset is filtered once per call; each candidate
+        # the probe-window typeset is read once per call; each candidate
         # streams its continuation classes only up to the first failing one
-        members = list(st.typeset_in(sockel, rep, st.prefix(self.probe)))
+        members = core.type_classes(st, ftup).among(key, st.prefix(self.probe))
         # Refute first at k = 1: a continuation has rank 0 exactly when its
         # typeset is finite, a property of its class.  The point that
         # refuted the last candidate is a member here; if it lies off the

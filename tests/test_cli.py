@@ -484,6 +484,38 @@ def test_negative_interval_index_is_a_precondition_error(capsys, argv):
     assert json.loads(out.splitlines()[-1])["error"] == "precondition"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["disjoint", "--structure", "dlo"], "--fix", "-3,0,1/2,7"),
+    (["typeset", "--structure", "dlo", "--rep", "1/4"], "--sockel",
+     "-1/2,1"),
+    (["typeset", "--structure", "dlo", "--sockel", "0"], "--rep", "-2/3"),
+    (["copy", "--structure", "dlo", "--kind", "avoiding", "--certify",
+      "--depth", "8"], "--avoid", "-1,-1/2"),
+    (["closure", "ac", "--structure", "zorder"], "--base", "-3,0"),
+    (["embed-powerset", "--structure", "dlo"], "--set", "-1,2"),
+    (["certify", "inclusion", "--structure", "dlo", "--set", "0"],
+     "--set2", "-1,2"),
+], ids=["fix", "sockel", "rep", "avoid", "base", "set", "set2"])
+def test_point_list_may_start_with_a_negative_entry(capsys, argv, flag,
+                                                    value):
+    # argparse would read "-3,0,..." as a flag; the value is attached to
+    # its flag instead, so both spellings give the same bytes
+    apart = run(capsys, *argv, flag, value, "--format", "jsonl")
+    attached = run(capsys, *argv, "%s=%s" % (flag, value), "--format",
+                   "jsonl")
+    assert apart == attached
+    code, out, err = apart
+    if flag.startswith("--set"):
+        message = "interval copies are indexed by naturals, got -1"
+        assert code == 1
+        assert err == "error: %s\n" % message
+        assert json.loads(out.splitlines()[-1]) == {
+            "error": "precondition", "message": message}
+    else:
+        assert code == 0, err
+        assert value.split(",")[0] in out
+
+
 @pytest.mark.parametrize("argv", [
     ["embed-powerset", "--structure", "dlo", "--set", "0,a"],
     ["certify", "inclusion", "--structure", "dlo", "--set", "0,a"],

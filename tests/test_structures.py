@@ -5,12 +5,13 @@ import pickle
 import random
 from decimal import Context
 from fractions import Fraction as F
-from itertools import combinations, islice, product, takewhile
+from itertools import combinations, count, islice, product, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet import PreconditionError, certify
+from copyposet import IN, UNKNOWN, PreconditionError, certify, core, engine
+from copyposet.core import CopyHandle
 from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.dlo import Rational
@@ -451,11 +452,98 @@ def test_typeset_scan_caps_name_their_obligation(monkeypatch):
         list(dlo.typeset_iter(fs({F(0), F(1, 8)}), F(1, 16)))
     assert err.value.blocking == ({F(0): F(0), F(1, 8): F(1, 8)}, F(1, 16))
     assert err.value.scanned == 21
+    # the sockel's shared table grown by another caller past the cap, to
+    # the first member of the class: the stream still reads no further
+    # than the cap, so it yields nothing before the same error
+    ftup = (F(0), F(1, 8))
+    table = core.type_classes(dlo, ftup)
+    while dlo.type_key(ftup, F(1, 16)) not in table.keys:
+        table.grow(dlo.point_at)
+    assert len(table.ids) > 21
+    got = []
+    with pytest.raises(SearchBudgetError) as err:
+        got.extend(dlo.typeset_iter(fs({F(0), F(1, 8)}), F(1, 16)))
+    assert got == []
+    assert err.value.blocking == ({F(0): F(0), F(1, 8): F(1, 8)}, F(1, 16))
+    assert err.value.scanned == 21
     monkeypatch.setattr(rado, "_SCAN_CAP", 2)
     with pytest.raises(SearchBudgetError) as err:
         list(islice(get_structure("rado").typeset_iter(fs({1000}), 1), 8))
     assert err.value.blocking == ({1000: 1000}, 1)
     assert err.value.scanned == 3
+
+
+class _UndecidedPast(CopyHandle):
+    """Every point of ``inside`` in, every other undecided: a check of it
+    settles no obligation, so it grows the table of each window sockel to
+    its budget for every class it meets."""
+
+    def __init__(self, structure, inside):
+        super().__init__(structure)
+        self.inside = frozenset(inside)
+
+    def membership(self, x):
+        return IN if x in self.inside else UNKNOWN
+
+
+def _listed_two_ways(sockel):
+    """The sockel as two sets, its points added in opposite orders."""
+    ways = []
+    for pts in (sockel, sockel[::-1]):
+        s = set()
+        for p in pts:
+            s.add(p)
+        ways.append(s)
+    return ways
+
+
+def test_typeset_stream_matches_the_enumeration_scan(structure):
+    # the first 8 members of the stream, read from the shared type-class
+    # tables, against typeset_in over the enumeration: with no table kept,
+    # with tables check_copy and bernstein_base grew first, and with the
+    # sockel given as sets built in either order
+    st = structure
+    cases = [(f, x) for k in range(3) for f in combinations(st.prefix(6), k)
+             for x in st.prefix(8) if x not in f]
+    want = {}
+    for f, x in cases:
+        got = list(islice(st.typeset_iter(fs(f), x), 8))
+        if len(got) < 8:
+            assert st.typeset_finite(fs(f), x).members == tuple(got), (f, x)
+        want[f, x] = list(islice(st.typeset_in(
+            fs(f), x, map(st.point_at, count())), len(got)))
+
+    def streams():
+        return {(f, x): list(islice(st.typeset_iter(s, x), 8))
+                for f, x in cases for s in _listed_two_ways(f)}
+
+    core.type_classes.cache_clear()
+    assert streams() == want
+    core.type_classes.cache_clear()
+    certify.check_copy(_UndecidedPast(st, st.prefix(6)), 8, 2, 200)
+    if st.stabilizer_orbits_all_infinite:
+        engine.bernstein_base(st, 8)
+    assert core.type_classes.cache_info().currsize >= 22
+    assert streams() == want
+
+
+def test_typeset_stream_over_a_sockel_point_with_no_index(monkeypatch):
+    # a treetz point past the enumeration scan cap has no index, so the
+    # sockel cannot be listed in enumeration order: the stream still reads
+    # its members, from a table listed as the set iterates
+    from copyposet.structures import base
+    from copyposet.structures.treetz import TreeTZ
+
+    monkeypatch.setattr(base, "_SCAN_CAP", 50)
+    st = TreeTZ()  # fresh enumeration caches
+    far, root = st.decode("L25:[]"), st.decode("L0:[]")
+    with pytest.raises(SearchBudgetError):
+        st.index_of(far)
+    x = st.decode("L1:[1:1]")
+    want = list(st.typeset_in(fs({far, root}), x, st.prefix(51)))
+    assert len(want) >= 3
+    for sockel in _listed_two_ways([far, root]):
+        assert list(islice(st.typeset_iter(sockel, x), len(want))) == want
 
 
 # -- unranked witnesses ----------------------------------------------------------

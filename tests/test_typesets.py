@@ -282,6 +282,19 @@ def test_rank_search_work_bound(monkeypatch):
     assert len(counts["type_key"]) <= 200
 
 
+def test_second_typeset_read_keys_only_the_rep(monkeypatch):
+    # the default stream reads the class of the rep from the sockel's
+    # shared type-class table: a second read of the same type keys the rep
+    # and no enumeration point (each read keyed every point it scanned
+    # when the stream filtered the enumeration)
+    dlo = get_structure("dlo")
+    t = ts.make_type(dlo, {F(0), F(1, 2)}, F(1, 4))
+    first = ts.typeset_members(dlo, t, 8)
+    type_key = _count_calls(monkeypatch, type(dlo), "type_key")
+    assert ts.typeset_members(dlo, t, 8) == first
+    assert len(type_key) <= 1
+
+
 def test_profile_stabilizes_for_oligomorphic():
     dlo = get_structure("dlo")
     assert ts.oligomorphic_profile(dlo, 2, 8) == \
