@@ -55,19 +55,39 @@ _POINT_FLAGS = frozenset(("--sockel", "--rep", "--base", "--fix", "--avoid",
                           "--set", "--set2"))
 
 
-def attach_point_values(argv):
+def attach_point_values(argv, parser):
     """``argv`` with each point flag's value that starts with a minus sign
     and a digit or a point attached to its flag, as in ``--fix=-3,0``:
     argparse takes a separate such token for a flag unless it reads as one
-    negative number."""
+    negative number.  The flag may be abbreviated as argparse allows, to a
+    prefix of no other long flag of its command; an ambiguous prefix is
+    left for argparse to reject."""
+    # argparse keeps the commands' parsers and their flags only in
+    # private fields
+    commands = parser._subparsers._group_actions[0].choices
+    flags = ()
     out = []
     for tok in argv:
-        if out and out[-1] in _POINT_FLAGS and tok[:1] == "-" \
-                and (tok[1:2].isdigit() or tok[1:2] == "."):
+        if out and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == ".") \
+                and _point_flag(out[-1], flags):
             out[-1] += "=" + tok
-        else:
-            out.append(tok)
+            continue
+        if not flags and tok in commands:
+            flags = [f for f in commands[tok]._option_string_actions
+                     if f.startswith("--")]
+        out.append(tok)
     return out
+
+
+def _point_flag(tok, flags):
+    """True iff argparse reads ``tok`` as a point flag among the long
+    ``flags``: the flag itself, or a prefix of it and of no other flag."""
+    if tok not in flags:
+        matches = [f for f in flags if f.startswith(tok)]
+        if len(matches) != 1:
+            return False
+        tok = matches[0]
+    return tok in _POINT_FLAGS
 
 
 def parse_points(st, text):
@@ -493,8 +513,8 @@ def _run(args, out):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(
-        attach_point_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(attach_point_values(
+        sys.argv[1:] if argv is None else argv, parser))
     if args.depth < 1 or args.budget < args.depth:
         parser.error("need depth >= 1 and budget >= depth")
     if args.sockel_cap < 0:

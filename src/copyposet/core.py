@@ -1,12 +1,12 @@
 """Shared value types: finiteness answers, memberships, and the copy-handle
 interface whose memberships they are, with the cut copy (the identity is
-the cut copy with no roots); and the type-class tables that check_copy and
-bernstein_base share."""
+the cut copy with no roots); and the per-structure tables its callers
+share: the type classes over a sockel, and the orbit census on m-tuples."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice, permutations
 
 from .errors import SearchBudgetError
 
@@ -296,5 +296,52 @@ class TypeClasses:
 # read by the rank searches of its closures; one orbit-scan round touches
 # 277: 274 for its Bernstein bases (106 on rado at depth 14, 56 on each of
 # dlo, equiv and pureset at depth 10), whose dlo tables its typeset streams
-# read too, and 3 for its rank searches
+# read too, and 3 for its rank searches.  A rank search keeps its answers
+# in the search shared per (structure, window) (``typesets.rank_search``),
+# so a warm orbit-scan round reads 276: its rank queries read only the
+# tables over nothing, to find their reps canonical
 type_classes = lru_cache(maxsize=512)(TypeClasses)
+
+
+class OrbitCensus:
+    """The orbits of G on injective m-tuples met in the windows U_w of one
+    structure.  ``counts[w]`` is the number met in U_w, and ``keys`` holds
+    the orbit keys met so far.  The census grows one point at a time: for
+    a new last point u_j it walks the (m-1)-subsets of U_j in
+    ``combinations`` order, each with u_j appended, so every subset of U_w
+    comes before any other.  Only a subset whose listed key is new has its
+    m! orderings keyed: a subset with a known key is g.(s.A) for an
+    ordering s of a subset A keyed before, so each of its orderings t is
+    g.((t s).A), already keyed (F*_m <= m! f_m, Cameron, Oligomorphic
+    Permutation Groups).  This needs only that ``orbit_key`` is a complete
+    orbit invariant."""
+
+    __slots__ = ("structure", "m", "keys", "counts")
+
+    def __init__(self, structure, m):
+        self.structure = structure
+        self.m = m
+        self.keys = set()
+        self.counts = [0]
+
+    def count(self, w):
+        """The number of orbits on injective m-tuples from U_w."""
+        counts = self.counts
+        if w >= len(counts):
+            st, keys = self.structure, self.keys
+            orbit_key = st.orbit_key
+            pts = st.prefix(w)
+            for j in range(len(counts) - 1, w):
+                last = (pts[j],)
+                for sub in combinations(pts[:j], self.m - 1):
+                    sub += last
+                    if orbit_key(sub) not in keys:
+                        keys.update(map(orbit_key, permutations(sub)))
+                counts.append(len(keys))
+        return counts[w]
+
+
+# one census per (structure, arity): the profiles of arity up to 4 on the
+# nine built-ins need 36, so none of them is evicted (an orbit-scan round
+# of the benchmark reads 20)
+orbit_census = lru_cache(maxsize=64)(OrbitCensus)

@@ -10,7 +10,8 @@ never from search failure.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, permutations
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb, factorial
 
 from . import core
@@ -110,10 +111,17 @@ def _class_reps(structure, ftup, pool):
 
 class _RankSearch:
     """Sockels travel as tuples in enumeration order, and a class is named
-    by its type key over that listing, so every rep of a class shares one
-    memo entry.  A class's members in the probe window are read from the
-    sockel's shared type-class table (``core.type_classes``), so a later
-    search on the structure keys no probe point again."""
+    by its type key over that listing.  A class's members in the probe
+    window are read from the sockel's shared type-class table
+    (``core.type_classes``), so a later search on the structure keys no
+    probe point again.
+
+    An answer depends on the rep it was computed for, which is its own
+    first candidate extension.  So the memo keeps only answers computed
+    for a class's canonical rep, its enum-least member in the probe
+    window: every sub-search passes that rep (``_class_reps`` over the
+    class members), so a memo entry is the same whatever was asked
+    before, and one search can serve every query on its window."""
 
     def __init__(self, structure, window):
         self.structure = structure
@@ -132,18 +140,51 @@ class _RankSearch:
         return tuple(sorted(pts, key=self._index_of))
 
     def bound(self, sockel, rep, k):
+        """The answer for rep's type over ``sockel``.  A leaf answer is
+        found afresh, before the probe window is read, so a query that
+        needs no search reads no more of the enumeration than a fresh
+        search would; a searched answer is kept only when rep is its
+        class's canonical rep."""
         ftup = self._listed(frozenset(sockel))
-        return self._class_bound(ftup, self.structure.type_key(ftup, rep),
-                                 rep, k)
-
-    def _class_bound(self, ftup, key, rep, k):
+        key = self.structure.type_key(ftup, rep)
+        answer = self._leaf(ftup, rep, k)
+        if answer is not None:
+            return answer
+        if not self._is_canonical(ftup, key, rep):
+            return self._search(ftup, key, rep, k)  # over shared entries
         memo_key = (ftup, key, k)
         answer = self._memo.get(memo_key)
         if answer is None:
-            answer = self._memo[memo_key] = self._bound(ftup, key, rep, k)
+            answer = self._memo[memo_key] = self._search(ftup, key, rep, k)
         return answer
 
-    def _bound(self, ftup, key, rep, k):
+    def _is_canonical(self, ftup, key, rep):
+        """True iff rep is the enum-least member of its class in the probe
+        window.  Grows the sockel's table only below rep's index, through
+        the prefix list as ``among`` does."""
+        points = self.structure.prefix(self.probe)
+        try:
+            i = points.index(rep)
+        except ValueError:
+            return False  # past the probe window
+        table = core.type_classes(self.structure, ftup)
+        c = table.find(key, i, points.__getitem__)
+        return c is None or table.ids.index(c) == i
+
+    def _class_bound(self, ftup, key, rep, k):
+        """The memoized answer of a class; ``rep`` is its canonical rep."""
+        memo_key = (ftup, key, k)
+        answer = self._memo.get(memo_key)
+        if answer is None:
+            answer = self._leaf(ftup, rep, k)
+            if answer is None:
+                answer = self._search(ftup, key, rep, k)
+            self._memo[memo_key] = answer
+        return answer
+
+    def _leaf(self, ftup, rep, k):
+        """The answer that needs no search: rank 0 for a finite typeset,
+        certified unranked, or not within k = 0; None otherwise."""
         st = self.structure
         sockel = frozenset(ftup)
         fin = st.typeset_finite(sockel, rep)
@@ -156,6 +197,11 @@ class _RankSearch:
             return RankAnswer(UNRANKED, window=self.window, certified=True)
         if k <= 0:
             return RankAnswer(NOT_WITHIN, bound=k, window=self.window)
+        return None
+
+    def _search(self, ftup, key, rep, k):
+        st = self.structure
+        sockel = frozenset(ftup)
         # candidate extensions come from the window plus the representative
         # itself (the F' = F + {p} pattern; its block may lie past the
         # window).  The rep-pinning extension goes first: it is the move the
@@ -211,11 +257,17 @@ def rank_at_most(structure, t, k, window):
     exhaustive window search, or certified Unranked."""
     if k < 0 or window < len(t.sockel):
         raise PreconditionError("need k >= 0 and window >= |sockel|")
-    return _RankSearch(structure, window).bound(t.sockel_set(), t.rep, k)
+    return rank_search(structure, window).bound(t.sockel_set(), t.rep, k)
 
 
+@lru_cache(maxsize=32)
 def rank_search(structure, window):
-    """A reusable rank engine (shares its memo across queries)."""
+    """The rank engine of one (structure, window), shared by every caller.
+    Its memo keeps only answers computed for a class's canonical rep, its
+    enum-least member in the probe window; a query for any other rep is
+    searched afresh over the memoized sub-answers and not kept.  So every
+    query gets the answer a fresh search would give.  Answers are shared
+    between callers: read a witness, never change it."""
     return _RankSearch(structure, window)
 
 
@@ -234,30 +286,16 @@ def oligomorphic_profile(structure, n, window):
     m-tuple.  So two n-tuples share an orbit iff they share the pattern
     and their m-tuples share an orbit, and the count is the sum over m of
     S(n, m), the Stirling number of the second kind, times the number of
-    orbit classes of injective m-tuples.
-
-    Those classes are counted from the m-subsets of the window, as in
-    F*_m <= m! f_m (Cameron, Oligomorphic Permutation Groups): each orbit
-    on m-sets carries at most m! orbits on injective m-tuples.  The
-    subsets are walked in enumeration order against one set of keys, and
-    only a subset whose listed key is new has all m! orderings keyed.  A
-    subset with a known key is g.(s.A) for an ordering s of a subset A
-    keyed before, so each of its orderings t is g.((t s).A), already
-    keyed.  This needs only that ``orbit_key`` is a complete orbit
-    invariant.
+    orbit classes of injective m-tuples.  Those are read from the
+    structure's orbit census for arity m (``core.orbit_census``), which
+    counts them from the orbits on m-sets and grows with the window, so a
+    repeated profile keys nothing and a wider one keys only the subsets
+    that meet the new points.
 
     Stabilizes as the window grows exactly for the oligomorphic built-ins."""
     if not 1 <= n <= 4:
         raise PreconditionError("profile arity is limited to 1..4")
     if window < n:
         raise PreconditionError("window must be >= n")
-    pts = structure.prefix(window)
-    orbit_key = structure.orbit_key
-    total = 0
-    for m in range(1, n + 1):
-        keys = set()
-        for sub in combinations(pts, m):
-            if orbit_key(sub) not in keys:
-                keys.update(map(orbit_key, permutations(sub)))
-        total += _stirling2(n, m) * len(keys)
-    return total
+    return sum(_stirling2(n, m) * core.orbit_census(structure, m).count(window)
+               for m in range(1, n + 1))

@@ -516,6 +516,32 @@ def test_point_list_may_start_with_a_negative_entry(capsys, argv, flag,
         assert value.split(",")[0] in out
 
 
+@pytest.mark.parametrize("argv, abbrev, flag, value", [
+    (["disjoint", "--structure", "dlo"], "--fi", "--fix", "-3,0"),
+    (["typeset", "--structure", "dlo", "--sockel", "0"], "--r", "--rep",
+     "-2/3"),
+    (["closure", "ac", "--structure", "zorder"], "--ba", "--base", "-3,0"),
+    (["copy", "--structure", "dlo", "--kind", "avoiding", "--depth", "8"],
+     "--av", "--avoid", "-1,-1/2"),
+], ids=["fix", "rep", "base", "avoid"])
+def test_abbreviated_point_flag_takes_a_negative_entry(capsys, argv, abbrev,
+                                                       flag, value):
+    # argparse accepts a prefix of exactly one long flag of the command;
+    # the value goes with the flag it abbreviates, as with the full name
+    apart = run(capsys, *argv, abbrev, value, "--format", "jsonl")
+    assert apart == run(capsys, *argv, "%s=%s" % (flag, value), "--format",
+                        "jsonl")
+    assert apart[0] == 0, apart[2]
+
+
+def test_ambiguous_point_flag_keeps_the_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["typeset", "--structure", "dlo", "--so", "-1", "--rep",
+                  "0"])
+    assert exit_info.value.code == 2
+    assert "ambiguous option: --so could match" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["embed-powerset", "--structure", "dlo", "--set", "0,a"],
     ["certify", "inclusion", "--structure", "dlo", "--set", "0,a"],

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -156,10 +157,22 @@ PINNED_RANKS_SHA256 = (
     "abc815e5e959fdb15edeabefaa0d9548137141be6d77f417f2ab982a861ddafd")
 
 
-def _rank_records():
+def _rank_queries():
     """rank_at_most over sockels of size <= 2 and reps in U_6, k in 0..2 and
     windows 4 and 8, then ranked_closure over U_0, U_1 and U_2, for every
-    built-in structure."""
+    built-in structure: one thunk per record."""
+    def rank(st, sockel, rep, k, window):
+        a = ts.rank_at_most(st, ts.make_type(st, sockel, rep), k, window)
+        return [st.structure_id, [st.encode(p) for p in sockel],
+                st.encode(rep), k, window, a.kind, a.bound, a.certified,
+                a.witness]
+
+    def closure(st, n):
+        rc = closures.ranked_closure(st, st.prefix(n),
+                                     closures.DEFAULT_MAXRANK, 8)
+        return [st.structure_id, n, [st.encode(p) for p in rc.members],
+                rc.exact, list(rc.certificates)]
+
     for sid in BUILTIN_IDS:
         st = get_structure(sid)
         pts = st.prefix(6)
@@ -168,18 +181,22 @@ def _rank_records():
                 for rep in pts:
                     if rep in sockel:
                         continue
-                    t = ts.make_type(st, sockel, rep)
                     for k in (0, 1, 2):
                         for window in (4, 8):
-                            a = ts.rank_at_most(st, t, k, window)
-                            yield [sid, [st.encode(p) for p in sockel],
-                                   st.encode(rep), k, window, a.kind,
-                                   a.bound, a.certified, a.witness]
+                            yield partial(rank, st, sockel, rep, k, window)
         for n in (0, 1, 2):
-            rc = closures.ranked_closure(st, st.prefix(n),
-                                         closures.DEFAULT_MAXRANK, 8)
-            yield [sid, n, [st.encode(p) for p in rc.members], rc.exact,
-                   list(rc.certificates)]
+            yield partial(closure, st, n)
+
+
+def _rank_records():
+    return (query() for query in _rank_queries())
+
+
+def _clear_tables():
+    """Forget every per-structure table, so the next call works cold."""
+    core.type_classes.cache_clear()
+    core.orbit_census.cache_clear()
+    ts.rank_search.cache_clear()
 
 
 def test_rank_answers_are_pinned():
@@ -187,6 +204,32 @@ def test_rank_answers_are_pinned():
     for rec in _rank_records():
         digest.update(json.dumps(rec, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == PINNED_RANKS_SHA256
+
+
+def test_shared_rank_memo_does_not_depend_on_call_history():
+    # the shared search keeps only canonical-rep answers, so the sweep
+    # asked backwards gives every record it gives forwards
+    queries = list(_rank_queries())
+    _clear_tables()
+    forward = [query() for query in queries]
+    _clear_tables()
+    backward = [query() for query in reversed(queries)]
+    backward.reverse()
+    assert len(forward) == 5_184 + 27
+    for a, b in zip(forward, backward):
+        assert a == b
+
+
+def test_rank_of_a_second_rep_keeps_its_own_witness():
+    # (0,1) shares the class of (0,0) over nothing but is not its
+    # canonical rep: its answer pins (0,1) itself, whatever came before
+    z2 = get_structure("zeta2")
+    _clear_tables()
+    first = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 0)), 2, 8)
+    second = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 1)), 2, 8)
+    assert first.witness["extension"] == ["(0,0)"]
+    assert second.is_at_most and second.bound == 2
+    assert second.witness["extension"] == ["(0,1)"]
 
 
 # -- oligomorphic profiles ---------------------------------------------------------
@@ -231,12 +274,14 @@ def test_profile_counts_every_tuple(sid):
 def test_profile_work_bound(monkeypatch):
     # each orbit on m-sets has its m! orderings keyed once, when a subset
     # of the window first meets it (2,721 orbit_key calls over these seven
-    # profiles when every injective tuple was keyed)
+    # profiles when every injective tuple was keyed); each profile is
+    # counted cold
     calls = 0
     for sid, n, window in (("pureset", 4, 6), ("dlo", 3, 8), ("dlo", 4, 5),
                            ("rado", 3, 8), ("equiv", 3, 8), ("pairs", 3, 8),
                            ("zorder", 3, 8)):
         st = get_structure(sid)
+        _clear_tables()
         orbit_key = _count_calls(monkeypatch, type(st), "orbit_key")
         ts.oligomorphic_profile(st, n, window)
         calls += len(orbit_key)
@@ -261,6 +306,7 @@ def test_orbit_work_bounds(monkeypatch):
     assert type_key == []
     for sid, n, window in (("dlo", 3, 8), ("rado", 3, 8), ("pairs", 2, 6)):
         st = get_structure(sid)
+        _clear_tables()
         extendable = _count_calls(monkeypatch, type(st), "extendable")
         ts.oligomorphic_profile(st, n, window)
         assert extendable == []
@@ -273,6 +319,7 @@ def test_rank_search_work_bound(monkeypatch):
     # every candidate scanned its classes and every continuation re-sorted
     # its sockel)
     z2 = get_structure("zeta2")
+    _clear_tables()
     counts = {name: _count_calls(monkeypatch, type(z2), name)
               for name in ("typeset_finite", "index_of", "type_key")}
     a = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 0)), 1, 8)
@@ -280,6 +327,26 @@ def test_rank_search_work_bound(monkeypatch):
     assert len(counts["typeset_finite"]) <= 400
     assert len(counts["index_of"]) <= 20
     assert len(counts["type_key"]) <= 200
+
+
+@pytest.mark.parametrize("sid", BUILTIN_IDS)
+def test_profile_reads_the_census(monkeypatch, sid):
+    # a repeated profile keys nothing, and a wider window keys only the
+    # subsets that meet its new points
+    st = get_structure(sid)
+    _clear_tables()
+    first = ts.oligomorphic_profile(st, 4, 8)
+    orbit_key = _count_calls(monkeypatch, type(st), "orbit_key")
+    assert ts.oligomorphic_profile(st, 4, 8) == first
+    assert orbit_key == []
+    ts.oligomorphic_profile(st, 4, 10)
+    new = set(st.prefix(10)[8:])
+    assert orbit_key and all(new & set(tup) for (tup,) in orbit_key)
+    # a narrower window reads its own count from the grown census
+    for n, w in ((1, 3), (2, 3), (3, 9)):
+        pts = st.prefix(w)
+        assert ts.oligomorphic_profile(st, n, w) == \
+            len({st.orbit_key(t) for t in product(pts, repeat=n)})
 
 
 def test_second_typeset_read_keys_only_the_rep(monkeypatch):
