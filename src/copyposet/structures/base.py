@@ -2,7 +2,8 @@
 
 A Structure presents one countable set U with a fixed canonical enumeration
 u_0, u_1, ... and a decidable calculus for the pointwise stabilizers of its
-automorphism group.  Each structure writes ``orbit_key``, a canonical
+automorphism group.  Each structure writes ``index_of``, the inverse of
+its enumeration in closed form, and ``orbit_key``, a canonical
 invariant of the G-orbit of a tuple, and may write ``type_key``, the key
 of a point's type over a finite sockel (by default the orbit key of the
 sockel followed by the point).  Orbit equality over a sockel
@@ -90,7 +91,6 @@ class Structure:
 
     def __init__(self):
         self._enum_cache = []
-        self._index_cache = {}
 
     # -- enumeration ------------------------------------------------------
 
@@ -120,25 +120,10 @@ class Structure:
         return list(self._enum_cache[:n])
 
     def index_of(self, p):
-        """Position of p in the canonical enumeration (total, by bijectivity).
-
-        This scan of the enumeration is the reference.  A structure may
-        override it with a closed form, which must equal the enumeration
-        on every point.  The point -> index map is built here, on first
-        use, so a structure with a closed form never pays for it."""
-        index, points = self._index_cache, self._enum_cache
-        while True:
-            for i in range(len(index), len(points)):
-                index[points[i]] = i
-            if p in index:
-                return index[p]
-            n = len(points)
-            if n > _SCAN_CAP:
-                raise SearchBudgetError(
-                    "point %r not found within enumeration scan cap" % (p,),
-                    blocking=({}, p), scanned=n)
-            # stop just past the cap: a miss reads the same points always
-            self._grow(min(n + 64, _SCAN_CAP + 1))
+        """Position of p in the canonical enumeration (total, by
+        bijectivity).  Each structure writes it in closed form, equal to
+        the enumeration on every point, so no caller scans for a point."""
+        raise NotImplementedError
 
     def sort_points(self, pts):
         return sorted(pts, key=self.index_of)
@@ -227,23 +212,19 @@ class Structure:
         For finite typesets the stream is exact and exhausts; for infinite
         ones it is the on-demand witness stream.  This default reads x's
         class from the sockel's shared type-class table
-        (``core.type_classes``, the sockel listed in enumeration order), so
-        it keys only x and the enumeration points past what any caller of
-        the table has read; a structure may override it with a closed form,
-        which must yield the same members in the same enumeration order."""
+        (``core.type_classes``, the sockel listed in enumeration order by
+        ``index_of``), so it keys only x and the enumeration points past
+        what any caller of the table has read; a structure may override it
+        with a closed form, which must yield the same members in the same
+        enumeration order."""
         self.check_same_type_pre(sockel, x, x)
         fin = self.typeset_finite(sockel, x)
         if fin.is_finite:
             for y in self.sort_points(fin.members):
                 yield y
             return
-        try:
-            ftup = tuple(sockel) if len(sockel) < 2 else \
-                tuple(self.sort_points(sockel))
-        except SearchBudgetError:
-            # a sockel point past the enumeration scan cap has no index:
-            # list the sockel as the set iterates, in a table of its own
-            ftup = tuple(sockel)
+        ftup = tuple(sockel) if len(sockel) < 2 else \
+            tuple(self.sort_points(sockel))
         table = core.type_classes(self, ftup)
         point_at, cap = self.point_at, _SCAN_CAP + 1
         c = table.find(self.type_key(ftup, x), cap, point_at)
@@ -299,12 +280,10 @@ class Structure:
         map plus source -> c to some g, so its consumer tests no orbit.
 
         Default: the enumeration points whose orbit key over the targets
-        matches the sources', up to the enumeration scan cap.  Structures
-        whose images follow from the map override this with constructed
-        candidates.  It is the only candidate generator a structure
-        writes: back steps read it over the inverse map.  This scan
-        returns the number of points it read when it ends, so a search
-        that finds no image reports them."""
+        matches the sources', up to the enumeration scan cap.  It is the
+        only candidate generator a structure writes: back steps read it
+        over the inverse map.  This scan returns the number of points it
+        read when it ends, so a search that finds no image reports them."""
         orbit_key = self.orbit_key
         want = orbit_key(tuple([s for s, _ in items]) + (source,))
         targets = tuple([t for _, t in items])

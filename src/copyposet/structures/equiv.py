@@ -39,7 +39,7 @@ class EquivInf(Structure):
             raise ValueError("expected class.index, got %r" % s)
         c, i = (decode_field(t, s, "class.index") for t in parts)
         if c < 0 or i < 0:
-            raise ValueError("class and index are naturals")
+            raise ValueError("expected class.index of naturals, got %r" % s)
         return (c, i)
 
     def type_key(self, ftup, x):

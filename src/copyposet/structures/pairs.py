@@ -50,7 +50,7 @@ class PairsAction(Structure):
             raise ValueError("expected {i,j}, got %r" % s)
         i, j = (decode_field(t, s, "{i,j}") for t in parts)
         if i < 0 or j < 0 or i == j:
-            raise ValueError("expected a 2-subset of the naturals")
+            raise ValueError("expected {i,j} of distinct naturals, got %r" % s)
         return frozenset((i, j))
 
     def orbit_key(self, tup):

@@ -28,7 +28,7 @@ class PureSet(Structure):
     def decode(self, s):
         p = decode_field(s, s, "a natural")
         if p < 0:
-            raise ValueError("pureset points are naturals")
+            raise ValueError("expected a natural, got %r" % s)
         return p
 
     def type_key(self, ftup, x):

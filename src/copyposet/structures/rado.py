@@ -49,7 +49,7 @@ class RadoGraph(Structure):
     def decode(self, s):
         p = decode_field(s, s, "a natural")
         if p < 0:
-            raise ValueError("rado vertices are naturals")
+            raise ValueError("expected a natural, got %r" % s)
         return p
 
     def type_key(self, ftup, x):

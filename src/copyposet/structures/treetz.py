@@ -14,10 +14,35 @@ all levels by one constant and preserves the levels of pairwise meets.
 A copy that avoids a node avoids its up-set, since a node's ancestor
 chain is fixed, so the cut copies are the complements of the up-sets of
 finitely many nodes (the images of iterated child-shift embeddings).
+
+The enumeration walks cost shells: node (L, choices) costs |L| plus
+L - i + e for each entry (i, e), and each shell is sorted by (level,
+choices).  Writing an entry at depth d = L - i, the choice sets of cost
+r are the sets of (depth, choice) pairs with distinct depths and cost
+sum(d + e) = r.  Let C(r, k) count those whose depths all lie below k:
+C(0, k) = 1, C(r, 0) = 0 for r > 0, and a set with its deepest entry
+(k - 1, e) leaves cost r - (k - 1) - e to depths below k - 1.  So
+``index_of`` adds the nodes of cheaper shells, the nodes of its shell at
+lower levels, and, entry by entry from the deepest, the choice sets that
+agree with its own so far and then sort first: a deeper entry next (a
+difference of two C values), or the same depth with a smaller choice.
+The counts are kept as running sums over the cost, so each is one or
+two table reads, and the table grows with the largest cost asked for.
+Past cost ``_COST_CAP`` it would hold over 33,000 integers, so
+``index_of`` raises ``SearchBudgetError`` there, as dlo does past its
+Stern-Brocot row cap; such an index is over 2**86.
 """
 
 from ..core import infinite_answer
+from ..errors import SearchBudgetError
 from .base import Structure, decode_field
+
+_COST_CAP = 256
+
+# _SUMS[n][k]: the choice sets of cost at most n whose depths all lie
+# below k, for k <= n (no depth reaches the cost, so k = n counts them
+# all); _BEFORE[c]: the nodes of cost below c
+_SUMS, _BEFORE = [[1]], [0, 1]
 
 
 def trunc(x, lvl):
@@ -59,6 +84,27 @@ def _cost_sets(rem, min_d):
                 yield ((d, e),) + rest
 
 
+def _sums(n, k):
+    return _SUMS[n][min(k, n)] if n >= 0 else 0
+
+
+def _sets(r, k):
+    """C(r, k): the choice sets of cost r whose depths all lie below k."""
+    return _sums(r, k) - _sums(r - 1, k)
+
+
+def _grow_counts(cost):
+    while len(_SUMS) <= cost:
+        r = len(_SUMS)
+        row, sets = [1], 0  # only the empty set has no depth
+        for k in range(1, r + 1):
+            sets += _sums(r - k, k - 1)  # C(r, k) - C(r, k - 1)
+            row.append(_sums(r - 1, k) + sets)
+        _SUMS.append(row)
+        # the shell of cost r: C(r - |L|, r - |L|) sets at each level L
+        _BEFORE.append(_BEFORE[-1] + 2 * row[r] - sets)
+
+
 class TreeTZ(Structure):
     structure_id = "treetz"
     description = "Z-levelled tree, unique predecessor, infinitely many successors"
@@ -81,6 +127,28 @@ class TreeTZ(Structure):
                 yield node
             cost += 1
 
+    def index_of(self, p):
+        lvl, choices = p
+        r = sum(lvl - i + e for i, e in choices)
+        cost = abs(lvl) + r
+        if cost > _COST_CAP:
+            raise SearchBudgetError(
+                "treetz cost %d is past the index cap %d" % (cost, _COST_CAP))
+        _grow_counts(cost)
+        # level l of the shell holds the C(m, m) choice sets of cost
+        # m = cost - |l|; the levels below lvl give m = 0 .. r - 1 when
+        # lvl <= 0, else m = 0 .. cost - 1 and then m = cost .. r + 1
+        n = _BEFORE[cost] + (_sums(r - 1, r - 1) if lvl <= 0 else _sums(
+            cost - 1, cost - 1) + _sums(cost, cost) - _sums(r, r))
+        top = r  # no depth reaches the cost
+        for i, e in choices:
+            d = lvl - i
+            n += _sets(r, top) - _sets(r, d + 1)  # deeper entries first
+            n += _sums(r - d - 1, d) - _sums(r - d - e, d)  # smaller choices
+            r -= d + e
+            top = d
+        return n
+
     def encode(self, p):
         entries = ",".join("%d:%d" % (i, e) for (i, e) in p[1])
         return "L%d:[%s]" % (p[0], entries)
@@ -100,10 +168,10 @@ class TreeTZ(Structure):
                     raise ValueError("expected %s, got %r" % (form, s))
                 choices.append(tuple(decode_field(t, s, form) for t in pair))
         choices.sort()
-        if any(e < 1 or i > lvl for (i, e) in choices):
-            raise ValueError("invalid choice entries")
-        if len({i for (i, _) in choices}) < len(choices):
-            raise ValueError("repeated level in choice entries")
+        if any(e < 1 or i > lvl for (i, e) in choices) or \
+                len({i for (i, _) in choices}) < len(choices):
+            raise ValueError("expected %s with choices e >= 1 at distinct "
+                             "levels i <= level, got %r" % (form, s))
         return (lvl, tuple(choices))
 
     def type_key(self, ftup, x):

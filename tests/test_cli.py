@@ -297,14 +297,31 @@ def test_budget_error_names_its_blocking_obligation(monkeypatch, capsys):
         'candidates","scanned":40}\n')
 
 
-def test_scan_cap_budget_error_names_the_point_it_looked_for(capsys):
+def test_scan_cap_budget_error_names_the_point_it_looked_for(capsys,
+                                                           monkeypatch):
+    # no point in (0, 1/8) lies among the first 21: the typeset stream
+    # names its sockel, fixed pointwise, and its representative
+    from copyposet.structures import base
+
+    monkeypatch.setattr(base, "_SCAN_CAP", 20)
+    code, out, _ = run(capsys, "typeset", "--structure", "dlo",
+                       "--sockel", "0,1/8", "--rep", "1/16",
+                       "--format", "jsonl")
+    assert code == 2
+    assert out == ('{"blocking":{"map":[["0","0"],["1/8","1/8"]],'
+                   '"point":"1/16"},"error":"budget","message":"typeset '
+                   'stream scan cap exceeded","scanned":21}\n')
+
+
+def test_treetz_typeset_over_a_far_sockel_point(capsys):
+    # L25:[] sits at enumeration index 708,257, past the scan cap
     code, out, _ = run(capsys, "typeset", "--structure", "treetz",
                        "--sockel", "L25:[]", "--rep", "L24:[]",
                        "--format", "jsonl")
-    assert code == 2
-    assert out == ('{"blocking":{"map":[],"point":"L25:[]"},"error":"budget",'
-                   '"message":"point (25, ()) not found within enumeration '
-                   'scan cap","scanned":200001}\n')
+    assert code == 0
+    assert out == ('{"finiteness":"finite","members":["L24:[]"],'
+                   '"op":"typeset","rep":"L24:[]","sockel":["L25:[]"],'
+                   '"structure":"treetz"}\n')
 
 
 def test_certify_meet_not_refuted(capsys):
@@ -405,6 +422,10 @@ def test_equiv_point_needs_class_dot_index(capsys, rep):
     assert err == "error: %s\n" % message
 
 
+_TREETZ_RANGE = ("L<level>:[i:e,...] with choices e >= 1 at distinct levels "
+                 "i <= level")
+
+
 @pytest.mark.parametrize("structure, rep, form", [
     ("zeta2", "(1,2,3)", "(a,b)"),
     ("pairs", "{1,2,3}", "{i,j}"),
@@ -420,9 +441,22 @@ def test_equiv_point_needs_class_dot_index(capsys, rep):
     ("zorder", "x", "an integer"),
     ("dlo", "1/x", "a rational p/q"),
     ("zetaeta", "(a|1)", "(q|n)"),
+    # a number out of range
+    ("rado", "-3", "a natural"),
+    ("pureset", "-1", "a natural"),
+    ("equiv", "-1.0", "class.index of naturals"),
+    ("equiv", "0.-1", "class.index of naturals"),
+    ("pairs", "{1,1}", "{i,j} of distinct naturals"),
+    ("pairs", "{-1,2}", "{i,j} of distinct naturals"),
+    ("treetz", "L3:[1:0]", _TREETZ_RANGE),
+    ("treetz", "L3:[4:1]", _TREETZ_RANGE),
+    ("treetz", "L3:[1:1,1:2]", _TREETZ_RANGE),
 ], ids=["zeta2", "pairs", "zetaeta", "treetz"] + [
     "%s-field" % sid for sid in ("zeta2", "equiv", "pairs", "treetz", "rado",
-                                 "pureset", "zorder", "dlo", "zetaeta")])
+                                 "pureset", "zorder", "dlo", "zetaeta")] + [
+    "rado-range", "pureset-range", "equiv-class-range", "equiv-index-range",
+    "pairs-equal-range", "pairs-negative-range", "treetz-choice-range",
+    "treetz-level-range", "treetz-repeated-range"])
 def test_malformed_point_names_the_point_and_its_form(capsys, structure, rep,
                                                       form):
     code, out, err = run(capsys, "typeset", "--structure", structure,
@@ -470,7 +504,7 @@ def test_treetz_repeated_level_is_a_precondition_error(capsys, rep):
                          "--format", "jsonl")
     assert code == 1
     assert json.loads(out)["error"] == "precondition"
-    assert err.startswith("error: repeated level")
+    assert err == "error: expected %s, got '%s'\n" % (_TREETZ_RANGE, rep)
 
 
 @pytest.mark.parametrize("argv", [

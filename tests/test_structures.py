@@ -51,7 +51,7 @@ def test_enumeration_is_bijective_prefix(structure):
 
 
 @pytest.mark.parametrize("sid, n", [("dlo", 150_000), ("zetaeta", 20_000),
-                                    ("zeta2", 20_000)])
+                                    ("zeta2", 20_000), ("treetz", 20_000)])
 def test_closed_form_index_matches_enumeration(sid, n):
     # 150,000 dlo points cover the Stern-Brocot rows up to 12 and most of 13
     structure = get_structure(sid)
@@ -77,14 +77,48 @@ def test_closed_form_index_past_the_scan_cap():
     # Stern-Brocot row 10**12 - 1: the index would have 10**12 bits
     with pytest.raises(SearchBudgetError):
         dlo.index_of(F(1, 10**12))
+    tree = get_structure("treetz")
+    for s, i in [("L24:[]", 494170), ("L-25:[]", 494171), ("L25:[]", 708257),
+                 ("L3:[-5:2,3:1]", 8699)]:
+        assert tree.index_of(tree.decode(s)) == i, s
+    assert tree.index_of(tree.decode("L-256:[]")).bit_length() == 87
+    # cost 257: the count table would pass 33,000 integers
+    with pytest.raises(SearchBudgetError):
+        tree.index_of(tree.decode("L200:[144:1]"))
+
+
+@st.composite
+def _cheap_treetz_nodes(draw):
+    """A treetz node of cost at most 8, drawn through its encoding."""
+    lvl = draw(st.integers(min_value=-8, max_value=8))
+    budget, choices, depth = 8 - abs(lvl), [], 0
+    while budget > depth and draw(st.booleans()):
+        depth = draw(st.integers(min_value=depth, max_value=budget - 1))
+        e = draw(st.integers(min_value=1, max_value=budget - depth))
+        choices.append("%d:%d" % (lvl - depth, e))
+        budget -= depth + e
+        depth += 1
+    return "L%d:[%s]" % (lvl, ",".join(reversed(choices)))
+
+
+@given(_cheap_treetz_nodes())
+@settings(max_examples=80, deadline=None)
+def test_treetz_index_round_trips_cheap_nodes(s):
+    # the nodes of cost at most 8 take the indices below 501
+    tree = get_structure("treetz")
+    p = tree.decode(s)
+    i = tree.index_of(p)
+    assert i < 501
+    assert tree.point_at(i) == p
 
 
 def test_index_of_is_closed_form_except_on_treetz(structure):
-    overridden = type(structure).index_of is not Structure.index_of
-    assert overridden == (structure.structure_id != "treetz")
+    # every built-in, treetz included, inverts its enumeration in closed
+    # form: the base class has no scan to fall back on
+    assert type(structure).index_of is not Structure.index_of
+    with pytest.raises(NotImplementedError):
+        Structure.index_of(structure, structure.point_at(40))
     assert structure.index_of(structure.point_at(40)) == 40
-    # only the reference scan keeps a point -> index map
-    assert bool(structure._index_cache) == (not overridden)
 
 
 def test_encoding_round_trip(structure):
@@ -527,18 +561,11 @@ def test_typeset_stream_matches_the_enumeration_scan(structure):
     assert streams() == want
 
 
-def test_typeset_stream_over_a_sockel_point_with_no_index(monkeypatch):
-    # a treetz point past the enumeration scan cap has no index, so the
-    # sockel cannot be listed in enumeration order: the stream still reads
-    # its members, from a table listed as the set iterates
-    from copyposet.structures import base
-    from copyposet.structures.treetz import TreeTZ
-
-    monkeypatch.setattr(base, "_SCAN_CAP", 50)
-    st = TreeTZ()  # fresh enumeration caches
+def test_typeset_stream_over_a_sockel_point_with_no_index():
+    # L25:[] lies past the enumeration scan cap, at index 708,257: its
+    # closed-form index lists the sockel in enumeration order all the same
+    st = get_structure("treetz")
     far, root = st.decode("L25:[]"), st.decode("L0:[]")
-    with pytest.raises(SearchBudgetError):
-        st.index_of(far)
     x = st.decode("L1:[1:1]")
     want = list(st.typeset_in(fs({far, root}), x, st.prefix(51)))
     assert len(want) >= 3
