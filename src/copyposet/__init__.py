@@ -1,9 +1,11 @@
 """Executable theory of copies for countable permutation group actions.
 
 Given a decidable presentation of a group acting on a countable set, the
-library computes typesets and closures, constructs copies by constrained
-back-and-forth, and certifies every construction against the membership
-characterization at finite truncation depth.
+library computes typesets and closures, constructs copies, and certifies
+every construction against the membership characterization at finite
+truncation depth.  Every built-in construction is a cut copy or a closed
+form; the constrained back-and-forth search is kept for structures
+without a cut, but no constructor reaches it on a built-in structure.
 """
 
 from .core import IN, OUT, UNKNOWN, FinitenessAnswer, Membership

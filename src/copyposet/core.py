@@ -298,8 +298,8 @@ class TypeClasses:
 # dlo, equiv and pureset at depth 10), whose dlo tables its typeset streams
 # read too, and 3 for its rank searches.  A rank search keeps its answers
 # in the search shared per (structure, window) (``typesets.rank_search``),
-# so a warm orbit-scan round reads 276: its rank queries read only the
-# tables over nothing, to find their reps canonical
+# so a warm round's rank queries read no table: a warm orbit-scan round
+# reads 274 and a warm copy-certify round 429
 type_classes = lru_cache(maxsize=512)(TypeClasses)
 
 

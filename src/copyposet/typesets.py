@@ -35,7 +35,11 @@ class TypeHandle(Frozen):
         object.__setattr__(self, "sockel", sockel)
         object.__setattr__(self, "rep", rep)
 
-    def sockel_set(self):
+    def sockel_of(self, structure):
+        """The sockel as a set, for the structure the type was made on."""
+        if structure.structure_id != self.structure_id:
+            raise PreconditionError("a %s type asked of %s" % (
+                self.structure_id, structure.structure_id))
         return frozenset(self.sockel)
 
 
@@ -77,7 +81,7 @@ def typeset_members(structure, t, n):
     """The first n members of the typeset, in enumeration order."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
-    return structure.typeset_members(t.sockel_set(), t.rep, n)
+    return structure.typeset_members(t.sockel_of(structure), t.rep, n)
 
 
 def continuation_partition(structure, t, ext_sockel, depth):
@@ -87,7 +91,7 @@ def continuation_partition(structure, t, ext_sockel, depth):
     Members of the typeset that lie in the extended sockel itself have
     degenerate singleton continuations and carry no representative."""
     ext = frozenset(ext_sockel)
-    if not t.sockel_set() <= ext:
+    if not t.sockel_of(structure) <= ext:
         raise PreconditionError("extended sockel must contain the sockel")
     members = core.type_classes(structure, t.sockel).among(
         structure.type_key(t.sockel, t.rep), structure.prefix(depth))
@@ -116,12 +120,11 @@ class _RankSearch:
     (``core.type_classes``), so a later search on the structure keys no
     probe point again.
 
-    An answer depends on the rep it was computed for, which is its own
-    first candidate extension.  So the memo keeps only answers computed
-    for a class's canonical rep, its enum-least member in the probe
-    window: every sub-search passes that rep (``_class_reps`` over the
-    class members), so a memo entry is the same whatever was asked
-    before, and one search can serve every query on its window."""
+    An answer is a function of (sockel listing, rep, k), the memo's key,
+    so it is what a fresh search gives, whatever was asked before.  A
+    sub-search passes each continuation class's enum-least member in the
+    probe window (``_class_reps``), so the searches that meet a class
+    share its answer."""
 
     def __init__(self, structure, window):
         self.structure = structure
@@ -140,40 +143,13 @@ class _RankSearch:
         return tuple(sorted(pts, key=self._index_of))
 
     def bound(self, sockel, rep, k):
-        """The answer for rep's type over ``sockel``.  A leaf answer is
-        found afresh, before the probe window is read, so a query that
-        needs no search reads no more of the enumeration than a fresh
-        search would; a searched answer is kept only when rep is its
-        class's canonical rep."""
+        """The answer for rep's type over ``sockel``."""
         ftup = self._listed(frozenset(sockel))
-        key = self.structure.type_key(ftup, rep)
-        answer = self._leaf(ftup, rep, k)
-        if answer is not None:
-            return answer
-        if not self._is_canonical(ftup, key, rep):
-            return self._search(ftup, key, rep, k)  # over shared entries
-        memo_key = (ftup, key, k)
-        answer = self._memo.get(memo_key)
-        if answer is None:
-            answer = self._memo[memo_key] = self._search(ftup, key, rep, k)
-        return answer
+        return self._bound(ftup, self.structure.type_key(ftup, rep), rep, k)
 
-    def _is_canonical(self, ftup, key, rep):
-        """True iff rep is the enum-least member of its class in the probe
-        window.  Grows the sockel's table only below rep's index, through
-        the prefix list as ``among`` does."""
-        points = self.structure.prefix(self.probe)
-        try:
-            i = points.index(rep)
-        except ValueError:
-            return False  # past the probe window
-        table = core.type_classes(self.structure, ftup)
-        c = table.find(key, i, points.__getitem__)
-        return c is None or table.ids.index(c) == i
-
-    def _class_bound(self, ftup, key, rep, k):
-        """The memoized answer of a class; ``rep`` is its canonical rep."""
-        memo_key = (ftup, key, k)
+    def _bound(self, ftup, key, rep, k):
+        """The memoized answer for rep, whose type key over ftup is key."""
+        memo_key = (ftup, rep, k)
         answer = self._memo.get(memo_key)
         if answer is None:
             answer = self._leaf(ftup, rep, k)
@@ -219,8 +195,7 @@ class _RankSearch:
         # refuted the last candidate is a member here; if it lies off the
         # next extension with an infinite typeset over it, its class fails
         # the full scan below as well, so one finiteness test rejects the
-        # candidate with the same outcome.  Skipped scans leave k = 0 memo
-        # entries for later, and those carry no rep-dependent witness.
+        # candidate with the same outcome.
         killer = None
         for added in candidates:
             ext = sockel.union(added)
@@ -231,7 +206,7 @@ class _RankSearch:
             reps = _class_reps(st, etup, [q for q in members if q not in ext])
             subs = []
             for key, crep in reps:
-                sub = self._class_bound(etup, key, crep, k - 1)
+                sub = self._bound(etup, key, crep, k - 1)
                 if not sub.is_at_most:
                     killer = crep
                     subs = None
@@ -257,17 +232,15 @@ def rank_at_most(structure, t, k, window):
     exhaustive window search, or certified Unranked."""
     if k < 0 or window < len(t.sockel):
         raise PreconditionError("need k >= 0 and window >= |sockel|")
-    return rank_search(structure, window).bound(t.sockel_set(), t.rep, k)
+    search = rank_search(structure, window)
+    return search.bound(t.sockel_of(structure), t.rep, k)
 
 
 @lru_cache(maxsize=32)
 def rank_search(structure, window):
-    """The rank engine of one (structure, window), shared by every caller.
-    Its memo keeps only answers computed for a class's canonical rep, its
-    enum-least member in the probe window; a query for any other rep is
-    searched afresh over the memoized sub-answers and not kept.  So every
-    query gets the answer a fresh search would give.  Answers are shared
-    between callers: read a witness, never change it."""
+    """The rank engine of one (structure, window), shared by every caller;
+    its memo is keyed by (sockel listing, rep, k), so a repeated query is
+    searched once.  Answers are shared: read a witness, never change it."""
     return _RankSearch(structure, window)
 
 

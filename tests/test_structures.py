@@ -112,7 +112,7 @@ def test_treetz_index_round_trips_cheap_nodes(s):
     assert tree.point_at(i) == p
 
 
-def test_index_of_is_closed_form_except_on_treetz(structure):
+def test_index_of_is_closed_form_on_every_structure(structure):
     # every built-in, treetz included, inverts its enumeration in closed
     # form: the base class has no scan to fall back on
     assert type(structure).index_of is not Structure.index_of
@@ -561,7 +561,7 @@ def test_typeset_stream_matches_the_enumeration_scan(structure):
     assert streams() == want
 
 
-def test_typeset_stream_over_a_sockel_point_with_no_index():
+def test_typeset_stream_over_a_sockel_point_past_the_scan_cap():
     # L25:[] lies past the enumeration scan cap, at index 708,257: its
     # closed-form index lists the sockel in enumeration order all the same
     st = get_structure("treetz")

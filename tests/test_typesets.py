@@ -207,8 +207,8 @@ def test_rank_answers_are_pinned():
 
 
 def test_shared_rank_memo_does_not_depend_on_call_history():
-    # the shared search keeps only canonical-rep answers, so the sweep
-    # asked backwards gives every record it gives forwards
+    # the shared search keys each answer by (sockel listing, rep, k), so
+    # the sweep asked backwards gives every record it gives forwards
     queries = list(_rank_queries())
     _clear_tables()
     forward = [query() for query in queries]
@@ -230,6 +230,37 @@ def test_rank_of_a_second_rep_keeps_its_own_witness():
     assert first.witness["extension"] == ["(0,0)"]
     assert second.is_at_most and second.bound == 2
     assert second.witness["extension"] == ["(0,1)"]
+
+
+@pytest.mark.parametrize("rep, k", [((0, 1), 2), ((0, 0), 2), ((0, 0), 0)])
+def test_repeated_rank_query_reads_the_memo(monkeypatch, rep, k):
+    # a second rep of a class, its enum-least rep and a leaf alike are
+    # answered from the memo when asked again (each repeat made two
+    # oracle calls when only enum-least reps were kept)
+    z2 = get_structure("zeta2")
+    _clear_tables()
+    t = ts.make_type(z2, set(), rep)
+    first = ts.rank_at_most(z2, t, k, 8)
+    counts = {name: _count_calls(monkeypatch, type(z2), name)
+              for name in ("typeset_finite", "type_unranked")}
+    again = ts.rank_at_most(z2, t, k, 8)
+    assert again == first and again.witness == first.witness
+    assert counts == {"typeset_finite": [], "type_unranked": []}
+
+
+@pytest.mark.parametrize("made_on, asked_of, rep", [
+    ("dlo", "zeta2", F(1, 2)), ("dlo", "pairs", F(1, 2)),
+    ("pureset", "rado", 3)])
+def test_type_of_another_structure_is_a_precondition_error(
+        made_on, asked_of, rep):
+    t = ts.make_type(get_structure(made_on), {rep - 1}, rep)
+    st = get_structure(asked_of)
+    with pytest.raises(PreconditionError, match="type asked of"):
+        ts.rank_at_most(st, t, 1, 4)
+    with pytest.raises(PreconditionError, match="type asked of"):
+        ts.typeset_members(st, t, 3)
+    with pytest.raises(PreconditionError, match="type asked of"):
+        ts.continuation_partition(st, t, set(t.sockel) | {rep + 1}, 6)
 
 
 # -- oligomorphic profiles ---------------------------------------------------------
