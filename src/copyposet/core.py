@@ -204,32 +204,39 @@ class TypeClasses:
     typesets and ``continuation_partition``.  ``ids[i]`` is the class of
     enumeration index i, or -1 for a point of the sockel.  Classes are
     numbered in the order the enumeration meets them, so no id depends on
-    hashing or on the listing, and each class's first index is its rep.
-    The table grows one type key per index, and only as far as a caller
-    reads it.  ``drawn`` maps a class asked for by ``members`` to the
-    members of its typeset read so far, a plain list: a class's typeset is
-    the orbit of its rep under the stabilizer of the sockel, so it depends
-    on nothing but the structure and the sockel."""
+    hashing or on the listing, and each class's first index is its rep:
+    ``firsts[c]``, an increasing list, so the classes met below index n
+    are ``range(bisect_left(firsts, n))``.  The table grows one type key
+    per index, and only as far as a caller reads it.  ``drawn`` maps a
+    class asked for by ``members`` to the members of its typeset read so
+    far, a plain list: a class's typeset is the orbit of its rep under the
+    stabilizer of the sockel, so it depends on nothing but the structure
+    and the sockel."""
 
-    __slots__ = ("structure", "ftup", "ids", "keys", "drawn")
+    __slots__ = ("structure", "ftup", "ids", "keys", "firsts", "drawn")
 
     def __init__(self, structure, ftup):
         self.structure = structure
         self.ftup = ftup
         self.ids = []
         self.keys = {}  # type key -> class id
+        self.firsts = []  # class id -> its first index
         self.drawn = {}  # class id -> typeset members read so far
 
     def grow(self, point):
         """Class the next index; ``point`` reads a point by its index."""
-        y = point(len(self.ids))
+        ids = self.ids
+        y = point(len(ids))
         if y in self.ftup:
             c = -1
         else:
             keys = self.keys
-            c = keys.setdefault(self.structure.type_key(self.ftup, y),
-                                len(keys))
-        self.ids.append(c)
+            key = self.structure.type_key(self.ftup, y)
+            c = keys.get(key)
+            if c is None:
+                c = keys[key] = len(keys)
+                self.firsts.append(len(ids))
+        ids.append(c)
         return c
 
     def grow_to(self, c, budget, point):

@@ -26,8 +26,9 @@ the typeset members drawn for them, from the tables ``check_copy`` keeps
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import core
 
@@ -436,23 +437,45 @@ class BernsteinResult(Frozen):
         object.__setattr__(self, "unserved", unserved)
 
 
+def _read_sides(members, side_of, have, fresh):
+    """The sides seen, as bits (A = 1, B = 2) added to ``have``, reading
+    ``members`` in order until both sides are seen or a second unassigned
+    member is kept in ``fresh``."""
+    for m in members:
+        side = side_of(m)
+        if side:
+            have |= side
+            if have == 3:
+                break
+        else:
+            fresh.append(m)
+            if len(fresh) == 2:
+                break
+    return have
+
+
 def bernstein_base(structure, depth, sockel_cap=2):
     """A two-colouring prefix of U_depth in which every enumerated typeset
     with a small sockel meets both sides; the base of the everything-above-
     it-is-a-copy construction.  Needs all stabilizer orbits infinite.
 
-    Each sockel's window classes and their typeset members are read from
-    the type-class tables that ``check_copy`` shares
-    (``core.type_classes``), so a later base on the structure keys no
-    point and reopens no typeset stream it has already read."""
+    Each sockel's window classes, their reps and their typeset members are
+    read from the type-class tables that ``check_copy`` shares
+    (``core.type_classes``).  A warm base reads the members kept in place
+    and reopens a typeset stream only past them, when they run out before
+    the class has both sides, so a later base on the structure keys no
+    point and rereads no stream."""
+    if sockel_cap < 0:
+        raise PreconditionError("need sockel_cap >= 0")
     if not structure.stabilizer_orbits_all_infinite:
         raise UnsupportedConstructionError(
             "%s has finite stabilizer orbits off some finite set"
             % structure.structure_id)
     window = structure.prefix(depth)
-    assigned = {}
+    assigned = {}  # point -> its side, A = 1 or B = 2
+    side_of = assigned.get
     served, unserved = [], []
-    scan_cap = 64 * (depth + 1)
+    reach = 64 * (depth + 1) + 1  # a class reads its members 0..reach-1
     for size in range(0, sockel_cap + 1):
         # the window is in enumeration order, so each sockel listing is
         # too, as check_copy lists its sockels
@@ -461,44 +484,36 @@ def bernstein_base(structure, depth, sockel_cap=2):
             ids = table.ids
             while len(ids) < depth:
                 table.grow(window.__getitem__)
-            # classes are numbered in enumeration order: the window's are
-            # 0, 1, ..., each first met at its rep
-            reps = []
-            for x, c in zip(window, ids):
-                if c == len(reps):
-                    reps.append(x)
-            for c, rep in enumerate(reps):
-                # fresh members may come from past the window: the orbits
-                # are infinite, only the returned prefix is windowed
-                have = set()
+            firsts, drawn = table.firsts, table.drawn
+            for c in range(bisect_left(firsts, depth)):
+                rep = window[firsts[c]]
+                kept = drawn.get(c, ())
                 fresh = []
-                for i, m in enumerate(table.members(c, rep)):
-                    if i > scan_cap:
+                have = _read_sides(kept if len(kept) <= reach
+                                   else islice(kept, reach),
+                                   side_of, 0, fresh)
+                if have != 3 and len(fresh) < 2 and len(kept) < reach:
+                    # fresh members may come from past the window: the
+                    # orbits are infinite, only the returned prefix is
+                    # windowed
+                    have = _read_sides(
+                        islice(table.members(c, rep), len(kept), reach),
+                        side_of, have, fresh)
+                for m in fresh:
+                    if have == 3:
                         break
-                    side = assigned.get(m)
-                    if side is not None:
-                        have.add(side)
-                    elif len(fresh) < 2:
-                        fresh.append(m)
-                    if len(have) == 2 or len(fresh) >= 2:
-                        break
-                for side in [s for s in "AB" if s not in have]:
-                    if not fresh:
-                        break
-                    assigned[fresh.pop(0)] = side
-                    have.add(side)
-                if len(have) == 2:
-                    served.append((ftup, rep))
-                else:
-                    unserved.append((ftup, rep))
+                    side = 2 if have & 1 else 1
+                    assigned[m] = side
+                    have |= side
+                (served if have == 3 else unserved).append((ftup, rep))
     flip = False
     for x in window:
         if x not in assigned:
-            assigned[x] = "B" if flip else "A"
+            assigned[x] = 2 if flip else 1
             flip = not flip
     return BernsteinResult(
-        tuple(x for x in window if assigned[x] == "A"),
-        tuple(x for x in window if assigned[x] == "B"),
+        tuple(x for x in window if assigned[x] == 1),
+        tuple(x for x in window if assigned[x] == 2),
         tuple(served), tuple(unserved))
 
 

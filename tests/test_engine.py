@@ -7,7 +7,7 @@ import json
 import pkgutil
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -635,6 +635,102 @@ def test_bernstein_bases_with_fewer_tables_kept(monkeypatch):
            for sid in BERNSTEIN_IDS for case in BERNSTEIN_CASES]
     assert core.type_classes.cache_info().misses > 2
     assert got == want
+
+
+def test_bernstein_negative_sockel_cap_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="sockel_cap"):
+        engine.bernstein_base(get_structure("rado"), 6, sockel_cap=-1)
+
+
+def _reference_bernstein(structure, depth, sockel_cap=2):
+    """The greedy of ``engine.bernstein_base`` with sides as letters, its
+    reps found by scanning the window's class ids, and every class's
+    members read through ``members``: the reference the base must agree
+    with."""
+    if not structure.stabilizer_orbits_all_infinite:
+        raise UnsupportedConstructionError("finite stabilizer orbits")
+    window = structure.prefix(depth)
+    assigned = {}
+    served, unserved = [], []
+    scan_cap = 64 * (depth + 1)
+    for size in range(0, sockel_cap + 1):
+        for ftup in combinations(window, size):
+            table = core.type_classes(structure, ftup)
+            ids = table.ids
+            while len(ids) < depth:
+                table.grow(window.__getitem__)
+            reps = []
+            for x, c in zip(window, ids):
+                if c == len(reps):
+                    reps.append(x)
+            for c, rep in enumerate(reps):
+                have = set()
+                fresh = []
+                for i, m in enumerate(table.members(c, rep)):
+                    if i > scan_cap:
+                        break
+                    side = assigned.get(m)
+                    if side is not None:
+                        have.add(side)
+                    elif len(fresh) < 2:
+                        fresh.append(m)
+                    if len(have) == 2 or len(fresh) >= 2:
+                        break
+                for side in [s for s in "AB" if s not in have]:
+                    if not fresh:
+                        break
+                    assigned[fresh.pop(0)] = side
+                    have.add(side)
+                if len(have) == 2:
+                    served.append((ftup, rep))
+                else:
+                    unserved.append((ftup, rep))
+    flip = False
+    for x in window:
+        if x not in assigned:
+            assigned[x] = "B" if flip else "A"
+            flip = not flip
+    return engine.BernsteinResult(
+        tuple(x for x in window if assigned[x] == "A"),
+        tuple(x for x in window if assigned[x] == "B"),
+        tuple(served), tuple(unserved))
+
+
+def _against_the_reference(st, depth, cap):
+    core.type_classes.cache_clear()
+    cold = engine.bernstein_base(st, depth, sockel_cap=cap)
+    core.type_classes.cache_clear()
+    want = _reference_bernstein(st, depth, cap)
+    assert cold == want == engine.bernstein_base(st, depth, sockel_cap=cap), \
+        (st.structure_id, depth, cap)
+    return want
+
+
+@pytest.mark.parametrize("sid", BERNSTEIN_IDS)
+def test_bernstein_bases_match_the_reference_greedy(sid):
+    # each case on cold tables, and again on the warm tables the
+    # reference grew
+    st = get_structure(sid)
+    for depth in range(1, 15):
+        for cap in range(4):
+            _against_the_reference(st, depth, cap)
+
+
+def test_bernstein_lists_a_class_its_stream_cannot_serve():
+    # over nothing the one class's stream yields only 0: it gets side A,
+    # no member is left for B, and the class is listed unserved
+    class Lonely(PureSet):
+        def typeset_iter(self, sockel, x):
+            stream = super().typeset_iter(sockel, x)
+            return stream if sockel else islice(stream, 1)
+
+    st = Lonely()
+    for depth in (1, 2, 6):
+        for cap in range(3):
+            res = _against_the_reference(st, depth, cap)
+            assert res.unserved == (((), 0),)
+            assert 0 in res.side_a
+            assert sorted(res.side_a + res.side_b) == list(range(depth))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -561,6 +561,36 @@ def test_typeset_stream_matches_the_enumeration_scan(structure):
     assert streams() == want
 
 
+def test_type_class_firsts_are_each_class_first_index(structure):
+    # firsts[c] is the first index of class c, kept as the table grows
+    # through each of grow, find, indices and among
+    st = structure
+
+    def check(table):
+        ids, firsts = table.ids, table.firsts
+        assert len(firsts) == len(table.keys)
+        assert all(firsts[c] == ids.index(c) for c in range(len(firsts)))
+
+    for k in range(3):
+        for ftup in combinations(st.prefix(5), k):
+            table = core.TypeClasses(st, ftup)
+            check(table)
+            x = st.point_at(12)
+            assert table.find(st.type_key(ftup, x), 16, st.point_at) \
+                is not None
+            assert len(table.ids) > 0
+            check(table)
+            for _ in range(6):
+                table.grow(st.point_at)
+                check(table)
+            assert list(table.indices(table.ids[-1], 24, st.point_at))
+            assert len(table.ids) == 24
+            check(table)
+            assert table.among(st.type_key(ftup, x), st.prefix(32))
+            assert len(table.ids) == 32
+            check(table)
+
+
 def test_typeset_stream_over_a_sockel_point_past_the_scan_cap():
     # L25:[] lies past the enumeration scan cap, at index 708,257: its
     # closed-form index lists the sockel in enumeration order all the same
