@@ -200,7 +200,8 @@ class CutCopy(CopyHandle):
 class TypeClasses:
     """The type classes over one listed sockel ``ftup``, shared by every
     caller on the structure: ``check_copy``, ``bernstein_base``, the
-    default ``Structure.typeset_iter`` stream, and the rank search's probe
+    typeset reads (``first_members``), the default
+    ``Structure.typeset_iter`` stream, and the rank search's probe
     typesets and ``continuation_partition``.  ``ids[i]`` is the class of
     enumeration index i, or -1 for a point of the sockel.  Classes are
     numbered in the order the enumeration meets them, so no id depends on
@@ -208,10 +209,11 @@ class TypeClasses:
     ``firsts[c]``, an increasing list, so the classes met below index n
     are ``range(bisect_left(firsts, n))``.  The table grows one type key
     per index, and only as far as a caller reads it.  ``drawn`` maps a
-    class asked for by ``members`` to the members of its typeset read so
-    far, a plain list: a class's typeset is the orbit of its rep under the
-    stabilizer of the sockel, so it depends on nothing but the structure
-    and the sockel."""
+    class asked for by ``members`` or ``first_members`` to the members of
+    its typeset read so far, a plain list that the Bernstein bases and the
+    typeset reads read in place: a class's typeset is the orbit of its rep
+    under the stabilizer of the sockel, so it depends on nothing but the
+    structure and the sockel."""
 
     __slots__ = ("structure", "ftup", "ids", "keys", "firsts", "drawn")
 
@@ -285,6 +287,30 @@ class TypeClasses:
         c = self.keys.get(key)
         return [y for y, d in zip(points, ids) if d == c]
 
+    def first_members(self, x, n):
+        """The first n members of x's typeset, in enumeration order, as a
+        fresh list; n is an int >= 0.  The read keys x: when the table
+        has met x's class, it is a slice of the class's kept members if
+        there are n of them, else ``members`` reopened past them.  Before
+        it has, the read is the plain ``typeset_iter`` stream, which grows
+        the table no further than the stream itself does; when the stream
+        has met x's class (the default stream does), what it read is kept
+        as the class's first members, so a second read keys only x."""
+        keys = self.keys
+        key = self.structure.type_key(self.ftup, x)
+        c = keys.get(key)
+        if c is None:
+            stream = self.structure.typeset_iter(frozenset(self.ftup), x)
+            got = list(islice(stream, n))
+            c = keys.get(key)
+            if c is not None:
+                self.drawn.setdefault(c, got[:])
+            return got
+        kept = self.drawn.get(c)
+        if kept is not None and len(kept) >= n:
+            return kept[:n]
+        return list(islice(self.members(c, x), n))
+
     def members(self, c, rep):
         """The members of class c's typeset, ``rep`` one of them, in
         enumeration order: those read before, then those of a
@@ -302,11 +328,12 @@ class TypeClasses:
 # one copy-certify round of the benchmark touches 432 tables, 3 of them
 # read by the rank searches of its closures; one orbit-scan round touches
 # 277: 274 for its Bernstein bases (106 on rado at depth 14, 56 on each of
-# dlo, equiv and pureset at depth 10), whose dlo tables its typeset streams
-# read too, and 3 for its rank searches.  A rank search keeps its answers
-# in the search shared per (structure, window) (``typesets.rank_search``),
-# so a warm round's rank queries read no table: a warm orbit-scan round
-# reads 274 and a warm copy-certify round 429
+# dlo, equiv and pureset at depth 10), whose dlo and rado tables its
+# typeset reads read too, and 3 for its rank searches.  A rank search
+# keeps its answers in the search shared per (structure, window)
+# (``typesets.rank_search``), so a warm round's rank queries read no
+# table: a warm orbit-scan round reads 274 tables in 340 lookups (one per
+# typeset read), and a warm copy-certify round reads 429
 type_classes = lru_cache(maxsize=512)(TypeClasses)
 
 

@@ -23,8 +23,6 @@ and are safe to share.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .. import core
 from ..core import finite_answer, infinite_answer
 from ..errors import PreconditionError, SearchBudgetError
@@ -223,8 +221,7 @@ class Structure:
             for y in self.sort_points(fin.members):
                 yield y
             return
-        ftup = tuple(sockel) if len(sockel) < 2 else \
-            tuple(self.sort_points(sockel))
+        ftup = self._listed(sockel)
         table = core.type_classes(self, ftup)
         point_at, cap = self.point_at, _SCAN_CAP + 1
         c = table.find(self.type_key(ftup, x), cap, point_at)
@@ -245,8 +242,20 @@ class Structure:
                 if y not in sockel and type_key(f, y) == key)
 
     def typeset_members(self, sockel, x, n):
+        """The first n members of the typeset of <sockel |> x>, in
+        enumeration order: one read of x's class on the table of the
+        sockel listed in enumeration order
+        (``core.TypeClasses.first_members``)."""
+        if not isinstance(n, int) or n < 0:
+            raise PreconditionError("n must be an int >= 0")
         self.check_same_type_pre(sockel, x, x)
-        return list(islice(self.typeset_iter(sockel, x), n))
+        return core.type_classes(self, self._listed(sockel)).first_members(
+            x, n)
+
+    def _listed(self, sockel):
+        """The sockel as a tuple in enumeration order."""
+        return tuple(sockel) if len(sockel) < 2 else \
+            tuple(self.sort_points(sockel))
 
     def unranked_witness(self, sockel, x, sockel_ext):
         """A continuation witness for property (p), or None if the type

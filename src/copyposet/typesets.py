@@ -78,10 +78,16 @@ class RankAnswer(Frozen):
 
 
 def typeset_members(structure, t, n):
-    """The first n members of the typeset, in enumeration order."""
-    if n < 0:
-        raise PreconditionError("n must be >= 0")
-    return structure.typeset_members(t.sockel_of(structure), t.rep, n)
+    """The first n members of the typeset of t, in enumeration order, as a
+    fresh list; n is an int >= 0.  The read is one lookup of the rep's
+    class on the type-class table of t's sockel
+    (``core.TypeClasses.first_members``), keyed by the type's own listing,
+    which ``make_type`` puts in enumeration order: a warm read keys only
+    the rep and slices the class's kept members."""
+    if not isinstance(n, int) or n < 0:
+        raise PreconditionError("n must be an int >= 0")
+    structure.check_same_type_pre(t.sockel_of(structure), t.rep, t.rep)
+    return core.type_classes(structure, t.sockel).first_members(t.rep, n)
 
 
 def continuation_partition(structure, t, ext_sockel, depth):

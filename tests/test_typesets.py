@@ -4,11 +4,12 @@ import hashlib
 import json
 from fractions import Fraction as F
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
-from copyposet import PreconditionError, closures, core, engine
+from copyposet import (PreconditionError, SearchBudgetError, closures, core,
+                       engine)
 from copyposet.structures import BUILTIN_IDS, get_structure
 from copyposet import typesets as ts
 
@@ -31,6 +32,10 @@ def test_typeset_members_examples():
 
 
 def test_typeset_members_draws_exactly_n(monkeypatch):
+    # a cold read draws exactly n members of the stream and keeps them on
+    # the sockel's table; a warm read draws none while the kept members
+    # reach n, and past them reopens the stream no further than member n
+    core.type_classes.cache_clear()
     dlo = get_structure("dlo")
     drawn = []
     stream = dlo.typeset_iter
@@ -41,13 +46,131 @@ def test_typeset_members_draws_exactly_n(monkeypatch):
             yield y
 
     monkeypatch.setattr(dlo, "typeset_iter", counted)
-    for n in (0, 1, 3):
+    want = [F(1), F(1, 2), F(2), F(3, 2), F(1, 3)]
+    for n, draws in ((0, 0), (1, 1), (1, 0), (0, 0), (3, 3), (2, 0),
+                     (3, 0), (5, 5), (4, 0)):
         drawn.clear()
         got = dlo.typeset_members(fs({F(0)}), F(1), n)
-        assert got == drawn and len(got) == n
+        assert got == want[:n]
+        assert drawn == (got if draws else [])
+        assert len(drawn) == draws
     # the stream is not started for n = 0, yet the rep is still checked
+    drawn.clear()
     with pytest.raises(PreconditionError):
         dlo.typeset_members(fs({F(0)}), F(0), 0)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, "3", None])
+def test_typeset_members_count_must_be_a_natural(dlo, n):
+    t = ts.make_type(dlo, {F(0)}, F(1))
+    dlo.typeset_members(fs({F(0)}), F(1), 3)  # a warm table
+    with pytest.raises(PreconditionError, match="n must be an int >= 0"):
+        dlo.typeset_members(fs({F(0)}), F(1), n)
+    with pytest.raises(PreconditionError, match="n must be an int >= 0"):
+        ts.typeset_members(dlo, t, n)
+    with pytest.raises(PreconditionError, match="n must be an int >= 0"):
+        get_structure("dlo").typeset_members(frozenset(), 0, -1)
+
+
+_COUNTS = (0, 1, 3, 8, 12)
+
+
+@pytest.mark.parametrize("sid", BUILTIN_IDS)
+def test_typeset_members_equal_the_stream_cold_and_warm(sid):
+    # sockels of size <= 2 from prefix(4), three reps off each from prefix(8)
+    st = get_structure(sid)
+    cases = [(f, rep) for size in range(3)
+             for f in combinations(st.prefix(4), size)
+             for rep in [p for p in st.prefix(8) if p not in f][:3]]
+    # the reference streams, read before any table of the structure exists
+    core.type_classes.cache_clear()
+    want = {(f, rep): list(islice(st.typeset_iter(fs(f), rep), max(_COUNTS)))
+            for f, rep in cases}
+
+    def check(counts):
+        for f, rep in cases:
+            t = ts.make_type(st, f, rep)
+            for n in counts:
+                assert ts.typeset_members(st, t, n) == want[f, rep][:n]
+                assert st.typeset_members(fs(f), rep, n) == \
+                    want[f, rep][:n], (f, rep, n)
+
+    # cold tables, each length read increasing then decreasing
+    for counts in (_COUNTS, _COUNTS[::-1]):
+        core.type_classes.cache_clear()
+        check(counts)
+        check(counts[::-1])
+    # warm tables: after a Bernstein base, where the structure has one
+    if st.stabilizer_orbits_all_infinite:
+        core.type_classes.cache_clear()
+        engine.bernstein_base(st, 10)
+        check(_COUNTS)
+        check(_COUNTS[::-1])
+    # and after a longer read of each type
+    core.type_classes.cache_clear()
+    for f, rep in cases:
+        ts.typeset_members(st, ts.make_type(st, f, rep), 20)
+    check(_COUNTS[::-1])
+    check(_COUNTS)
+
+
+@pytest.mark.parametrize("sid", ["dlo", "rado"])
+def test_warm_typeset_read_keys_only_its_rep(monkeypatch, sid):
+    st = get_structure(sid)
+    sockel = st.prefix(4)[1:3]
+    rep = next(p for p in st.prefix(8) if p not in sockel)
+    t = ts.make_type(st, sockel, rep)
+    core.type_classes.cache_clear()
+    engine.bernstein_base(st, 10)  # rado's closed form grows no table
+    first = ts.typeset_members(st, t, 8)
+    assert st.typeset_members(fs(sockel), rep, 8) == first
+    calls = {name: _count_calls(monkeypatch, type(st), name)
+             for name in ("type_key", "typeset_iter", "point_at")}
+    for n in (8, 5, 0):
+        for name in calls:
+            calls[name].clear()
+        got = ts.typeset_members(st, t, n)
+        assert got == first[:n]
+        assert len(calls["type_key"]) <= 1
+        assert calls["typeset_iter"] == calls["point_at"] == []
+        # the list handed out is the caller's own
+        got.append(got[0] if got else rep)
+        got.reverse()
+        assert ts.typeset_members(st, t, n) == first[:n]
+    assert st.typeset_members(fs(sockel), rep, 8) == first
+
+
+def test_typeset_read_raises_the_stream_error_again(monkeypatch):
+    from copyposet.structures import base
+
+    monkeypatch.setattr(base, "_SCAN_CAP", 20)
+    core.type_classes.cache_clear()
+    dlo = get_structure("dlo")
+    t = ts.make_type(dlo, {F(0), F(1, 8)}, F(1, 16))
+    for read in (lambda: ts.typeset_members(dlo, t, 8),
+                 lambda: ts.typeset_members(dlo, t, 8),
+                 lambda: dlo.typeset_members(fs({F(0), F(1, 8)}), F(1, 16),
+                                             3)):
+        with pytest.raises(SearchBudgetError) as err:
+            read()
+        assert str(err.value) == "typeset stream scan cap exceeded"
+        assert err.value.blocking == ({F(0): F(0), F(1, 8): F(1, 8)},
+                                      F(1, 16))
+        assert err.value.scanned == 21
+    # the table grown past the cap to the class by another caller: a read
+    # reopens the stream, which yields nothing before the same error
+    ftup = (F(0), F(1, 8))
+    table = core.type_classes(dlo, ftup)
+    while dlo.type_key(ftup, F(1, 16)) not in table.keys:
+        table.grow(dlo.point_at)
+    for _ in range(2):
+        with pytest.raises(SearchBudgetError) as err:
+            ts.typeset_members(dlo, t, 8)
+        assert err.value.blocking == ({F(0): F(0), F(1, 8): F(1, 8)},
+                                      F(1, 16))
+        assert err.value.scanned == 21
+    core.type_classes.cache_clear()
 
 
 # -- continuation partitions ---------------------------------------------------
@@ -381,16 +504,18 @@ def test_profile_reads_the_census(monkeypatch, sid):
 
 
 def test_second_typeset_read_keys_only_the_rep(monkeypatch):
-    # the default stream reads the class of the rep from the sockel's
+    # a first read keeps the members its stream read on the sockel's
     # shared type-class table: a second read of the same type keys the rep
-    # and no enumeration point (each read keyed every point it scanned
-    # when the stream filtered the enumeration)
+    # and no enumeration point, and opens no stream
+    core.type_classes.cache_clear()
     dlo = get_structure("dlo")
     t = ts.make_type(dlo, {F(0), F(1, 2)}, F(1, 4))
     first = ts.typeset_members(dlo, t, 8)
     type_key = _count_calls(monkeypatch, type(dlo), "type_key")
+    stream = _count_calls(monkeypatch, type(dlo), "typeset_iter")
     assert ts.typeset_members(dlo, t, 8) == first
     assert len(type_key) <= 1
+    assert stream == []
 
 
 def test_profile_stabilizes_for_oligomorphic():
