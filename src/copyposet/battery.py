@@ -13,6 +13,7 @@ from itertools import combinations
 from . import certify, closures, engine, typesets
 from .errors import (
     ImpossibleConstructionError,
+    SearchBudgetError,
     UnsupportedConstructionError,
 )
 
@@ -38,7 +39,7 @@ def _constructed_copies(st, depth, seed):
     if st.algebraically_finite:
         # closed forms: total membership, nothing to decide
         out.extend(zip(("disjoint-left", "disjoint-right"),
-                       engine.disjoint_pair(st, frozenset(), seed=seed)))
+                       engine.disjoint_pair(st, frozenset())))
     if st.structure_id == "dlo":
         out.append(("interval-copy", engine.powerset_embedding_dlo(
             st, members=(0, 2))))
@@ -101,7 +102,8 @@ def run_battery(st, depth=10, budget=500, sockel_cap=2, seed=0):
     verdict, note = PASS, ""
     depth_w = depth
     windowset = set(st.prefix(depth_w))
-    bases = [frozenset(), frozenset(st.prefix(1)), frozenset(st.prefix(2))]
+    # the bases {}, {u0} and {u0, u1}, as far as they fit in the window
+    bases = [frozenset(st.prefix(n)) for n in range(min(depth_w, 2) + 1)]
     for base in bases:
         ac = closures.algebraic_closure(st, base, depth_w)
         rc = closures.ranked_closure(st, base, closures.DEFAULT_MAXRANK,
@@ -170,7 +172,7 @@ def run_battery(st, depth=10, budget=500, sockel_cap=2, seed=0):
 
     # disjoint pair
     if st.algebraically_finite:
-        left, right = engine.disjoint_pair(st, frozenset(), seed=seed)
+        left, right = engine.disjoint_pair(st, frozenset())
         cert = certify.check_disjointness(left, right, 12)
         certs.append(cert)
         add("disjoint-pair", cert.verdict)
@@ -192,6 +194,8 @@ def run_battery(st, depth=10, budget=500, sockel_cap=2, seed=0):
             ok = inter == want if rc.exact else want <= inter
             add("descending-chain", PASS if ok else FAIL,
                 "intersection %d points" % len(inter))
+        except SearchBudgetError as e:
+            add("descending-chain", UNKNOWN, str(e))
         except UnsupportedConstructionError:
             add("descending-chain", FAIL, "unexpectedly unsupported")
 

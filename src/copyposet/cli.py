@@ -5,8 +5,9 @@ exhausted, 3 unsupported or impossible construction, 141 standard output
 closed by its reader (128 + SIGPIPE, as a shell reports a piped command cut
 short).
 
-Each command imports the library modules it calls when it runs, so a
-command pays the import of only those.
+Each command takes only the options some invocation of it reads, each
+declared once in ``_OPTIONS``, and imports the library modules it calls
+when it runs, so a command pays the import of only those.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def cmd_disjoint(args, out):
 
     st = get_structure(args.structure)
     fix = frozenset(parse_points(st, args.fix))
-    left, right = engine.disjoint_pair(st, fix, seed=args.seed)
+    left, right = engine.disjoint_pair(st, fix)
     core = st.ac_members_exact(fix) | fix
     cert = certify.check_disjointness(left, right, args.depth, core)
     out.cert(cert)
@@ -360,109 +361,114 @@ def cmd_verify(args, out):
     return worst
 
 
+def _at_least(low):
+    """An argparse type: an int of at least ``low``."""
+    def natural(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    natural.__name__ = "int"  # argparse says "invalid int value" on a non-int
+    return natural
+
+
+_FORMATS = ("human", "jsonl")
+
+
+def _output_format(text):
+    # argparse checks choices only on the command line, but converts a
+    # string default through the type: COPYPOSET_FORMAT is checked here
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(
+            "invalid choice: %r (choose from %s)"
+            % (text, ", ".join(map(repr, _FORMATS))))
+    return text
+
+
+def _option(*flags, env=None, **keywords):
+    return flags, env, keywords
+
+
+# Every option, declared once under its dest, in the order a command adds
+# them; COPYPOSET_<env>, when set, is the default, converted as a flag is.
+_OPTIONS = {
+    "structure": _option("--structure", required=True, choices=BUILTIN_IDS),
+    "depth": _option("--depth", type=_at_least(1), default=10, env="DEPTH"),
+    "budget": _option("--budget", type=_at_least(1), default=200,
+                      env="BUDGET"),
+    "sockel_cap": _option("--sockel-cap", type=_at_least(0), default=2,
+                          env="SOCKEL_CAP"),
+    "seed": _option("--seed", type=int, default=0, env="SEED"),
+    "format": _option("--format", type=_output_format, choices=_FORMATS,
+                      default="human", env="FORMAT"),
+    "out": _option("--out", default=None, env="OUT"),
+    "sockel": _option("--sockel", default=""),
+    "rep": _option("--rep", required=True),
+    "count": _option("-n", "--count", type=_at_least(0), default=6),
+    "base": _option("--base", default=""),
+    # None stands for closures.DEFAULT_MAXRANK, read when rc runs
+    "maxrank": _option("--maxrank", type=_at_least(0), default=None),
+    "kind": _option("--kind", choices=("identity", "through", "avoiding"),
+                    default="through"),
+    "fix": _option("--fix", default=""),
+    "k": _option("--k", type=_at_least(1), default=3),
+    "avoid": _option("--avoid", default=""),
+    "proper": _option("--proper", action="store_true"),
+    "set": _option("--set", default=""),
+    "set2": _option("--set2", default=""),
+    "cofinite": _option("--cofinite", action="store_true"),
+    "certify": _option("--certify", action="store_true"),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="copyposet",
         description="constructions and certificates for copies of countable "
                     "group actions")
+    # each command: its function, its help line, its mode and the mode's
+    # choices if it has one, and the options besides --format and --out
+    # that some invocation of it reads
+    commands = {
+        "structures": (cmd_structures, "list built-in structures", None, ""),
+        "typeset": (cmd_typeset, "members of a typeset", None,
+                    "structure sockel rep count"),
+        "closure": (cmd_closure, "closure operators",
+                    ("kind", ("ac", "rc", "ic")),
+                    "structure base depth maxrank seed"),
+        "copy": (cmd_copy, "construct a copy", None,
+                 "structure kind fix avoid proper seed certify "
+                 "depth budget sockel_cap"),
+        "chain": (cmd_chain, "strictly descending chain of copies", None,
+                  "structure fix k depth seed"),
+        "disjoint": (cmd_disjoint, "disjoint pair of copies", None,
+                     "structure fix depth"),
+        "embed-powerset": (cmd_embed_powerset,
+                           "interval copy for a set of naturals (dlo)", None,
+                           "structure set cofinite certify "
+                           "depth budget sockel_cap"),
+        "bernstein": (cmd_bernstein, "two-colouring meeting all typesets",
+                      None, "structure depth sockel_cap"),
+        "certify": (cmd_certify, "run one certificate check",
+                    ("what", ("copy", "inclusion", "meet")),
+                    "structure kind fix avoid proper seed set set2 "
+                    "depth budget sockel_cap"),
+        "verify": (cmd_verify, "run the verification battery", None,
+                   "structure depth budget sockel_cap seed"),
+    }
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def env(name, fallback):
-        # environment overrides mirror the flags; explicit flags still win,
-        # and argparse converts a string default as it converts the flag
-        return os.environ.get("COPYPOSET_" + name, fallback)
-
-    formats = ("human", "jsonl")
-
-    def output_format(text):
-        # argparse checks choices only on the command line, but converts a
-        # string default through the type: COPYPOSET_FORMAT is checked here
-        if text not in formats:
-            raise argparse.ArgumentTypeError(
-                "invalid choice: %r (choose from %s)"
-                % (text, ", ".join(map(repr, formats))))
-        return text
-
-    def common(p, structure=True):
-        if structure:
-            p.add_argument("--structure", required=True, choices=BUILTIN_IDS)
-        p.add_argument("--depth", type=int, default=env("DEPTH", 10))
-        p.add_argument("--budget", type=int, default=env("BUDGET", 200))
-        p.add_argument("--sockel-cap", dest="sockel_cap", type=int,
-                       default=env("SOCKEL_CAP", 2))
-        p.add_argument("--seed", type=int, default=env("SEED", 0))
-        p.add_argument("--format", type=output_format, choices=formats,
-                       default=env("FORMAT", "human"))
-        p.add_argument("--out", default=env("OUT", None))
-
-    p = sub.add_parser("structures", help="list built-in structures")
-    common(p, structure=False)
-    p.set_defaults(fn=cmd_structures)
-
-    p = sub.add_parser("typeset", help="members of a typeset")
-    common(p)
-    p.add_argument("--sockel", default="")
-    p.add_argument("--rep", required=True)
-    p.add_argument("-n", "--count", type=int, default=6)
-    p.set_defaults(fn=cmd_typeset)
-
-    p = sub.add_parser("closure", help="closure operators")
-    p.add_argument("kind", choices=("ac", "rc", "ic"))
-    common(p)
-    p.add_argument("--base", default="")
-    # None stands for closures.DEFAULT_MAXRANK, read when rc runs
-    p.add_argument("--maxrank", type=int, default=None)
-    p.set_defaults(fn=cmd_closure)
-
-    p = sub.add_parser("copy", help="construct a copy")
-    common(p)
-    p.add_argument("--kind", choices=("identity", "through", "avoiding"),
-                   default="through")
-    p.add_argument("--fix", default="")
-    p.add_argument("--avoid", default="")
-    p.add_argument("--proper", action="store_true")
-    p.add_argument("--certify", action="store_true")
-    p.set_defaults(fn=cmd_copy)
-
-    p = sub.add_parser("chain", help="strictly descending chain of copies")
-    common(p)
-    p.add_argument("--fix", default="")
-    p.add_argument("--k", type=int, default=3)
-    p.set_defaults(fn=cmd_chain)
-
-    p = sub.add_parser("disjoint", help="disjoint pair of copies")
-    common(p)
-    p.add_argument("--fix", default="")
-    p.set_defaults(fn=cmd_disjoint)
-
-    p = sub.add_parser("embed-powerset",
-                       help="interval copy for a set of naturals (dlo)")
-    common(p)
-    p.add_argument("--set", default="")
-    p.add_argument("--cofinite", action="store_true")
-    p.add_argument("--certify", action="store_true")
-    p.set_defaults(fn=cmd_embed_powerset)
-
-    p = sub.add_parser("bernstein", help="two-colouring meeting all typesets")
-    common(p)
-    p.set_defaults(fn=cmd_bernstein)
-
-    p = sub.add_parser("certify", help="run one certificate check")
-    p.add_argument("what", choices=("copy", "inclusion", "meet"))
-    common(p)
-    p.add_argument("--kind", choices=("identity", "through", "avoiding"),
-                   default="through")
-    p.add_argument("--fix", default="")
-    p.add_argument("--avoid", default="")
-    p.add_argument("--proper", action="store_true")
-    p.add_argument("--set", default="")
-    p.add_argument("--set2", default="")
-    p.set_defaults(fn=cmd_certify)
-
-    p = sub.add_parser("verify", help="run the verification battery")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
+    for name, (fn, help_line, mode, takes) in commands.items():
+        p = sub.add_parser(name, help=help_line)
+        if mode:
+            p.add_argument(mode[0], choices=mode[1])
+        for dest, (flags, env, keywords) in _OPTIONS.items():
+            if dest in takes.split() + ["format", "out"]:
+                if env:
+                    keywords = dict(keywords, default=os.environ.get(
+                        "COPYPOSET_" + env, keywords["default"]))
+                p.add_argument(*flags, **keywords)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -515,17 +521,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(attach_point_values(
         sys.argv[1:] if argv is None else argv, parser))
-    if args.depth < 1 or args.budget < args.depth:
-        parser.error("need depth >= 1 and budget >= depth")
-    if args.sockel_cap < 0:
-        parser.error("need sockel-cap >= 0")
-    if getattr(args, "k", 1) < 1:
-        parser.error("need k >= 1")
-    if (getattr(args, "maxrank", None) or 0) < 0:
-        parser.error("need maxrank >= 0")
-    if getattr(args, "count", 0) < 0:
-        parser.error("need n >= 0")
-    if getattr(args, "what", None) == "meet" and not split_points(args.avoid):
+    if "budget" in args and args.budget < args.depth:
+        parser.error("need budget >= depth")
+    if args.command == "certify" and args.what == "meet" \
+            and not split_points(args.avoid):
         parser.error("certify meet needs --avoid")
     out = _Out(args)
     try:

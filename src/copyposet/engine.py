@@ -368,8 +368,14 @@ def descending_chain(structure, fix, c0, k, seed=0, depth=10):
                 if x not in fixset
                 and structure.type_unranked(fixset, x) is True]
     if not killable:
-        raise UnsupportedConstructionError(
-            "no certified-unranked types over the fixed set: single copy")
+        if structure.single_copy:
+            raise UnsupportedConstructionError(
+                "no certified-unranked types over the fixed set: single copy")
+        # the structure has proper copies: a point to take out may lie
+        # past the window
+        raise SearchBudgetError(
+            "no certified-unranked point over the fixed set in the window "
+            "U_%d" % depth, scanned=depth)
     for a in fixset:
         if not c0.try_decide(a).is_in:
             raise PreconditionError("fixed point %s not inside the top copy"
@@ -398,8 +404,9 @@ def chain_intersection(structure, chain, depth):
 def disjoint_pair(structure, fix, seed=0):
     """The structure's closed-form pair of copies meeting exactly in the
     algebraic closure of ``fix``; available on algebraically finite
-    structures.  ``seed`` is accepted for call compatibility and unused:
-    the closed forms are deterministic."""
+    structures.  ``seed`` is unused, since the closed forms are
+    deterministic; it stays for the callers that pass it, the benchmark's
+    workloads among them."""
     if not structure.algebraically_finite:
         raise UnsupportedConstructionError(
             "%s is not certified algebraically finite"

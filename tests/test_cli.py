@@ -52,18 +52,18 @@ def test_structures_capability_flags(capsys):
                                 "oligomorphic"}
 
 
-@pytest.mark.parametrize("name, value, option", [
-    ("DEPTH", "abc", "--depth"),
-    ("FORMAT", "xml", "--format"),
+@pytest.mark.parametrize("name, value, option, argv", [
+    ("DEPTH", "abc", "--depth", ["bernstein", "--structure", "dlo"]),
+    ("FORMAT", "xml", "--format", ["structures"]),
 ], ids=["depth", "format"])
 def test_bad_environment_value_is_a_usage_error(monkeypatch, capsys, name,
-                                                value, option):
+                                                value, option, argv):
     with pytest.raises(SystemExit) as flag:
-        cli.main(["structures", option, value])
+        cli.main(argv + [option, value])
     flag_err = capsys.readouterr().err
     monkeypatch.setenv("COPYPOSET_" + name, value)
     with pytest.raises(SystemExit) as env:
-        cli.main(["structures"])
+        cli.main(argv)
     assert env.value.code == flag.value.code == 2
     assert capsys.readouterr().err == flag_err
 
@@ -93,9 +93,78 @@ def test_out_of_range_flag_is_a_usage_error(capsys, argv):
 
 def test_environment_value_is_the_default(monkeypatch):
     monkeypatch.setenv("COPYPOSET_DEPTH", "7")
-    assert cli.build_parser().parse_args(["structures"]).depth == 7
-    assert cli.build_parser().parse_args(
-        ["structures", "--depth", "5"]).depth == 5
+    argv = ["bernstein", "--structure", "dlo"]
+    assert cli.build_parser().parse_args(argv).depth == 7
+    assert cli.build_parser().parse_args(argv + ["--depth", "5"]).depth == 5
+
+
+# a call of each command, and the options it takes besides --format and --out
+_TAKES = [
+    (["structures"], ""),
+    (["typeset", "--structure", "dlo", "--rep", "1"],
+     "--structure --sockel --rep -n --count"),
+    (["closure", "ac", "--structure", "dlo"],
+     "--structure --base --depth --maxrank --seed"),
+    (["copy", "--structure", "dlo"],
+     "--structure --kind --fix --avoid --proper --seed --certify --depth "
+     "--budget --sockel-cap"),
+    (["chain", "--structure", "dlo"], "--structure --fix --k --depth --seed"),
+    (["disjoint", "--structure", "dlo"], "--structure --fix --depth"),
+    (["embed-powerset", "--structure", "dlo"],
+     "--structure --set --cofinite --certify --depth --budget --sockel-cap"),
+    (["bernstein", "--structure", "dlo"],
+     "--structure --depth --sockel-cap"),
+    (["certify", "copy", "--structure", "dlo"],
+     "--structure --kind --fix --avoid --proper --seed --set --set2 --depth "
+     "--budget --sockel-cap"),
+    (["verify", "--structure", "dlo"],
+     "--structure --depth --budget --sockel-cap --seed"),
+]
+
+
+@pytest.mark.parametrize("argv, takes", _TAKES,
+                         ids=[argv[0] for argv, _ in _TAKES])
+def test_each_command_takes_only_the_options_it_reads(capsys, argv, takes):
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+
+    def flags(parser):
+        return {f for action in parser._actions
+                for f in action.option_strings} - {"-h", "--help"}
+
+    assert flags(commands[argv[0]]) == \
+        set(takes.split()) | {"--format", "--out"}
+    # a run-size flag that a command does not read is refused, not ignored
+    for flag in sorted({"--depth", "--budget", "--sockel-cap", "--seed"}
+                       - flags(commands[argv[0]])):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + [flag, "1"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: %s 1" % flag \
+            in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["chain", "--structure", "dlo", "--depth", "300"],
+     "chain of 4 copies; window intersection {}"),
+    (["closure", "ac", "--structure", "dlo", "--base", "0", "--depth", "300"],
+     "{0} (exact)"),
+], ids=["chain", "closure"])
+def test_a_command_without_a_budget_takes_any_depth(capsys, argv, last):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("name, value", [("DEPTH", "300"), ("BUDGET", "3")])
+def test_budget_environment_leaves_a_command_without_one_alone(
+        monkeypatch, capsys, name, value):
+    for argv in (["typeset", "--structure", "dlo", "--rep", "1"],
+                 ["structures"]):
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        monkeypatch.setenv("COPYPOSET_" + name, value)
+        assert run(capsys, *argv) == want
+        monkeypatch.delenv("COPYPOSET_" + name)
 
 
 def test_typeset_command(capsys):
@@ -375,6 +444,54 @@ def test_verify_zorder(capsys):
     assert "single-copy-errors" in out
 
 
+def _verify_rows(capsys, sid, *flags):
+    code, out, err = run(capsys, "verify", "--structure", sid,
+                         "--format", "jsonl", *flags)
+    rows = [rec for rec in map(json.loads, out.splitlines())
+            if rec.get("op") == "verify-row"]
+    return code, err, rows
+
+
+_NO_CHAIN_POINT = ("no certified-unranked point over the fixed set in the "
+                   "window U_%d")
+
+
+@pytest.mark.parametrize("sid", cli.BUILTIN_IDS)
+def test_verify_at_depth_one_prints_every_row(capsys, sid):
+    code, err, rows = _verify_rows(capsys, sid, "--depth", "1")
+    assert err == ""
+    assert [r["row"] for r in rows] == \
+        [r["row"] for r in _verify_rows(capsys, sid)[2]]
+    chain = [r for r in rows if r["row"] == "descending-chain"]
+    assert [r["verdict"] for r in rows if r not in chain] == \
+        ["pass"] * (len(rows) - len(chain))
+    # a chain needs an unranked point in its window: at depth 1 the one
+    # window point is the chain's fixed point, so the search runs out
+    assert [(r["verdict"], r["note"]) for r in chain] == \
+        [("unknown", _NO_CHAIN_POINT % 1)] * \
+        (not cli.get_structure(sid).single_copy)
+    assert code == (2 if chain else 0)
+
+
+@pytest.mark.parametrize("sid", ["zetaeta", "treetz"])
+def test_verify_chain_without_an_unranked_window_point_is_unknown(capsys,
+                                                                  sid):
+    code, err, rows = _verify_rows(capsys, sid, "--depth", "2")
+    assert code == 2 and err == ""
+    assert [(r["verdict"], r["note"]) for r in rows
+            if r["verdict"] != "pass"] == \
+        [("unknown", _NO_CHAIN_POINT % 2)]
+
+
+def test_chain_without_an_unranked_window_point_is_a_budget_error(capsys):
+    code, out, err = run(capsys, "chain", "--structure", "dlo", "--fix", "0",
+                         "--depth", "1", "--format", "jsonl")
+    assert code == 2
+    assert err == "budget exhausted: %s\n" % (_NO_CHAIN_POINT % 1)
+    assert json.loads(out) == {"error": "budget",
+                               "message": _NO_CHAIN_POINT % 1, "scanned": 1}
+
+
 def test_verify_jsonl_deterministic(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -569,11 +686,12 @@ def test_abbreviated_point_flag_takes_a_negative_entry(capsys, argv, abbrev,
 
 
 def test_ambiguous_point_flag_keeps_the_argparse_error(capsys):
+    # --se abbreviates --seed, --set and --set2
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["typeset", "--structure", "dlo", "--so", "-1", "--rep",
-                  "0"])
+        cli.main(["certify", "inclusion", "--structure", "dlo", "--se",
+                  "-1"])
     assert exit_info.value.code == 2
-    assert "ambiguous option: --so could match" in capsys.readouterr().err
+    assert "ambiguous option: --se could match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -255,6 +255,20 @@ def test_descending_chain_unsupported_on_zorder(zorder):
                                 1)
 
 
+@pytest.mark.parametrize("sid, depth", [("dlo", 1), ("zetaeta", 2),
+                                        ("treetz", 2)])
+def test_descending_chain_past_its_window_is_a_budget_error(sid, depth):
+    # a structure with proper copies whose window holds no unranked point
+    # over u_0: the search ran out, it did not refute the chain
+    s = get_structure(sid)
+    with pytest.raises(SearchBudgetError) as err:
+        engine.descending_chain(s, s.prefix(1), engine.copy_identity(s), 3,
+                                depth=depth)
+    assert str(err.value) == ("no certified-unranked point over the fixed "
+                              "set in the window U_%d" % depth)
+    assert (err.value.scanned, err.value.blocking) == (depth, None)
+
+
 def test_descending_chain_fix_outside_top_copy(dlo):
     top = engine.powerset_embedding_dlo(dlo, members=(0,))
     with pytest.raises(PreconditionError,
