@@ -5,11 +5,11 @@ small sockel inside the copy, paired with every window point, must have an
 orbit witness landing in the copy.  Verdicts are three-valued; unknown
 carries the unresolved obligations instead of silently passing.  A
 typeset depends on the structure, the sockel and the point, never on the
-copy, so each sockel's type classes are a table (``core.type_classes``)
-that every check on the structure shares, and that ``bernstein_base``,
-the default typeset stream and the rank search read too; an obligation
-asks only the members of its class.  The
-enumeration points, their encodings and the window sockels are shared too.
+copy, so each sockel's type classes are a table in the structure's memo
+(``core.TypeClasses``) that every check on the structure shares, and that
+``bernstein_base``, the default typeset stream and the rank search read
+too; an obligation asks only the members of its class.  The enumeration
+points, their encodings and the window sockels are kept in the memo too.
 
 brute_same_type and brute_extendable re-derive orbit equality from each
 structure's raw data (order comparisons, adjacency bits, class labels,
@@ -24,7 +24,6 @@ target; such an injection extends to a permutation of the whole support.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -69,11 +68,11 @@ class Certificate(Frozen):
 
 
 class _Prefix:
-    """A structure's enumeration as far as any check has read it, each
-    point and its quoted encoding read once, and each window sockel's
-    listing and quoted list made once.  Keyed by index: a dict keyed by
-    dlo points would pay for the hash that Rational(-1) and Rational(-2)
-    share on every lookup of -2."""
+    """A structure's enumeration as far as any check has read it, kept in
+    its memo: each point and its quoted encoding read once, and each window
+    sockel's listing and quoted list made once.  Keyed by index: a dict
+    keyed by dlo points would pay for the hash that Rational(-1) and
+    Rational(-2) share on every lookup of -2."""
 
     __slots__ = ("structure", "points", "quotes", "sockels")
 
@@ -100,9 +99,6 @@ class _Prefix:
             tuple([self.point(i) for i in idx]),
             "[%s]" % ", ".join([self.quoted(i) for i in idx]))
         return s
-
-
-_prefix = lru_cache(maxsize=32)(_Prefix)
 
 
 class _Check:
@@ -189,27 +185,27 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
 
     The typeset of x over F is x's orbit under the stabilizer of F, so it
     depends on the structure, F and x, never on the copy.  Each sockel's
-    type classes are a table kept across calls (``core.type_classes``,
-    shared with ``engine.bernstein_base``, the default typeset stream and
-    the rank search): the class of each enumeration index, computed with
-    one type key per index the first time any caller reads that far.  An
-    obligation asks only the members of x's class, and each class is
-    settled once per sockel: a later point of the class reuses the outcome
-    of the first.  Each enumeration point is read once
-    per process, into the structure's shared prefix (``_prefix``), and
-    within one call each point's membership is asked at most once
-    (``_Check``).  When no scanned member of an infinite typeset is inside
-    the copy, the handle's ``witness`` proposal is consulted and taken
-    only once confirmed.
+    type classes are a table kept across calls in the structure's memo
+    (``core.TypeClasses``, shared with ``engine.bernstein_base``, the
+    default typeset stream and the rank search): the class of each
+    enumeration index, computed with one type key per index the first
+    time any caller reads that far.  An obligation asks only the members
+    of x's class, and each class is settled once per sockel: a later
+    point of the class reuses the outcome of the first.  Each enumeration
+    point is read once per structure instance, into the prefix in its
+    memo (``_Prefix``), and within one call each point's membership is
+    asked at most once (``_Check``).  When no scanned member of an
+    infinite typeset is inside the copy, the handle's ``witness`` proposal
+    is consulted and taken only once confirmed.
 
     Records are the canonical JSON of json.dumps(..., sort_keys=True),
-    assembled from fragments encoded once each: per process an
+    assembled from fragments encoded once each: per structure instance an
     enumeration point's quoted encoding and a window sockel's list, and
     per call a witness per typeset class."""
     if sockel_cap < 0 or budget < 1:
         raise PreconditionError("need sockel_cap >= 0 and budget >= 1")
     st = handle.structure
-    prefix = _prefix(st)
+    prefix = st.memo[_Prefix,]
     sockels = prefix.sockels
     check = _Check(handle, budget, prefix)
     inside, rest = [], []
@@ -226,7 +222,7 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
     for size in range(0, sockel_cap + 1):
         for fidx in combinations(inside, size):
             ftup, sockel = sockels.get(fidx) or prefix.sockel(fidx)
-            table = core.type_classes(st, ftup)
+            table = st.memo[core.TypeClasses, ftup]
             ids = table.ids
             searched = {}  # class id -> quoted witness, per class met
             for i, x, qx in rest:
@@ -393,8 +389,7 @@ _BRUTE = {
 }
 
 
-@lru_cache(maxsize=16)
-def _ground_window(structure, ground_depth):
+def _window(structure, ground_depth):
     return frozenset(structure.prefix(ground_depth))
 
 
@@ -410,7 +405,7 @@ def brute_same_type(structure, sockel, x, y, ground_depth):
     """Ground-truth orbit equality from raw relational data, independent of
     the structure's orbit key and decision procedure."""
     fset = frozenset(sockel)
-    window = _ground_window(structure, ground_depth)
+    window = structure.memo[_window, ground_depth]
     if not fset <= window or x not in window or y not in window:
         raise PreconditionError("inputs must lie inside the ground window")
     if x in fset or y in fset:
@@ -424,7 +419,7 @@ def brute_extendable(structure, pm, ground_depth):
     """Ground-truth extendability of the finite partial map ``pm`` from raw
     relational data, independent of the structure's orbit key.  A map that
     is not injective extends to no permutation."""
-    window = _ground_window(structure, ground_depth)
+    window = structure.memo[_window, ground_depth]
     if not all(s in window and t in window for s, t in pm.items()):
         raise PreconditionError("inputs must lie inside the ground window")
     if len(set(pm.values())) != len(pm):

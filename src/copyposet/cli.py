@@ -62,20 +62,28 @@ def attach_point_values(argv, parser):
     argparse takes a separate such token for a flag unless it reads as one
     negative number.  The flag may be abbreviated as argparse allows, to a
     prefix of no other long flag of its command; an ambiguous prefix is
-    left for argparse to reject."""
+    left for argparse to reject.  The full flag of an option the command
+    does not take is refused as an unrecognized argument where argparse
+    would read it as an abbreviation of one the command takes
+    (``--sockel`` of ``--sockel-cap``, ``--k`` of ``--kind``)."""
     # argparse keeps the commands' parsers and their flags only in
     # private fields
     commands = parser._subparsers._group_actions[0].choices
-    flags = ()
+    flags = foreign = ()
     out = []
     for tok in argv:
         if out and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == ".") \
                 and _point_flag(out[-1], flags):
             out[-1] += "=" + tok
             continue
+        if tok.split("=", 1)[0] in foreign:
+            parser.error("unrecognized arguments: %s" % tok)
         if not flags and tok in commands:
             flags = [f for f in commands[tok]._option_string_actions
                      if f.startswith("--")]
+            foreign = {f for names, _, _ in _OPTIONS.values()
+                       for f in names if f not in flags
+                       and any(g.startswith(f) for g in flags)}
         out.append(tok)
     return out
 

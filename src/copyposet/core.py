@@ -1,11 +1,11 @@
 """Shared value types: finiteness answers, memberships, and the copy-handle
 interface whose memberships they are, with the cut copy (the identity is
 the cut copy with no roots); and the per-structure tables its callers
-share: the type classes over a sockel, and the orbit census on m-tuples."""
+share, kept in each instance's ``Memo`` for its life (a fresh instance is
+cold): the type classes over a sockel, and the orbit census on m-tuples."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, islice, permutations
 
 from .errors import SearchBudgetError
@@ -325,18 +325,6 @@ class TypeClasses:
             yield m
 
 
-# one copy-certify round of the benchmark touches 432 tables, 3 of them
-# read by the rank searches of its closures; one orbit-scan round touches
-# 277: 274 for its Bernstein bases (106 on rado at depth 14, 56 on each of
-# dlo, equiv and pureset at depth 10), whose dlo and rado tables its
-# typeset reads read too, and 3 for its rank searches.  A rank search
-# keeps its answers in the search shared per (structure, window)
-# (``typesets.rank_search``), so a warm round's rank queries read no
-# table: a warm orbit-scan round reads 274 tables in 340 lookups (one per
-# typeset read), and a warm copy-certify round reads 429
-type_classes = lru_cache(maxsize=512)(TypeClasses)
-
-
 class OrbitCensus:
     """The orbits of G on injective m-tuples met in the windows U_w of one
     structure.  ``counts[w]`` is the number met in U_w, and ``keys`` holds
@@ -375,7 +363,16 @@ class OrbitCensus:
         return counts[w]
 
 
-# one census per (structure, arity): the profiles of arity up to 4 on the
-# nine built-ins need 36, so none of them is evicted (an orbit-scan round
-# of the benchmark reads 20)
-orbit_census = lru_cache(maxsize=64)(OrbitCensus)
+class Memo(dict):
+    """A structure's tables, each made when first asked for and kept for
+    the structure's life: ``memo[make, *args]`` is ``make(structure,
+    *args)``, whose answers depend on the structure and the args alone."""
+
+    __slots__ = ("structure",)
+
+    def __init__(self, structure):
+        self.structure = structure
+
+    def __missing__(self, key):
+        value = self[key] = key[0](self.structure, *key[1:])
+        return value

@@ -21,7 +21,7 @@ and stay `unknown` otherwise.
 
 Bernstein bases (``bernstein_base``) read each sockel's type classes, and
 the typeset members drawn for them, from the tables ``check_copy`` keeps
-(``core.type_classes``).
+in the structure's memo (``core.TypeClasses``).
 """
 
 from __future__ import annotations
@@ -467,11 +467,11 @@ def bernstein_base(structure, depth, sockel_cap=2):
     it-is-a-copy construction.  Needs all stabilizer orbits infinite.
 
     Each sockel's window classes, their reps and their typeset members are
-    read from the type-class tables that ``check_copy`` shares
-    (``core.type_classes``).  A warm base reads the members kept in place
-    and reopens a typeset stream only past them, when they run out before
-    the class has both sides, so a later base on the structure keys no
-    point and rereads no stream."""
+    read from the type-class tables in the structure's memo that
+    ``check_copy`` shares (``core.TypeClasses``).  A warm base reads the
+    members kept in place and reopens a typeset stream only past them,
+    when they run out before the class has both sides, so a later base on
+    the structure keys no point and rereads no stream."""
     if sockel_cap < 0:
         raise PreconditionError("need sockel_cap >= 0")
     if not structure.stabilizer_orbits_all_infinite:
@@ -487,7 +487,7 @@ def bernstein_base(structure, depth, sockel_cap=2):
         # the window is in enumeration order, so each sockel listing is
         # too, as check_copy lists its sockels
         for ftup in combinations(window, size):
-            table = core.type_classes(structure, ftup)
+            table = structure.memo[core.TypeClasses, ftup]
             ids = table.ids
             while len(ids) < depth:
                 table.grow(window.__getitem__)

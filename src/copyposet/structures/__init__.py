@@ -33,8 +33,9 @@ def _load(module, name):
 
 
 def get_structure(structure_id):
-    """Shared instance of a built-in structure (instances are stateless apart
-    from append-only enumeration caches)."""
+    """The shared instance of a built-in structure.  It keeps its
+    enumeration and its memo (``core.Memo``) for the life of the process;
+    a fresh instance, ``type(st)()``, is cold."""
     st = _instances.get(structure_id)
     if st is None:
         try:

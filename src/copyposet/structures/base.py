@@ -17,8 +17,9 @@ type is unranked, and a finite set is its own algebraic closure.  A
 structure's copies are cut copies, U minus the cuts of finitely many
 roots, which the engine builds from ``cut_root``, ``cuts`` and
 ``describe_cut``; by default, with the flag set, a root cuts itself.  All
-operations are pure; instances hold only append-only enumeration caches
-and are safe to share.
+operations are pure.  An instance keeps its enumeration and its ``memo``
+(``core.Memo``) of shared tables, append-only, as long as it lives: a
+fresh instance is cold, and any instance is safe to share.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class Structure:
 
     def __init__(self):
         self._enum_cache = []
+        self.memo = core.Memo(self)
 
     # -- enumeration ------------------------------------------------------
 
@@ -209,8 +211,8 @@ class Structure:
 
         For finite typesets the stream is exact and exhausts; for infinite
         ones it is the on-demand witness stream.  This default reads x's
-        class from the sockel's shared type-class table
-        (``core.type_classes``, the sockel listed in enumeration order by
+        class from the sockel's type-class table in the memo
+        (``core.TypeClasses``, the sockel listed in enumeration order by
         ``index_of``), so it keys only x and the enumeration points past
         what any caller of the table has read; a structure may override it
         with a closed form, which must yield the same members in the same
@@ -222,7 +224,7 @@ class Structure:
                 yield y
             return
         ftup = self._listed(sockel)
-        table = core.type_classes(self, ftup)
+        table = self.memo[core.TypeClasses, ftup]
         point_at, cap = self.point_at, _SCAN_CAP + 1
         c = table.find(self.type_key(ftup, x), cap, point_at)
         if c is not None:
@@ -242,15 +244,10 @@ class Structure:
                 if y not in sockel and type_key(f, y) == key)
 
     def typeset_members(self, sockel, x, n):
-        """The first n members of the typeset of <sockel |> x>, in
-        enumeration order: one read of x's class on the table of the
-        sockel listed in enumeration order
-        (``core.TypeClasses.first_members``)."""
-        if not isinstance(n, int) or n < 0:
-            raise PreconditionError("n must be an int >= 0")
-        self.check_same_type_pre(sockel, x, x)
-        return core.type_classes(self, self._listed(sockel)).first_members(
-            x, n)
+        """``typesets.typeset_members`` of the type <sockel |> x>."""
+        from ..typesets import TypeHandle, typeset_members
+        return typeset_members(
+            self, TypeHandle(self.structure_id, self._listed(sockel), x), n)
 
     def _listed(self, sockel):
         """The sockel as a tuple in enumeration order."""

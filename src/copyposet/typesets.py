@@ -10,7 +10,6 @@ never from search failure.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, factorial
 
@@ -80,14 +79,14 @@ class RankAnswer(Frozen):
 def typeset_members(structure, t, n):
     """The first n members of the typeset of t, in enumeration order, as a
     fresh list; n is an int >= 0.  The read is one lookup of the rep's
-    class on the type-class table of t's sockel
+    class on the type-class table of t's sockel in the structure's memo
     (``core.TypeClasses.first_members``), keyed by the type's own listing,
     which ``make_type`` puts in enumeration order: a warm read keys only
     the rep and slices the class's kept members."""
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("n must be an int >= 0")
     structure.check_same_type_pre(t.sockel_of(structure), t.rep, t.rep)
-    return core.type_classes(structure, t.sockel).first_members(t.rep, n)
+    return structure.memo[core.TypeClasses, t.sockel].first_members(t.rep, n)
 
 
 def continuation_partition(structure, t, ext_sockel, depth):
@@ -99,7 +98,7 @@ def continuation_partition(structure, t, ext_sockel, depth):
     ext = frozenset(ext_sockel)
     if not t.sockel_of(structure) <= ext:
         raise PreconditionError("extended sockel must contain the sockel")
-    members = core.type_classes(structure, t.sockel).among(
+    members = structure.memo[core.TypeClasses, t.sockel].among(
         structure.type_key(t.sockel, t.rep), structure.prefix(depth))
     pool = [q for q in members if q not in ext]
     return [make_type(structure, ext, rep)
@@ -122,9 +121,9 @@ def _class_reps(structure, ftup, pool):
 class _RankSearch:
     """Sockels travel as tuples in enumeration order, and a class is named
     by its type key over that listing.  A class's members in the probe
-    window are read from the sockel's shared type-class table
-    (``core.type_classes``), so a later search on the structure keys no
-    probe point again.
+    window are read from the sockel's type-class table in the structure's
+    memo (``core.TypeClasses``), so a later search on the structure keys
+    no probe point again.
 
     An answer is a function of (sockel listing, rep, k), the memo's key,
     so it is what a fresh search gives, whatever was asked before.  A
@@ -195,7 +194,8 @@ class _RankSearch:
             for added in combinations(window_pts, size) if added != (rep,)))
         # the probe-window typeset is read once per call; each candidate
         # streams its continuation classes only up to the first failing one
-        members = core.type_classes(st, ftup).among(key, st.prefix(self.probe))
+        members = st.memo[core.TypeClasses, ftup].among(
+            key, st.prefix(self.probe))
         # Refute first at k = 1: a continuation has rank 0 exactly when its
         # typeset is finite, a property of its class.  The point that
         # refuted the last candidate is a member here; if it lies off the
@@ -242,12 +242,11 @@ def rank_at_most(structure, t, k, window):
     return search.bound(t.sockel_of(structure), t.rep, k)
 
 
-@lru_cache(maxsize=32)
 def rank_search(structure, window):
     """The rank engine of one (structure, window), shared by every caller;
     its memo is keyed by (sockel listing, rep, k), so a repeated query is
     searched once.  Answers are shared: read a witness, never change it."""
-    return _RankSearch(structure, window)
+    return structure.memo[_RankSearch, window]
 
 
 def _stirling2(n, m):
@@ -266,15 +265,15 @@ def oligomorphic_profile(structure, n, window):
     and their m-tuples share an orbit, and the count is the sum over m of
     S(n, m), the Stirling number of the second kind, times the number of
     orbit classes of injective m-tuples.  Those are read from the
-    structure's orbit census for arity m (``core.orbit_census``), which
-    counts them from the orbits on m-sets and grows with the window, so a
-    repeated profile keys nothing and a wider one keys only the subsets
-    that meet the new points.
+    structure's orbit census for arity m, kept in its memo
+    (``core.OrbitCensus``), which counts them from the orbits on m-sets
+    and grows with the window, so a repeated profile keys nothing and a
+    wider one keys only the subsets that meet the new points.
 
     Stabilizes as the window grows exactly for the oligomorphic built-ins."""
     if not 1 <= n <= 4:
         raise PreconditionError("profile arity is limited to 1..4")
     if window < n:
         raise PreconditionError("window must be >= n")
-    return sum(_stirling2(n, m) * core.orbit_census(structure, m).count(window)
-               for m in range(1, n + 1))
+    return sum(_stirling2(n, m) * structure.memo[core.OrbitCensus, m].count(
+        window) for m in range(1, n + 1))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from copyposet.core import Memo
 from copyposet.structures import BUILTIN_IDS, get_structure
 
 # seconds one test may run before it is failed; a loop that never ends
@@ -53,6 +54,40 @@ def zorder():
 @pytest.fixture
 def pairs():
     return get_structure("pairs")
+
+
+class ForgetfulMemo(Memo):
+    """A memo that keeps only the last ``keep`` tables of ``kind`` it made,
+    and counts the tables of ``kind`` it makes in ``misses``."""
+
+    __slots__ = ("kind", "keep", "misses")
+
+    def __init__(self, structure, kind, keep):
+        super().__init__(structure)
+        self.kind, self.keep, self.misses = kind, keep, 0
+
+    def __missing__(self, key):
+        value = super().__missing__(key)
+        if key[0] is self.kind:
+            self.misses += 1
+            made = [k for k in self if k[0] is self.kind]
+            for k in made[:len(made) - self.keep]:
+                del self[k]
+        return value
+
+
+@pytest.fixture
+def forgetful(monkeypatch):
+    """``forgetful(kind, keep)`` gives every shared instance an empty
+    ``ForgetfulMemo`` for the length of the test; returns the memos."""
+    def install(kind, keep):
+        memos = []
+        for sid in BUILTIN_IDS:
+            st = get_structure(sid)
+            memos.append(ForgetfulMemo(st, kind, keep))
+            monkeypatch.setattr(st, "memo", memos[-1])
+        return memos
+    return install
 
 
 def F(*args):

@@ -138,15 +138,15 @@ def _key_counting(sid):
 
 
 def test_check_copy_keys_each_scanned_point_once_per_sockel():
-    dlo, ze = _key_counting("dlo"), _key_counting("zetaeta")
-    handles = [engine.powerset_embedding_dlo(dlo, members=m)
+    # each handle on a fresh instance, so its first check is cold
+    handles = [engine.powerset_embedding_dlo(_key_counting("dlo"), members=m)
                for m in ((), (0,), (1, 3), (0, 2, 5))]
+    ze = _key_counting("zetaeta")
     handles.append(engine.decide_window(engine.copy_through(
         ze, fs(), engine.copy_identity(ze), proper=True, seed=0), 8))
     for h in handles:
         st = h.structure
         st.keyed.clear()
-        core.type_classes.cache_clear()
         assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
         scanned = {y for y in map(st.point_at, range(500))
                    if not h.membership(y).is_out}
@@ -172,12 +172,9 @@ class PointCountingDLO(type(get_structure("dlo"))):
 
 
 def test_cold_check_reads_each_index_once():
-    dlo = PointCountingDLO()
-    core.type_classes.cache_clear()
     for members in ((), (0,), (1, 3), (0, 2, 5)):
+        dlo = PointCountingDLO()
         h = engine.powerset_embedding_dlo(dlo, members=members)
-        dlo.read.clear()
-        certify._prefix.cache_clear()
         assert certify.check_copy(h, 8, 2, 500).verdict == "pass"
         assert dlo.read and max(dlo.read.values()) == 1, members
 
@@ -585,14 +582,20 @@ PINNED_NINE_STRUCTURE_SHA256 = (
     "03c6dc6bf57a4c72912127def992a2b3b612d7c700f2f42ca1aad51487c786fc")
 
 
-def _nine_structure_checks():
+def _fresh(sid):
+    """A fresh instance of the structure ``sid``: all its tables cold."""
+    return type(get_structure(sid))()
+
+
+def _nine_structure_checks(get=get_structure):
     """(handle, depth, sockel_cap, budget) for the identity copy of every
     structure; the decided through-proper and avoiding copies at d = 8 and
     12 and both sides of the disjoint pairs of every structure that has
     them; the dlo max_avoiding_copy; and the planted non-copy.  The
-    planted one fails and every other passes."""
+    planted one fails and every other passes.  ``get`` gives the
+    structure of an id."""
     for sid in BUILTIN_IDS:
-        st = get_structure(sid)
+        st = get(sid)
         yield engine.copy_identity(st), 8, 2, 500
         if st.single_copy:
             continue
@@ -612,7 +615,7 @@ def _nine_structure_checks():
         for fix in fixes:
             for side in engine.disjoint_pair(st, fix, seed=0):
                 yield side, 8, 2, 500
-    dlo = get_structure("dlo")
+    dlo = get("dlo")
     yield engine.max_avoiding_copy(dlo, [F(0)], 8), 8, 2, 500
     yield PlantedNonCopy(dlo), 8, 1, 500
 
@@ -643,17 +646,17 @@ def test_certificate_records_are_canonical_json():
         assert s == json.dumps(json.loads(s), sort_keys=True)
 
 
-def _interval_and_nine_structure_checks():
-    dlo = get_structure("dlo")
+def _interval_and_nine_structure_checks(get=get_structure):
+    dlo = get("dlo")
     cases = [(engine.powerset_embedding_dlo(dlo, members=c), 8, 2, 500)
              for k in range(11) for c in combinations(range(10), k)]
-    return cases + list(_nine_structure_checks())
+    return cases + list(_nine_structure_checks(get))
 
 
 def test_certificates_do_not_depend_on_the_class_tables_kept():
-    core.type_classes.cache_clear()
+    # cold: each case on fresh instances, its handle built on them
     cold = [to_json(certify.check_copy(*case))
-            for case in _interval_and_nine_structure_checks()]
+            for case in _interval_and_nine_structure_checks(_fresh)]
     warm = [to_json(certify.check_copy(*case))
             for case in _interval_and_nine_structure_checks()]
     backwards = [to_json(certify.check_copy(*case))
@@ -662,20 +665,19 @@ def test_certificates_do_not_depend_on_the_class_tables_kept():
 
 
 def test_more_sockels_than_tables_kept_leave_certificates_unchanged(
-        monkeypatch):
+        forgetful):
     want = _nine_structure_certificates()
-    monkeypatch.setattr(core, "type_classes",
-                        lru_cache(maxsize=2)(core.TypeClasses))
+    memos = forgetful(core.TypeClasses, 2)
     got = _nine_structure_certificates()
-    assert core.type_classes.cache_info().misses > 2
+    assert sum(m.misses for m in memos) > 2
     assert [to_json(c) for c in got] == [to_json(c) for c in want]
 
 
-def _mixed_window_certificates(shuffle=True):
+def _mixed_window_certificates(shuffle=True, get=get_structure):
     """The nine-structure checks, each also at (12, 1), (4, 0) and (0, 2)
     for (depth, sockel_cap), run in a seeded shuffle or in order."""
     cases = [(h, d, cap, b) for h, depth, sockel_cap, b
-             in _nine_structure_checks()
+             in _nine_structure_checks(get)
              for d, cap in ((depth, sockel_cap), (12, 1), (4, 0), (0, 2))]
     order = list(range(len(cases)))
     if shuffle:
@@ -684,16 +686,13 @@ def _mixed_window_certificates(shuffle=True):
     return [got[i] for i in range(len(cases))]
 
 
-def test_certificates_do_not_depend_on_the_prefixes_kept(monkeypatch):
-    certify._prefix.cache_clear()
-    core.type_classes.cache_clear()
-    cold = _mixed_window_certificates()
+def test_certificates_do_not_depend_on_the_prefixes_kept(forgetful):
+    cold = _mixed_window_certificates(get=_fresh)
     warm = _mixed_window_certificates()
     in_order = _mixed_window_certificates(shuffle=False)
-    monkeypatch.setattr(certify, "_prefix",
-                        lru_cache(maxsize=1)(certify._Prefix))
+    memos = forgetful(certify._Prefix, 0)
     small = _mixed_window_certificates()
-    assert certify._prefix.cache_info().misses > 2
+    assert sum(m.misses for m in memos) > 2
     assert cold == warm == in_order == small
 
 

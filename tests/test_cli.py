@@ -694,6 +694,29 @@ def test_ambiguous_point_flag_keeps_the_argparse_error(capsys):
     assert "ambiguous option: --se could match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--structure", "dlo"], "--sockel"),
+    (["bernstein", "--structure", "dlo"], "--sockel"),
+    (["copy", "--structure", "dlo"], "--sockel"),
+    (["embed-powerset", "--structure", "dlo"], "--sockel"),
+    (["certify", "copy", "--structure", "dlo"], "--sockel"),
+    (["copy", "--structure", "dlo"], "--k"),
+    (["certify", "copy", "--structure", "dlo"], "--k"),
+    (["typeset", "--structure", "dlo", "--rep", "1"], "--budget"),
+    (["chain", "--structure", "dlo"], "--kind"),
+])
+@pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+def test_flag_of_another_command_is_unrecognized(capsys, argv, flag, joined):
+    # argparse alone would read --sockel as an abbreviation of
+    # --sockel-cap and --k as one of --kind
+    value = "through" if flag.startswith("--k") else "1"
+    given = ["%s=%s" % (flag, value)] if joined else [flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + given)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: %s" % given[0] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["embed-powerset", "--structure", "dlo", "--set", "0,a"],
     ["certify", "inclusion", "--structure", "dlo", "--set", "0,a"],

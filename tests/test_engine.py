@@ -6,7 +6,6 @@ import importlib
 import json
 import pkgutil
 from fractions import Fraction as F
-from functools import lru_cache
 from itertools import combinations, islice
 from pathlib import Path
 
@@ -619,18 +618,17 @@ BERNSTEIN_IDS = ("pureset", "dlo", "rado", "equiv")
 
 
 def test_bernstein_bases_do_not_depend_on_the_tables_kept():
-    # cold tables, warm tables, and a mixed order: d = 14 before d = 6,
-    # cap 2 before cap 0, and a check_copy on the structure in between
-    # that reads the tables of its own sockels
+    # cold tables (each case on a fresh instance), warm tables, and a
+    # mixed order on one more fresh instance: d = 14 before d = 6, cap 2
+    # before cap 0, and a check_copy on the structure in between that
+    # reads the tables of its own sockels
     for sid in BERNSTEIN_IDS:
         st = get_structure(sid)
-        cold = {}
-        for case in BERNSTEIN_CASES:
-            core.type_classes.cache_clear()
-            cold[case] = _bernstein_record(st, *case)
+        cold = {case: _bernstein_record(type(st)(), *case)
+                for case in BERNSTEIN_CASES}
         warm = {case: _bernstein_record(st, *case)
                 for case in BERNSTEIN_CASES}
-        core.type_classes.cache_clear()
+        st = type(st)()
         mixed = {}
         for case in BERNSTEIN_CASES[::-1]:
             mixed[case] = _bernstein_record(st, *case)
@@ -640,14 +638,13 @@ def test_bernstein_bases_do_not_depend_on_the_tables_kept():
         assert cold == warm == mixed, sid
 
 
-def test_bernstein_bases_with_fewer_tables_kept(monkeypatch):
+def test_bernstein_bases_with_fewer_tables_kept(forgetful):
     want = [_bernstein_record(get_structure(sid), *case)
             for sid in BERNSTEIN_IDS for case in BERNSTEIN_CASES]
-    monkeypatch.setattr(core, "type_classes",
-                        lru_cache(maxsize=2)(core.TypeClasses))
+    memos = forgetful(core.TypeClasses, 2)
     got = [_bernstein_record(get_structure(sid), *case)
            for sid in BERNSTEIN_IDS for case in BERNSTEIN_CASES]
-    assert core.type_classes.cache_info().misses > 2
+    assert sum(m.misses for m in memos) > 2
     assert got == want
 
 
@@ -669,7 +666,7 @@ def _reference_bernstein(structure, depth, sockel_cap=2):
     scan_cap = 64 * (depth + 1)
     for size in range(0, sockel_cap + 1):
         for ftup in combinations(window, size):
-            table = core.type_classes(structure, ftup)
+            table = structure.memo[core.TypeClasses, ftup]
             ids = table.ids
             while len(ids) < depth:
                 table.grow(window.__getitem__)
@@ -711,9 +708,10 @@ def _reference_bernstein(structure, depth, sockel_cap=2):
 
 
 def _against_the_reference(st, depth, cap):
-    core.type_classes.cache_clear()
-    cold = engine.bernstein_base(st, depth, sockel_cap=cap)
-    core.type_classes.cache_clear()
+    # the base and the reference each on a fresh instance, then the base
+    # again on the tables the reference grew
+    cold = engine.bernstein_base(type(st)(), depth, sockel_cap=cap)
+    st = type(st)()
     want = _reference_bernstein(st, depth, cap)
     assert cold == want == engine.bernstein_base(st, depth, sockel_cap=cap), \
         (st.structure_id, depth, cap)
@@ -766,7 +764,7 @@ def test_bernstein_raises_a_stream_error_again(k):
     # over nothing the first class stops after reading 0 and 1; over {0}
     # the class of 1 reads 1, 2 and 3
     ftup = (0,) if k == 2 else ()
-    assert core.type_classes(st, ftup).drawn == {0: [[], [0], [1, 2]][k]}
+    assert st.memo[core.TypeClasses, ftup].drawn == {0: [[], [0], [1, 2]][k]}
 
 
 # -- the no-isolated-point proxy ---------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Action-oracle behaviour: enumerations, orbit calculus, finiteness."""
 
+import ast
 import operator
 import pickle
 import random
 from decimal import Context
 from fractions import Fraction as F
 from itertools import combinations, count, islice, product, takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet import IN, UNKNOWN, PreconditionError, certify, core, engine
-from copyposet.core import CopyHandle
+from copyposet.core import CopyHandle, CutCopy
 from copyposet.errors import SearchBudgetError, UnknownStructureError
 from copyposet.structures import BUILTIN_IDS, Structure, get_structure
 from copyposet.structures.dlo import Rational
@@ -29,6 +31,46 @@ def test_registry_rejects_unknown_id():
 
 def test_builtin_count():
     assert len(BUILTIN_IDS) == 9
+
+
+def test_no_module_keeps_a_table_in_a_functools_cache():
+    # each structure instance keeps its tables in its own memo, so a fresh
+    # instance is cold; a module-level cache would outlive that
+    cached = []
+    for path in sorted(Path(core.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools":
+                names = [node.attr]
+            else:
+                continue
+            cached += [(path.name, node.lineno, name) for name in names
+                       if name in ("lru_cache", "cache")]
+    assert cached == []
+
+
+@pytest.mark.parametrize("sid", ["pureset", "dlo", "rado", "equiv"])
+def test_fresh_instance_is_cold_and_answers_as_the_shared_one(sid):
+    # the shared instance warm from a check and a base, then a fresh one
+    shared = get_structure(sid)
+
+    def answers(st):
+        copy = CutCopy(st, st.prefix(8)[1::2])
+        return certify.check_copy(copy, 8, 2, 500), engine.bernstein_base(
+            st, 10)
+
+    warm = answers(shared)
+    fresh = type(shared)()
+    assert fresh.memo == {} and fresh.memo.structure is fresh
+    cold = answers(fresh)
+    assert cold == warm and cold[0].verdict == "pass"
+    common = fresh.memo.keys() & shared.memo.keys()
+    assert any(key[0] is core.TypeClasses for key in common)
+    assert all(fresh.memo[key] is not shared.memo[key] for key in common)
+    assert answers(fresh) == warm
 
 
 # -- enumerations -------------------------------------------------------------
@@ -490,7 +532,7 @@ def test_typeset_scan_caps_name_their_obligation(monkeypatch):
     # the first member of the class: the stream still reads no further
     # than the cap, so it yields nothing before the same error
     ftup = (F(0), F(1, 8))
-    table = core.type_classes(dlo, ftup)
+    table = dlo.memo[core.TypeClasses, ftup]
     while dlo.type_key(ftup, F(1, 16)) not in table.keys:
         table.grow(dlo.point_at)
     assert len(table.ids) > 21
@@ -532,10 +574,11 @@ def _listed_two_ways(sockel):
 
 
 def test_typeset_stream_matches_the_enumeration_scan(structure):
-    # the first 8 members of the stream, read from the shared type-class
-    # tables, against typeset_in over the enumeration: with no table kept,
-    # with tables check_copy and bernstein_base grew first, and with the
-    # sockel given as sets built in either order
+    # the first 8 members of the stream, read from the type-class tables
+    # in the memo, against typeset_in over the enumeration: on a fresh
+    # instance with no table kept, on one whose tables check_copy and
+    # bernstein_base grew first, and with the sockel given as sets built
+    # in either order
     st = structure
     cases = [(f, x) for k in range(3) for f in combinations(st.prefix(6), k)
              for x in st.prefix(8) if x not in f]
@@ -547,18 +590,17 @@ def test_typeset_stream_matches_the_enumeration_scan(structure):
         want[f, x] = list(islice(st.typeset_in(
             fs(f), x, map(st.point_at, count())), len(got)))
 
-    def streams():
+    def streams(st):
         return {(f, x): list(islice(st.typeset_iter(s, x), 8))
                 for f, x in cases for s in _listed_two_ways(f)}
 
-    core.type_classes.cache_clear()
-    assert streams() == want
-    core.type_classes.cache_clear()
+    assert streams(type(st)()) == want
+    st = type(st)()
     certify.check_copy(_UndecidedPast(st, st.prefix(6)), 8, 2, 200)
     if st.stabilizer_orbits_all_infinite:
         engine.bernstein_base(st, 8)
-    assert core.type_classes.cache_info().currsize >= 22
-    assert streams() == want
+    assert sum(k[0] is core.TypeClasses for k in st.memo) >= 22
+    assert streams(st) == want
 
 
 def test_type_class_firsts_are_each_class_first_index(structure):

@@ -35,8 +35,7 @@ def test_typeset_members_draws_exactly_n(monkeypatch):
     # a cold read draws exactly n members of the stream and keeps them on
     # the sockel's table; a warm read draws none while the kept members
     # reach n, and past them reopens the stream no further than member n
-    core.type_classes.cache_clear()
-    dlo = get_structure("dlo")
+    dlo = type(get_structure("dlo"))()
     drawn = []
     stream = dlo.typeset_iter
 
@@ -84,11 +83,12 @@ def test_typeset_members_equal_the_stream_cold_and_warm(sid):
              for f in combinations(st.prefix(4), size)
              for rep in [p for p in st.prefix(8) if p not in f][:3]]
     # the reference streams, read before any table of the structure exists
-    core.type_classes.cache_clear()
-    want = {(f, rep): list(islice(st.typeset_iter(fs(f), rep), max(_COUNTS)))
+    fresh = type(st)()
+    want = {(f, rep): list(islice(fresh.typeset_iter(fs(f), rep),
+                                  max(_COUNTS)))
             for f, rep in cases}
 
-    def check(counts):
+    def check(st, counts):
         for f, rep in cases:
             t = ts.make_type(st, f, rep)
             for n in counts:
@@ -98,30 +98,29 @@ def test_typeset_members_equal_the_stream_cold_and_warm(sid):
 
     # cold tables, each length read increasing then decreasing
     for counts in (_COUNTS, _COUNTS[::-1]):
-        core.type_classes.cache_clear()
-        check(counts)
-        check(counts[::-1])
+        fresh = type(st)()
+        check(fresh, counts)
+        check(fresh, counts[::-1])
     # warm tables: after a Bernstein base, where the structure has one
     if st.stabilizer_orbits_all_infinite:
-        core.type_classes.cache_clear()
-        engine.bernstein_base(st, 10)
-        check(_COUNTS)
-        check(_COUNTS[::-1])
+        fresh = type(st)()
+        engine.bernstein_base(fresh, 10)
+        check(fresh, _COUNTS)
+        check(fresh, _COUNTS[::-1])
     # and after a longer read of each type
-    core.type_classes.cache_clear()
+    fresh = type(st)()
     for f, rep in cases:
-        ts.typeset_members(st, ts.make_type(st, f, rep), 20)
-    check(_COUNTS[::-1])
-    check(_COUNTS)
+        ts.typeset_members(fresh, ts.make_type(fresh, f, rep), 20)
+    check(fresh, _COUNTS[::-1])
+    check(fresh, _COUNTS)
 
 
 @pytest.mark.parametrize("sid", ["dlo", "rado"])
 def test_warm_typeset_read_keys_only_its_rep(monkeypatch, sid):
-    st = get_structure(sid)
+    st = type(get_structure(sid))()
     sockel = st.prefix(4)[1:3]
     rep = next(p for p in st.prefix(8) if p not in sockel)
     t = ts.make_type(st, sockel, rep)
-    core.type_classes.cache_clear()
     engine.bernstein_base(st, 10)  # rado's closed form grows no table
     first = ts.typeset_members(st, t, 8)
     assert st.typeset_members(fs(sockel), rep, 8) == first
@@ -145,8 +144,7 @@ def test_typeset_read_raises_the_stream_error_again(monkeypatch):
     from copyposet.structures import base
 
     monkeypatch.setattr(base, "_SCAN_CAP", 20)
-    core.type_classes.cache_clear()
-    dlo = get_structure("dlo")
+    dlo = type(get_structure("dlo"))()
     t = ts.make_type(dlo, {F(0), F(1, 8)}, F(1, 16))
     for read in (lambda: ts.typeset_members(dlo, t, 8),
                  lambda: ts.typeset_members(dlo, t, 8),
@@ -161,7 +159,7 @@ def test_typeset_read_raises_the_stream_error_again(monkeypatch):
     # the table grown past the cap to the class by another caller: a read
     # reopens the stream, which yields nothing before the same error
     ftup = (F(0), F(1, 8))
-    table = core.type_classes(dlo, ftup)
+    table = dlo.memo[core.TypeClasses, ftup]
     while dlo.type_key(ftup, F(1, 16)) not in table.keys:
         table.grow(dlo.point_at)
     for _ in range(2):
@@ -170,7 +168,6 @@ def test_typeset_read_raises_the_stream_error_again(monkeypatch):
         assert err.value.blocking == ({F(0): F(0), F(1, 8): F(1, 8)},
                                       F(1, 16))
         assert err.value.scanned == 21
-    core.type_classes.cache_clear()
 
 
 # -- continuation partitions ---------------------------------------------------
@@ -280,10 +277,11 @@ PINNED_RANKS_SHA256 = (
     "abc815e5e959fdb15edeabefaa0d9548137141be6d77f417f2ab982a861ddafd")
 
 
-def _rank_queries():
+def _rank_queries(get=get_structure):
     """rank_at_most over sockels of size <= 2 and reps in U_6, k in 0..2 and
     windows 4 and 8, then ranked_closure over U_0, U_1 and U_2, for every
-    built-in structure: one thunk per record."""
+    built-in structure, each given by ``get`` from its id: one thunk per
+    record."""
     def rank(st, sockel, rep, k, window):
         a = ts.rank_at_most(st, ts.make_type(st, sockel, rep), k, window)
         return [st.structure_id, [st.encode(p) for p in sockel],
@@ -297,7 +295,7 @@ def _rank_queries():
                 rc.exact, list(rc.certificates)]
 
     for sid in BUILTIN_IDS:
-        st = get_structure(sid)
+        st = get(sid)
         pts = st.prefix(6)
         for size in range(3):
             for sockel in combinations(pts, size):
@@ -315,13 +313,6 @@ def _rank_records():
     return (query() for query in _rank_queries())
 
 
-def _clear_tables():
-    """Forget every per-structure table, so the next call works cold."""
-    core.type_classes.cache_clear()
-    core.orbit_census.cache_clear()
-    ts.rank_search.cache_clear()
-
-
 def test_rank_answers_are_pinned():
     digest = hashlib.sha256()
     for rec in _rank_records():
@@ -332,11 +323,12 @@ def test_rank_answers_are_pinned():
 def test_shared_rank_memo_does_not_depend_on_call_history():
     # the shared search keys each answer by (sockel listing, rep, k), so
     # the sweep asked backwards gives every record it gives forwards
-    queries = list(_rank_queries())
-    _clear_tables()
-    forward = [query() for query in queries]
-    _clear_tables()
-    backward = [query() for query in reversed(queries)]
+    # each sweep on fresh instances, so both start cold
+    def fresh(sid):
+        return type(get_structure(sid))()
+
+    forward = [query() for query in _rank_queries(fresh)]
+    backward = [query() for query in reversed(list(_rank_queries(fresh)))]
     backward.reverse()
     assert len(forward) == 5_184 + 27
     for a, b in zip(forward, backward):
@@ -346,8 +338,7 @@ def test_shared_rank_memo_does_not_depend_on_call_history():
 def test_rank_of_a_second_rep_keeps_its_own_witness():
     # (0,1) shares the class of (0,0) over nothing but is not its
     # canonical rep: its answer pins (0,1) itself, whatever came before
-    z2 = get_structure("zeta2")
-    _clear_tables()
+    z2 = type(get_structure("zeta2"))()
     first = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 0)), 2, 8)
     second = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 1)), 2, 8)
     assert first.witness["extension"] == ["(0,0)"]
@@ -360,8 +351,7 @@ def test_repeated_rank_query_reads_the_memo(monkeypatch, rep, k):
     # a second rep of a class, its enum-least rep and a leaf alike are
     # answered from the memo when asked again (each repeat made two
     # oracle calls when only enum-least reps were kept)
-    z2 = get_structure("zeta2")
-    _clear_tables()
+    z2 = type(get_structure("zeta2"))()
     t = ts.make_type(z2, set(), rep)
     first = ts.rank_at_most(z2, t, k, 8)
     counts = {name: _count_calls(monkeypatch, type(z2), name)
@@ -434,8 +424,7 @@ def test_profile_work_bound(monkeypatch):
     for sid, n, window in (("pureset", 4, 6), ("dlo", 3, 8), ("dlo", 4, 5),
                            ("rado", 3, 8), ("equiv", 3, 8), ("pairs", 3, 8),
                            ("zorder", 3, 8)):
-        st = get_structure(sid)
-        _clear_tables()
+        st = type(get_structure(sid))()
         orbit_key = _count_calls(monkeypatch, type(st), "orbit_key")
         ts.oligomorphic_profile(st, n, window)
         calls += len(orbit_key)
@@ -448,10 +437,9 @@ def test_orbit_work_bounds(monkeypatch):
     # window, with no sort (1,928 index_of calls when every sockel and
     # pool was sorted); a second base reads its classes and typeset
     # members from the shared tables and keys no point
-    rado = get_structure("rado")
+    rado = type(get_structure("rado"))()
     index_of = _count_calls(monkeypatch, type(rado), "index_of")
     type_key = _count_calls(monkeypatch, type(rado), "type_key")
-    core.type_classes.cache_clear()
     engine.bernstein_base(rado, 14)
     assert index_of == []
     assert len(type_key) <= 3_000
@@ -459,8 +447,7 @@ def test_orbit_work_bounds(monkeypatch):
     engine.bernstein_base(rado, 14)
     assert type_key == []
     for sid, n, window in (("dlo", 3, 8), ("rado", 3, 8), ("pairs", 2, 6)):
-        st = get_structure(sid)
-        _clear_tables()
+        st = type(get_structure(sid))()
         extendable = _count_calls(monkeypatch, type(st), "extendable")
         ts.oligomorphic_profile(st, n, window)
         assert extendable == []
@@ -472,8 +459,7 @@ def test_rank_search_work_bound(monkeypatch):
     # (933 typeset_finite, 3,720 index_of and 1,882 type_key calls when
     # every candidate scanned its classes and every continuation re-sorted
     # its sockel)
-    z2 = get_structure("zeta2")
-    _clear_tables()
+    z2 = type(get_structure("zeta2"))()
     counts = {name: _count_calls(monkeypatch, type(z2), name)
               for name in ("typeset_finite", "index_of", "type_key")}
     a = ts.rank_at_most(z2, ts.make_type(z2, set(), (0, 0)), 1, 8)
@@ -487,8 +473,7 @@ def test_rank_search_work_bound(monkeypatch):
 def test_profile_reads_the_census(monkeypatch, sid):
     # a repeated profile keys nothing, and a wider window keys only the
     # subsets that meet its new points
-    st = get_structure(sid)
-    _clear_tables()
+    st = type(get_structure(sid))()
     first = ts.oligomorphic_profile(st, 4, 8)
     orbit_key = _count_calls(monkeypatch, type(st), "orbit_key")
     assert ts.oligomorphic_profile(st, 4, 8) == first
@@ -507,8 +492,7 @@ def test_second_typeset_read_keys_only_the_rep(monkeypatch):
     # a first read keeps the members its stream read on the sockel's
     # shared type-class table: a second read of the same type keys the rep
     # and no enumeration point, and opens no stream
-    core.type_classes.cache_clear()
-    dlo = get_structure("dlo")
+    dlo = type(get_structure("dlo"))()
     t = ts.make_type(dlo, {F(0), F(1, 2)}, F(1, 4))
     first = ts.typeset_members(dlo, t, 8)
     type_key = _count_calls(monkeypatch, type(dlo), "type_key")
