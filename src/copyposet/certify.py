@@ -20,6 +20,8 @@ each other.  Each raw oracle decides whether a list of (source,
 target) pairs extends to some g in G.  For pairs it searches the injections
 of the source support that send each source pair's elements into its
 target; such an injection extends to a permutation of the whole support.
+Each ground window's memo entry holds the window and the structure's raw
+oracle, so a call reads both with one lookup.
 """
 
 from __future__ import annotations
@@ -259,9 +261,12 @@ def check_copy(handle, depth, sockel_cap=2, budget=500):
 
 
 def _brute_dlo(pairs):
-    pairs = sorted(pairs)
-    return all(s1 < s2 and t1 < t2
-               for (s1, t1), (s2, t2) in zip(pairs, pairs[1:]))
+    # every two pairs agree in order both ways
+    for i, (s1, t1) in enumerate(pairs):
+        for s2, t2 in pairs[i + 1:]:
+            if (s1 < s2) != (t1 < t2) or (s2 < s1) != (t2 < t1):
+                return False
+    return True
 
 
 def _brute_pureset(pairs):
@@ -359,21 +364,20 @@ def _brute_pairs(pairs):
     for s, t in pairs:
         for e in s:
             dom[e] = dom[e] & t if e in dom else t
-    doms = sorted(dom.values(), key=len)
-    used = set()
+    return _inject(sorted(dom.values(), key=len), 0, set())
 
-    def extend(k):
-        if k == len(doms):
-            return True
-        for v in doms[k]:
-            if v not in used:
-                used.add(v)
-                if extend(k + 1):
-                    return True
-                used.discard(v)
-        return False
 
-    return extend(0)
+def _inject(doms, k, used):
+    # whether doms[k:] take distinct values, each in its domain, none used
+    if k == len(doms):
+        return True
+    for v in doms[k]:
+        if v not in used:
+            used.add(v)
+            if _inject(doms, k + 1, used):
+                return True
+            used.discard(v)
+    return False
 
 
 _BRUTE = {
@@ -390,41 +394,44 @@ _BRUTE = {
 
 
 def _window(structure, ground_depth):
-    return frozenset(structure.prefix(ground_depth))
+    # a ground window's memo entry: the window and the structure's raw oracle
+    return frozenset(structure.prefix(ground_depth)), _raw_oracle(structure)
 
 
 def _raw_oracle(structure):
-    try:
-        return _BRUTE[structure.structure_id]
-    except KeyError:
-        raise PreconditionError(
-            "no raw oracle for %s" % structure.structure_id) from None
+    # a structure with none is refused only when an answer needs the oracle
+    oracle = _BRUTE.get(structure.structure_id)
+    if oracle is None:
+        def oracle(pairs):
+            raise PreconditionError(
+                "no raw oracle for %s" % structure.structure_id)
+    return oracle
 
 
 def brute_same_type(structure, sockel, x, y, ground_depth):
     """Ground-truth orbit equality from raw relational data, independent of
     the structure's orbit key and decision procedure."""
     fset = frozenset(sockel)
-    window = structure.memo[_window, ground_depth]
+    window, oracle = structure.memo[_window, ground_depth]
     if not fset <= window or x not in window or y not in window:
         raise PreconditionError("inputs must lie inside the ground window")
     if x in fset or y in fset:
         raise PreconditionError("representative lies in the sockel")
     if x == y:
         return True
-    return _raw_oracle(structure)([(x, y)] + [(a, a) for a in fset])
+    return oracle([(x, y), *zip(fset, fset)])
 
 
 def brute_extendable(structure, pm, ground_depth):
     """Ground-truth extendability of the finite partial map ``pm`` from raw
     relational data, independent of the structure's orbit key.  A map that
     is not injective extends to no permutation."""
-    window = structure.memo[_window, ground_depth]
+    window, oracle = structure.memo[_window, ground_depth]
     if not all(s in window and t in window for s, t in pm.items()):
         raise PreconditionError("inputs must lie inside the ground window")
     if len(set(pm.values())) != len(pm):
         return False
-    return _raw_oracle(structure)(list(pm.items()))
+    return oracle(list(pm.items()))
 
 
 def check_inclusion(lower, upper, depth):

@@ -525,8 +525,9 @@ def bernstein_base(structure, depth, sockel_cap=2):
 
 
 def __getattr__(name):
-    # the re-export loads dlo (and fractions) only when it is asked for
+    # the re-export loads dlo (and fractions) on first use and binds it here
     if name == "powerset_embedding_dlo":
         from .structures.dlo import powerset_embedding_dlo
+        globals()[name] = powerset_embedding_dlo
         return powerset_embedding_dlo
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

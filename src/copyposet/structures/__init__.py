@@ -53,12 +53,12 @@ def all_structures():
 
 
 def __getattr__(name):
-    # Structure and the built-in classes resolve on first access
-    if name == "Structure":
-        return _load("base", name)
-    for module, cls in _REGISTRY.values():
+    # Structure and the built-in classes resolve on first access and are
+    # bound here, so later accesses skip this hook
+    for module, cls in (("base", "Structure"), *_REGISTRY.values()):
         if cls == name:
-            return _load(module, name)
+            value = globals()[name] = _load(module, name)
+            return value
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 

@@ -143,7 +143,8 @@ class Structure:
         that is, iff x and y share a type key over the sockel.
 
         Pre: x and y are not in sockel."""
-        self.check_same_type_pre(sockel, x, y)
+        if x in sockel or y in sockel:
+            raise PreconditionError("representative lies in the sockel")
         if x == y:
             return True
         f = tuple(sockel)

@@ -394,6 +394,79 @@ def test_brute_pairs_matches_full_enumeration_on_any_constraints(
         _reference_brute_pairs(constraints)
 
 
+def _reference_brute_dlo(constraints):
+    # sorted by source, consecutive pairs must rise in both coordinates.  It
+    # answers False on an exact duplicate pair, where the pairwise order test
+    # answers True; brute_same_type and brute_extendable only ever build
+    # constraint lists with distinct sources, where the two agree
+    constraints = sorted(constraints)
+    return all(s1 < s2 and t1 < t2 for (s1, t1), (s2, t2)
+               in zip(constraints, constraints[1:]))
+
+
+def test_brute_dlo_matches_the_sorted_reference():
+    # every partial injection of 1-3 points of the first 8
+    win = get_structure("dlo").prefix(8)
+    for k in (1, 2, 3):
+        for dom in combinations(win, k):
+            for img in permutations(win, k):
+                constraints = list(zip(dom, img))
+                assert certify._brute_dlo(constraints) == \
+                    _reference_brute_dlo(constraints), constraints
+
+
+_DLO_12 = get_structure("dlo").prefix(12)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_DLO_12),
+                          st.sampled_from(_DLO_12)),
+                max_size=4, unique_by=lambda c: c[0]))
+@settings(max_examples=200, deadline=None)
+def test_brute_dlo_matches_the_sorted_reference_on_distinct_sources(
+        constraints):
+    assert certify._brute_dlo(constraints) == \
+        _reference_brute_dlo(constraints)
+
+
+def test_brute_oracle_reads_its_raw_oracle_once_per_window(monkeypatch):
+    calls = []
+    raw_oracle = certify._raw_oracle
+
+    def counting(structure):
+        calls.append(structure)
+        return raw_oracle(structure)
+
+    monkeypatch.setattr(certify, "_raw_oracle", counting)
+    dlo = type(get_structure("dlo"))()
+    win = dlo.prefix(12)
+    pool = [(x, y) for x in win[1:] for y in win[1:]][:100]
+    for depth, want in ((12, 1), (16, 2)):
+        for x, y in pool:
+            certify.brute_same_type(dlo, fs({win[0]}), x, y, depth)
+        assert len(calls) == want
+    assert calls == [dlo, dlo]
+
+
+def test_brute_oracle_refuses_a_structure_without_one_only_when_asked():
+    # the window and sockel preconditions come first, and x == y needs no
+    # oracle
+    class Unlisted(type(get_structure("dlo"))):
+        structure_id = "unlisted"
+
+    st = Unlisted()
+    zero, one, two = st.prefix(3)
+    assert certify.brute_same_type(st, fs({zero}), one, one, 8) is True
+    assert certify.brute_extendable(st, {zero: one, one: one}, 8) is False
+    with pytest.raises(PreconditionError, match="inside the ground window"):
+        certify.brute_same_type(st, fs(), one, F(1000000), 8)
+    with pytest.raises(PreconditionError, match="representative lies"):
+        certify.brute_same_type(st, fs({one}), one, two, 8)
+    with pytest.raises(PreconditionError, match="no raw oracle for unlisted"):
+        certify.brute_same_type(st, fs({zero}), one, two, 8)
+    with pytest.raises(PreconditionError, match="no raw oracle for unlisted"):
+        certify.brute_extendable(st, {zero: one}, 8)
+
+
 def test_brute_oracle_imports_no_pairs_module():
     # the raw oracles read point encodings, never a structure module: the
     # pairs oracle stays a derivation from the raw 2-subsets, and the rado

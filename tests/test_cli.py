@@ -742,12 +742,13 @@ def test_verify_refutes_the_planted_interval_union(capsys):
 
 
 def _fresh_modules(code):
-    """The copyposet, structure and dataclasses modules loaded after
-    running ``code`` in a fresh interpreter."""
+    """The copyposet, structure, dataclasses and fractions modules loaded
+    after running ``code`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(copyposet.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = code + "\nimport sys\nprint(' '.join(sorted(m for m in " \
-        "sys.modules if m.startswith('copyposet') or m == 'dataclasses')))"
+        "sys.modules if m.startswith('copyposet') or m in " \
+        "('dataclasses', 'fractions'))))"
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     return set(proc.stdout.splitlines()[-1].split())
@@ -780,6 +781,21 @@ def test_bernstein_command_loads_no_certificate_module():
                       "copyposet.engine", "copyposet.errors",
                       "copyposet.structures", "copyposet.structures.base",
                       "copyposet.structures.rado"}
+
+
+def test_lazy_re_exports_bind_on_first_use(monkeypatch):
+    loaded = _fresh_modules("import copyposet.engine")
+    assert not loaded & {"copyposet.structures.dlo", "fractions"}
+    from copyposet import engine, structures
+    from copyposet.structures import dlo
+    monkeypatch.delitem(vars(engine), "powerset_embedding_dlo", raising=False)
+    monkeypatch.delitem(vars(structures), "DLO", raising=False)
+    assert engine.powerset_embedding_dlo is dlo.powerset_embedding_dlo
+    assert structures.DLO is dlo.DLO
+    # bound into the module, so a later access skips __getattr__
+    assert vars(engine)["powerset_embedding_dlo"] is \
+        dlo.powerset_embedding_dlo
+    assert vars(structures)["DLO"] is dlo.DLO
 
 
 def test_closed_stdout_exits_quietly():

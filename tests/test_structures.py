@@ -272,6 +272,17 @@ def test_same_type_rejects_sockel_member(dlo):
         dlo.same_type(fs({F(0)}), F(0), F(1))
 
 
+def test_same_type_refuses_a_sockel_member_as_its_precondition_does(
+        structure):
+    f, x, y = structure.prefix(3)
+    with pytest.raises(PreconditionError) as pre:
+        structure.check_same_type_pre(fs({f}), f, y)
+    for a, b in ((f, y), (x, f), (f, f)):
+        with pytest.raises(PreconditionError) as got:
+            structure.same_type(fs({f}), a, b)
+        assert str(got.value) == str(pre.value), (a, b)
+
+
 def test_same_type_is_equivalence_relation(structure):
     window = structure.prefix(8)
     sockel = frozenset(structure.prefix(2))
